@@ -10,6 +10,7 @@ on success, 1 when the library rejects the mathematics (domain errors), and
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -282,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations with quadratic forms, complexes, and formations",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (fn, help_text) in VERBS.items():
+    for verb, (_, help_text) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
-        p.set_defaults(fn=fn)
         if verb in NEEDS_INPUT:
             p.add_argument("--in", dest="input", required=True, help="input JSON file")
         p.add_argument("--out", dest="output", help="write the report here instead of stdout")
@@ -302,13 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; it holds no verb functions, so main looks each
+    # one up in VERBS when it runs
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     report = {"verb": args.verb}
     start = time.monotonic()
     try:
-        result = args.fn(args)
+        result = VERBS[args.verb][0](args)
         status = 0
     except SchemaError as e:
         report["error"] = str(e)

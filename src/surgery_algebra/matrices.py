@@ -4,12 +4,19 @@ Morphisms follow the column convention: a map Lambda^m -> Lambda^n is an
 n x m matrix acting on column vectors, composition is matrix product in
 function order, and the dual of a map is its conjugate transpose.
 
+Entries are RingElements over every ring.  Over Z, the arithmetic of
+FormMatrix (sum, difference, negation, product, scaling, dual) reads the
+entries as plain ints once, computes on the ints (the product through
+``_intlat.matmul``) and boxes the result once; over the group rings it goes
+entry by entry through :mod:`surgery_algebra.rings`.
+
 Integer lattice questions (Smith form, kernels, splitness) are answered
-exactly over the integers.  Invertibility is decided over every supported
-ring: via the Smith form over Z, via the integer regular representation for
-cyclic group rings, and via the determinant (units are exactly +-z^k) for
-the Laurent ring.  Lattice-splitting questions over non-integer rings are
-refused rather than approximated; callers there must supply witnesses.
+exactly over the integers by the ``_intlat`` kernels.  Invertibility is
+decided over every supported ring: via the Smith form over Z, via the
+integer regular representation for cyclic group rings, and via the
+determinant (units are exactly +-z^k) for the Laurent ring.
+Lattice-splitting questions over non-integer rings are refused rather than
+approximated; callers there must supply witnesses.
 """
 
 from __future__ import annotations
@@ -45,17 +52,20 @@ class FormMatrix:
         return FormMatrix(self.ring, len(row_idx), len(col_idx), ents)
 
     def is_zero(self) -> bool:
-        return all(rings.is_zero(e) for row in self.entries for e in row)
+        return not any(c for row in self.entries for e in row for c in e.coeffs)
 
     def to_int_grid(self) -> list[list[int]]:
         if self.ring.kind != "Z":
             raise WrongRingError("integer grid view requires the integers")
-        return [[e.coeffs[0] for e in row] for row in self.entries]
+        return _ints(self)
 
     # -- arithmetic -----------------------------------------------------
 
     def add(self, other: "FormMatrix") -> "FormMatrix":
         _same_shape(self, other)
+        if self.ring.kind == "Z":
+            grid = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(_ints(self), _ints(other))]
+            return _z_matrix(grid, self.rows, self.cols)
         ents = tuple(
             tuple(rings.add(a, b) for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)
@@ -63,9 +73,15 @@ class FormMatrix:
         return FormMatrix(self.ring, self.rows, self.cols, ents)
 
     def sub(self, other: "FormMatrix") -> "FormMatrix":
+        _same_shape(self, other)
+        if self.ring.kind == "Z":
+            grid = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(_ints(self), _ints(other))]
+            return _z_matrix(grid, self.rows, self.cols)
         return self.add(other.neg())
 
     def neg(self) -> "FormMatrix":
+        if self.ring.kind == "Z":
+            return _z_matrix([[-x for x in row] for row in _ints(self)], self.rows, self.cols)
         ents = tuple(tuple(rings.neg(e) for e in row) for row in self.entries)
         return FormMatrix(self.ring, self.rows, self.cols, ents)
 
@@ -74,6 +90,11 @@ class FormMatrix:
             raise WrongRingError("matrix product over mixed rings")
         if self.cols != other.rows:
             raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        if self.ring.kind == "Z":
+            # with no inner dimension, other has no rows and its grid no width
+            if self.cols == 0:
+                return zero_matrix(self.ring, self.rows, other.cols)
+            return _z_matrix(_intlat.matmul(_ints(self), _ints(other)), self.rows, other.cols)
         z = rings.zero(self.ring)
         out = []
         for i in range(self.rows):
@@ -89,6 +110,9 @@ class FormMatrix:
         return FormMatrix(self.ring, self.rows, other.cols, tuple(out))
 
     def scale(self, a: RingElement) -> "FormMatrix":
+        if self.ring.kind == "Z" and a.ring == self.ring:
+            x = a.coeffs[0]
+            return _z_matrix([[x * y for y in row] for row in _ints(self)], self.rows, self.cols)
         ents = tuple(tuple(rings.mul(a, e) for e in row) for row in self.entries)
         return FormMatrix(self.ring, self.rows, self.cols, ents)
 
@@ -97,11 +121,31 @@ class FormMatrix:
 
     def star(self) -> "FormMatrix":
         """Conjugate transpose; the dual of the morphism."""
+        if self.ring.kind == "Z":  # the involution of Z is the identity
+            ents = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+            return FormMatrix(self.ring, self.cols, self.rows, ents)
         ents = tuple(
             tuple(rings.involute(self.entries[i][j]) for i in range(self.rows))
             for j in range(self.cols)
         )
         return FormMatrix(self.ring, self.cols, self.rows, ents)
+
+
+def _ints(m: FormMatrix) -> list[list[int]]:
+    """The entries of a matrix over Z as a grid of plain ints."""
+    return [[e.coeffs[0] for e in row] for row in m.entries]
+
+
+# Elements are immutable, so one boxed object serves every entry of a small value.
+_SMALL = {x: RingElement(rings.Z, (x,)) for x in range(-256, 257)}
+
+
+def _z_matrix(grid: list[list[int]], rows: int, cols: int) -> FormMatrix:
+    """A rows x cols matrix over Z from a grid of plain ints."""
+    z = rings.Z
+    small = _SMALL.get
+    ents = tuple(tuple([small(x) or RingElement(z, (x,)) for x in row]) for row in grid)
+    return FormMatrix(z, rows, cols, ents)
 
 
 def _same_shape(a: FormMatrix, b: FormMatrix):
@@ -173,11 +217,6 @@ def block_matrix(blocks) -> FormMatrix:
     return vstack(*[hstack(*row) for row in blocks])
 
 
-def matrix_from_columns(ring: RingSpec, cols, rows: int) -> FormMatrix:
-    ents = tuple(tuple(col[i] for col in cols) for i in range(rows))
-    return FormMatrix(ring, rows, len(cols), ents)
-
-
 # -- integer lattice layer ------------------------------------------------
 
 
@@ -192,15 +231,15 @@ def smith_normal_form(m: FormMatrix):
     # the int-grid format cannot carry the width of a 0-row matrix
     if m.rows == 0 or m.cols == 0:
         return identity_matrix(m.ring, m.rows), m, identity_matrix(m.ring, m.cols)
-    u, d, v = _intlat.smith_normal_form(m.to_int_grid())
-    return int_matrix(u), int_matrix(d), int_matrix(v)
+    u, d, v = _intlat.smith_normal_form(_ints(m))
+    return _z_matrix(u, m.rows, m.rows), _z_matrix(d, m.rows, m.cols), _z_matrix(v, m.cols, m.cols)
 
 
 def rank(m: FormMatrix) -> int:
     _require_z(m, "rank")
     if m.rows == 0 or m.cols == 0:
         return 0
-    return _intlat.rank(m.to_int_grid())
+    return _intlat.rank(_ints(m))
 
 
 def kernel_basis(m: FormMatrix) -> FormMatrix:
@@ -208,27 +247,25 @@ def kernel_basis(m: FormMatrix) -> FormMatrix:
     _require_z(m, "the kernel")
     if m.rows == 0:
         return identity_matrix(m.ring, m.cols)
-    k = _intlat.kernel_basis(m.to_int_grid())
-    if not k or not k[0]:
-        return zero_matrix(m.ring, m.cols, 0)
-    return int_matrix(k)
+    k = _intlat.kernel_basis(_ints(m))
+    return _z_matrix(k, m.cols, len(k[0]) if k else 0)
 
 
 def cokernel_presentation(m: FormMatrix) -> AbelianGroup:
     _require_z(m, "the cokernel")
-    return rings._group_from_invariants(_intlat.cokernel_invariants(m.to_int_grid()))
+    return rings._group_from_invariants(_intlat.cokernel_invariants(_ints(m)))
 
 
 def is_split_injection(m: FormMatrix) -> bool:
     _require_z(m, "split injectivity")
     if m.rows == 0:
         return m.cols == 0
-    return _intlat.is_split_injection(m.to_int_grid())
+    return _intlat.is_split_injection(_ints(m))
 
 
 def is_surjection(m: FormMatrix) -> bool:
     _require_z(m, "surjectivity")
-    return _intlat.is_surjection(m.to_int_grid())
+    return _intlat.is_surjection(_ints(m))
 
 
 def solve_right(a: FormMatrix, b: FormMatrix):
@@ -239,12 +276,8 @@ def solve_right(a: FormMatrix, b: FormMatrix):
         raise SchemaError("solve_right needs matching row counts")
     if a.rows == 0:
         return zero_matrix(a.ring, a.cols, b.cols)
-    x = _intlat.solve_reduced(a.to_int_grid(), b.to_int_grid())
-    if x is None:
-        return None
-    if not x or not x[0]:
-        return zero_matrix(a.ring, a.cols, b.cols)
-    return int_matrix(x)
+    x = _intlat.solve_reduced(_ints(a), _ints(b))
+    return None if x is None else _z_matrix(x, a.cols, b.cols)
 
 
 def same_span(a: FormMatrix, b: FormMatrix) -> bool:
@@ -252,7 +285,7 @@ def same_span(a: FormMatrix, b: FormMatrix) -> bool:
     _require_z(b, "lattice comparison")
     if a.rows != b.rows:
         return False
-    return _intlat.same_span(a.to_int_grid(), b.to_int_grid())
+    return _intlat.same_span(_ints(a), _ints(b))
 
 
 def complement_of_primitive(b: FormMatrix):
@@ -260,13 +293,12 @@ def complement_of_primitive(b: FormMatrix):
     _require_z(b, "complementing a sublattice")
     if b.rows == 0 and b.cols > 0:
         raise SingularMatrixError("columns do not span a primitive sublattice")
-    res = _intlat.complement_of_primitive(b.to_int_grid())
+    res = _intlat.complement_of_primitive(_ints(b))
     if res is None:
         raise SingularMatrixError("columns do not span a primitive sublattice")
     comp, proj = res
-    compm = int_matrix(comp) if comp and comp[0] else zero_matrix(b.ring, b.rows, 0)
-    projm = int_matrix(proj) if proj else zero_matrix(b.ring, 0, b.rows)
-    return compm, projm
+    r = b.rows - b.cols
+    return _z_matrix(comp, b.rows, r), _z_matrix(proj, r, b.rows)
 
 
 def completion_of_primitive_vector(v: FormMatrix) -> FormMatrix:
@@ -274,10 +306,10 @@ def completion_of_primitive_vector(v: FormMatrix) -> FormMatrix:
     _require_z(v, "completing a vector to a basis")
     if v.cols != 1:
         raise SchemaError("expected a single column")
-    w = _intlat.completion_of_primitive_vector([row[0] for row in v.to_int_grid()])
+    w = _intlat.completion_of_primitive_vector([row[0] for row in _ints(v)])
     if w is None:
         raise SingularMatrixError("vector is not primitive")
-    return int_matrix(w)
+    return _z_matrix(w, v.rows, v.rows)
 
 
 # -- invertibility over every supported ring -------------------------------
@@ -359,8 +391,8 @@ def try_inverse(m: FormMatrix):
     if m.rows == 0:
         return m
     if m.ring.kind == "Z":
-        inv = _intlat.inverse(m.to_int_grid())
-        return None if inv is None else int_matrix(inv)
+        inv = _intlat.inverse(_ints(m))
+        return None if inv is None else _z_matrix(inv, m.rows, m.rows)
     if m.ring.kind == "cyclic":
         order = m.ring.m
         inv = _intlat.inverse(_regular_grid(m))

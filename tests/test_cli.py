@@ -1,0 +1,65 @@
+"""The command-line front end: exit codes and reports, run in process."""
+
+import json
+
+import pytest
+
+from surgery_algebra import acceptance, cli
+
+
+def e8_path():
+    return str(acceptance.fixture_path("e8.json"))
+
+
+def run(argv):
+    """(exit status, report) of one in-process CLI call writing to --out."""
+    status = cli.main(argv)
+    with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+        return status, json.load(fh)
+
+
+def test_form_info_on_the_e8_fixture(tmp_path):
+    out = tmp_path / "report.json"
+    status, report = run(["form-info", "--in", e8_path(), "--out", str(out)])
+    assert status == 0
+    assert report["verb"] == "form-info"
+    assert report["result"] == {"ring": {"ring": "Z"}, "epsilon": 1, "rank": 8,
+                                "nonsingular": True, "even": True}
+    assert report["provenance"]["inputs"] == [e8_path()]
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps({"ring": {"ring": "quaternion"}, "epsilon": 1, "lambda": [[2]], "mu": [1]}),
+    None,
+], ids=["malformed-json", "unknown-ring-kind", "missing-file"])
+def test_unreadable_input_exits_with_status_2(tmp_path, content):
+    src = tmp_path / "input.json"
+    if content is not None:
+        src.write_text(content, encoding="utf-8")
+    out = tmp_path / "report.json"
+    status, report = run(["form-info", "--in", str(src), "--out", str(out)])
+    assert status == 2
+    assert report["kind"] == "schema"
+    assert "result" not in report
+
+
+def test_calls_in_one_process_give_independent_reports(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    s1, r1 = run(["form-info", "--in", e8_path(), "--out", str(first)])
+    s2, r2 = run(["milnor", "--ell", "3", "--out", str(second)])
+    assert (s1, s2) == (0, 0)
+    assert r1["verb"] == "form-info" and r1["result"]["rank"] == 8
+    assert r2["verb"] == "milnor" and r2["result"] == {"class_mod_28": 8, "exotic": True}
+    assert r2["provenance"]["inputs"] == []
+    # the first report is untouched by the second call, and a repeat matches it
+    s3, r3 = run(["form-info", "--in", e8_path(), "--out", str(tmp_path / "third.json")])
+    assert s3 == 0 and json.loads(first.read_text(encoding="utf-8")) == r1
+    assert {k: v for k, v in r3.items() if k != "seconds"} == \
+        {k: v for k, v in r1.items() if k != "seconds"}
+
+
+def test_a_missing_required_option_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["form-info"])
+    assert exc.value.code == 2

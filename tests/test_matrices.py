@@ -5,10 +5,12 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
+from surgery_algebra import _intlat
 from surgery_algebra import matrices as mx
 from surgery_algebra import rings
-from surgery_algebra.errors import SingularMatrixError, WrongRingError
+from surgery_algebra.errors import SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.rings import AbelianGroup
 
 from conftest import random_matrix
@@ -191,3 +193,76 @@ def test_empty_shapes_survive_the_basic_operations():
     assert prod.rows == 3 and prod.cols == 3 and prod.is_zero()
     assert mx.is_unimodular(mx.identity_matrix(Z, 0))
     assert mx.kernel_basis(wide).cols == 3
+
+
+# -- arithmetic over Z against the entrywise ring definitions ------------------
+
+# small values, and values past any small-int sharing of boxed entries
+Z_VALUES = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+def z_matrix(grid, rows, cols):
+    """Build entry by entry through rings, so the shape survives 0 rows."""
+    return mx.FormMatrix(Z, rows, cols, tuple(tuple(rings.from_int(Z, x) for x in row)
+                                              for row in grid))
+
+
+def draw_grid(data, rows, cols):
+    return [[data.draw(Z_VALUES) for _ in range(cols)] for _ in range(rows)]
+
+
+def entrywise(rows, cols, f):
+    return mx.FormMatrix(Z, rows, cols, tuple(tuple(f(i, j) for j in range(cols))
+                                              for i in range(rows)))
+
+
+SIZES = st.integers(0, 4)
+
+
+@given(st.data(), SIZES, SIZES, SIZES)
+def test_arithmetic_over_z_matches_the_ring_definitions(data, rows, inner, cols):
+    ga, gb, gc = draw_grid(data, rows, inner), draw_grid(data, rows, inner), draw_grid(data, inner, cols)
+    a, b, c = z_matrix(ga, rows, inner), z_matrix(gb, rows, inner), z_matrix(gc, inner, cols)
+    s = rings.from_int(Z, data.draw(Z_VALUES))
+    e = lambda m, i, j: m.entries[i][j]
+
+    assert a.add(b) == entrywise(rows, inner, lambda i, j: rings.add(e(a, i, j), e(b, i, j)))
+    assert a.sub(b) == entrywise(rows, inner, lambda i, j: rings.sub(e(a, i, j), e(b, i, j)))
+    assert a.neg() == entrywise(rows, inner, lambda i, j: rings.neg(e(a, i, j)))
+    assert a.scale(s) == entrywise(rows, inner, lambda i, j: rings.mul(s, e(a, i, j)))
+    assert a.star() == entrywise(inner, rows, lambda i, j: rings.involute(e(a, j, i)))
+
+    def product_entry(i, j):
+        acc = rings.zero(Z)
+        for t in range(inner):
+            acc = rings.add(acc, rings.mul(e(a, i, t), e(c, t, j)))
+        return acc
+
+    prod = a.mul(c)
+    assert prod == entrywise(rows, cols, product_entry)
+    if inner:  # an int grid with no columns cannot carry the width of the product
+        assert prod.to_int_grid() == _intlat.matmul(ga, gc)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+def test_arithmetic_over_z_keeps_its_ring_and_shape_checks(data, rows, cols):
+    a = z_matrix(draw_grid(data, rows, cols), rows, cols)
+    other = mx.FormMatrix(C2, rows, cols, tuple(tuple(rings.monomial(C2, 1) for _ in range(cols))
+                                                 for _ in range(rows)))
+    for left, right in ((a, other), (other, a)):
+        with pytest.raises(WrongRingError):
+            left.add(right)
+        with pytest.raises(WrongRingError):
+            left.sub(right)
+        with pytest.raises(WrongRingError):
+            left.mul(right.star())
+    with pytest.raises(WrongRingError):
+        a.scale(rings.monomial(C2, 1))
+
+    wrong = z_matrix(draw_grid(data, rows + 1, cols), rows + 1, cols)
+    with pytest.raises(SchemaError):
+        a.add(wrong)
+    with pytest.raises(SchemaError):
+        a.sub(wrong)
+    with pytest.raises(SchemaError):
+        a.mul(z_matrix(draw_grid(data, cols + 1, rows), cols + 1, rows))
