@@ -277,6 +277,7 @@ NEEDS_INPUT = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surgery-algebra",
@@ -302,15 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process; it holds no verb functions, so main looks each
-    # one up in VERBS when it runs
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # the parser is built once and holds no verb functions; look each up here
+    args = build_parser().parse_args(argv)
     report = {"verb": args.verb}
     start = time.monotonic()
     try:

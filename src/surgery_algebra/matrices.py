@@ -5,10 +5,10 @@ n x m matrix acting on column vectors, composition is matrix product in
 function order, and the dual of a map is its conjugate transpose.
 
 Entries are RingElements over every ring.  Over Z, the arithmetic of
-FormMatrix (sum, difference, negation, product, scaling, dual) reads the
-entries as plain ints once, computes on the ints (the product through
-``_intlat.matmul``) and boxes the result once; over the group rings it goes
-entry by entry through :mod:`surgery_algebra.rings`.
+FormMatrix (sum, negation, product, scaling, dual; a difference is a sum
+with a negation) reads the entries as plain ints once, computes on the ints
+(the product through ``_intlat.matmul``) and boxes the result once; over
+the group rings it goes entry by entry through :mod:`surgery_algebra.rings`.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels.  Invertibility is
@@ -57,14 +57,15 @@ class FormMatrix:
     def to_int_grid(self) -> list[list[int]]:
         if self.ring.kind != "Z":
             raise WrongRingError("integer grid view requires the integers")
-        return _ints(self)
+        return [[e.coeffs[0] for e in row] for row in self.entries]
 
     # -- arithmetic -----------------------------------------------------
 
     def add(self, other: "FormMatrix") -> "FormMatrix":
         _same_shape(self, other)
         if self.ring.kind == "Z":
-            grid = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(_ints(self), _ints(other))]
+            pairs = zip(self.to_int_grid(), other.to_int_grid())
+            grid = [[x + y for x, y in zip(ra, rb)] for ra, rb in pairs]
             return _z_matrix(grid, self.rows, self.cols)
         ents = tuple(
             tuple(rings.add(a, b) for a, b in zip(ra, rb))
@@ -73,15 +74,11 @@ class FormMatrix:
         return FormMatrix(self.ring, self.rows, self.cols, ents)
 
     def sub(self, other: "FormMatrix") -> "FormMatrix":
-        _same_shape(self, other)
-        if self.ring.kind == "Z":
-            grid = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(_ints(self), _ints(other))]
-            return _z_matrix(grid, self.rows, self.cols)
         return self.add(other.neg())
 
     def neg(self) -> "FormMatrix":
         if self.ring.kind == "Z":
-            return _z_matrix([[-x for x in row] for row in _ints(self)], self.rows, self.cols)
+            return _z_matrix([[-x for x in row] for row in self.to_int_grid()], self.rows, self.cols)
         ents = tuple(tuple(rings.neg(e) for e in row) for row in self.entries)
         return FormMatrix(self.ring, self.rows, self.cols, ents)
 
@@ -94,7 +91,7 @@ class FormMatrix:
             # with no inner dimension, other has no rows and its grid no width
             if self.cols == 0:
                 return zero_matrix(self.ring, self.rows, other.cols)
-            return _z_matrix(_intlat.matmul(_ints(self), _ints(other)), self.rows, other.cols)
+            return _z_matrix(_intlat.matmul(self.to_int_grid(), other.to_int_grid()), self.rows, other.cols)
         z = rings.zero(self.ring)
         out = []
         for i in range(self.rows):
@@ -112,7 +109,7 @@ class FormMatrix:
     def scale(self, a: RingElement) -> "FormMatrix":
         if self.ring.kind == "Z" and a.ring == self.ring:
             x = a.coeffs[0]
-            return _z_matrix([[x * y for y in row] for row in _ints(self)], self.rows, self.cols)
+            return _z_matrix([[x * y for y in row] for row in self.to_int_grid()], self.rows, self.cols)
         ents = tuple(tuple(rings.mul(a, e) for e in row) for row in self.entries)
         return FormMatrix(self.ring, self.rows, self.cols, ents)
 
@@ -131,20 +128,10 @@ class FormMatrix:
         return FormMatrix(self.ring, self.cols, self.rows, ents)
 
 
-def _ints(m: FormMatrix) -> list[list[int]]:
-    """The entries of a matrix over Z as a grid of plain ints."""
-    return [[e.coeffs[0] for e in row] for row in m.entries]
-
-
-# Elements are immutable, so one boxed object serves every entry of a small value.
-_SMALL = {x: RingElement(rings.Z, (x,)) for x in range(-256, 257)}
-
-
 def _z_matrix(grid: list[list[int]], rows: int, cols: int) -> FormMatrix:
     """A rows x cols matrix over Z from a grid of plain ints."""
     z = rings.Z
-    small = _SMALL.get
-    ents = tuple(tuple([small(x) or RingElement(z, (x,)) for x in row]) for row in grid)
+    ents = tuple(tuple([RingElement(z, (x,)) for x in row]) for row in grid)
     return FormMatrix(z, rows, cols, ents)
 
 
@@ -231,7 +218,7 @@ def smith_normal_form(m: FormMatrix):
     # the int-grid format cannot carry the width of a 0-row matrix
     if m.rows == 0 or m.cols == 0:
         return identity_matrix(m.ring, m.rows), m, identity_matrix(m.ring, m.cols)
-    u, d, v = _intlat.smith_normal_form(_ints(m))
+    u, d, v = _intlat.smith_normal_form(m.to_int_grid())
     return _z_matrix(u, m.rows, m.rows), _z_matrix(d, m.rows, m.cols), _z_matrix(v, m.cols, m.cols)
 
 
@@ -239,7 +226,7 @@ def rank(m: FormMatrix) -> int:
     _require_z(m, "rank")
     if m.rows == 0 or m.cols == 0:
         return 0
-    return _intlat.rank(_ints(m))
+    return _intlat.rank(m.to_int_grid())
 
 
 def kernel_basis(m: FormMatrix) -> FormMatrix:
@@ -247,25 +234,25 @@ def kernel_basis(m: FormMatrix) -> FormMatrix:
     _require_z(m, "the kernel")
     if m.rows == 0:
         return identity_matrix(m.ring, m.cols)
-    k = _intlat.kernel_basis(_ints(m))
+    k = _intlat.kernel_basis(m.to_int_grid())
     return _z_matrix(k, m.cols, len(k[0]) if k else 0)
 
 
 def cokernel_presentation(m: FormMatrix) -> AbelianGroup:
     _require_z(m, "the cokernel")
-    return rings._group_from_invariants(_intlat.cokernel_invariants(_ints(m)))
+    return rings._group_from_invariants(_intlat.cokernel_invariants(m.to_int_grid()))
 
 
 def is_split_injection(m: FormMatrix) -> bool:
     _require_z(m, "split injectivity")
     if m.rows == 0:
         return m.cols == 0
-    return _intlat.is_split_injection(_ints(m))
+    return _intlat.is_split_injection(m.to_int_grid())
 
 
 def is_surjection(m: FormMatrix) -> bool:
     _require_z(m, "surjectivity")
-    return _intlat.is_surjection(_ints(m))
+    return _intlat.is_surjection(m.to_int_grid())
 
 
 def solve_right(a: FormMatrix, b: FormMatrix):
@@ -276,7 +263,7 @@ def solve_right(a: FormMatrix, b: FormMatrix):
         raise SchemaError("solve_right needs matching row counts")
     if a.rows == 0:
         return zero_matrix(a.ring, a.cols, b.cols)
-    x = _intlat.solve_reduced(_ints(a), _ints(b))
+    x = _intlat.solve_reduced(a.to_int_grid(), b.to_int_grid())
     return None if x is None else _z_matrix(x, a.cols, b.cols)
 
 
@@ -285,7 +272,7 @@ def same_span(a: FormMatrix, b: FormMatrix) -> bool:
     _require_z(b, "lattice comparison")
     if a.rows != b.rows:
         return False
-    return _intlat.same_span(_ints(a), _ints(b))
+    return _intlat.same_span(a.to_int_grid(), b.to_int_grid())
 
 
 def complement_of_primitive(b: FormMatrix):
@@ -293,7 +280,7 @@ def complement_of_primitive(b: FormMatrix):
     _require_z(b, "complementing a sublattice")
     if b.rows == 0 and b.cols > 0:
         raise SingularMatrixError("columns do not span a primitive sublattice")
-    res = _intlat.complement_of_primitive(_ints(b))
+    res = _intlat.complement_of_primitive(b.to_int_grid())
     if res is None:
         raise SingularMatrixError("columns do not span a primitive sublattice")
     comp, proj = res
@@ -306,7 +293,7 @@ def completion_of_primitive_vector(v: FormMatrix) -> FormMatrix:
     _require_z(v, "completing a vector to a basis")
     if v.cols != 1:
         raise SchemaError("expected a single column")
-    w = _intlat.completion_of_primitive_vector([row[0] for row in _ints(v)])
+    w = _intlat.completion_of_primitive_vector([row[0] for row in v.to_int_grid()])
     if w is None:
         raise SingularMatrixError("vector is not primitive")
     return _z_matrix(w, v.rows, v.rows)
@@ -391,7 +378,7 @@ def try_inverse(m: FormMatrix):
     if m.rows == 0:
         return m
     if m.ring.kind == "Z":
-        inv = _intlat.inverse(_ints(m))
+        inv = _intlat.inverse(m.to_int_grid())
         return None if inv is None else _z_matrix(inv, m.rows, m.rows)
     if m.ring.kind == "cyclic":
         order = m.ring.m

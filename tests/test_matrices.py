@@ -197,7 +197,7 @@ def test_empty_shapes_survive_the_basic_operations():
 
 # -- arithmetic over Z against the entrywise ring definitions ------------------
 
-# small values, and values past any small-int sharing of boxed entries
+# small values, and values far past a machine word
 Z_VALUES = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 
 
