@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from . import complexes as cx
@@ -435,9 +434,5 @@ def run_criterion(number: int) -> dict:
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_all(max_workers: int = 1) -> list[dict]:
-    numbers = [num for num, _, _ in CRITERIA]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_criterion, numbers))
-    return [run_criterion(n) for n in numbers]
+def run_all() -> list[dict]:
+    return [run_criterion(num) for num, _, _ in CRITERIA]

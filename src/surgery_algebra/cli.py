@@ -235,7 +235,7 @@ def verb_union(args):
 
 
 def verb_suite(args):
-    reports = acceptance.run_all(max_workers=args.jobs)
+    reports = acceptance.run_all()
     for rep in reports:
         status = "PASS" if rep["passed"] else "FAIL"
         print(f"{status} criterion {rep['criterion']:2d} ({rep['name']}): {rep['detail']}")
@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--witness", help="JSON matrix file: a lagrangian to test as a common complement")
             p.add_argument("--stabilize", type=int, default=0,
                            help="pad both sides with this many trivial ranks before comparing")
-        if verb == "suite":
-            p.add_argument("--jobs", type=int, default=1, help="run criteria concurrently")
     return parser
 
 

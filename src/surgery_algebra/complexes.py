@@ -229,11 +229,6 @@ class SurgeryData:
             raise SchemaError("delta_psi0 must be square on the target of j")
 
 
-def surgery_data(ring: RingSpec, j, delta_psi0) -> SurgeryData:
-    conv = lambda m: m if isinstance(m, FormMatrix) else matrices.matrix(ring, m)
-    return SurgeryData(conv(j), conv(delta_psi0))
-
-
 def _surgery_surjection(c: OddComplex, s: SurgeryData) -> FormMatrix:
     return matrices.hstack(c.d, c.psi0.star().mul(s.j.star()))
 

@@ -227,14 +227,6 @@ def is_isometry(iso: FormIsometry, source: QuadraticForm, target: QuadraticForm)
     return is_quadratic_morphism(f, source, target)
 
 
-def is_symmetric_isometry(f: FormMatrix, source: SymmetricForm, target: SymmetricForm) -> bool:
-    if source.ring != target.ring or source.epsilon != target.epsilon:
-        return False
-    if not matrices.is_unimodular(f):
-        return False
-    return f.star().mul(target.lam).mul(f).sub(source.lam).is_zero()
-
-
 def split_hessian_witness(n: FormMatrix, epsilon: int):
     """chi with chi - eps*chi' = n, or None.
 

@@ -13,8 +13,9 @@ the group rings it goes entry by entry through :mod:`surgery_algebra.rings`.
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels.  Invertibility is
 decided over every supported ring: via the Smith form over Z, via the
-integer regular representation for cyclic group rings, and via the
-determinant (units are exactly +-z^k) for the Laurent ring.
+integer regular representation for cyclic group rings, and for the Laurent
+ring by fraction-free (Bareiss) elimination, which yields d = +-det and
+d times the inverse; the units of Z[z,z^-1] are exactly +-z^k.
 Lattice-splitting questions over non-integer rings are refused rather than
 approximated; callers there must supply witnesses.
 """
@@ -315,60 +316,41 @@ def _regular_grid(m: FormMatrix) -> list[list[int]]:
     return grid
 
 
-def _det_dp(m: FormMatrix) -> RingElement:
-    """Division-free determinant by column expansion with memoised row sets."""
-    n = m.rows
-    memo: dict[tuple[int, int], RingElement] = {}
-
-    def rec(rows_mask: int, col: int) -> RingElement:
-        if col == n:
-            return rings.one(m.ring)
-        key = (rows_mask, col)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = rings.zero(m.ring)
-        pos = 0
-        for i in range(n):
-            if rows_mask & (1 << i):
-                e = m.entries[i][col]
-                if not rings.is_zero(e):
-                    term = rings.mul(e, rec(rows_mask & ~(1 << i), col + 1))
-                    acc = rings.add(acc, term if pos % 2 == 0 else rings.neg(term))
-                pos += 1
-        memo[key] = acc
-        return acc
-
-    return rec((1 << n) - 1, 0)
-
-
-def determinant(m: FormMatrix) -> RingElement:
-    if m.rows != m.cols:
-        raise SchemaError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return rings.one(m.ring)
-    return _det_dp(m)
-
-
 def _laurent_unit_inverse(d: RingElement):
     if len(d.coeffs) == 1 and d.coeffs[0] in (1, -1):
         return rings.monomial(d.ring, -d.shift, d.coeffs[0])
     return None
 
 
-def _adjugate(m: FormMatrix) -> FormMatrix:
+def _scaled_inverse(m: FormMatrix):
+    """(d, rows of d * m^-1) with d = +-det m over Z[z,z^-1], or None if m is singular.
+
+    Fraction-free Gauss-Jordan elimination on [m | I] (Bareiss 1968).  After
+    step k every row is p_k times its Gauss-Jordan row over the fraction
+    field, p_k being the k-th pivot, so each new entry
+    (p_k * a_ij - a_ik * a_kj) / p_(k-1) is a minor of [m | I] and the
+    division is exact.  Columns up to k are never read again and are left
+    stale, so the left block is not carried through to d * I.
+    """
     n = m.rows
-    ents = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            keep_r = [r for r in range(n) if r != j]
-            keep_c = [c for c in range(n) if c != i]
-            minor = m.submatrix(keep_r, keep_c)
-            d = determinant(minor)
-            row.append(d if (i + j) % 2 == 0 else rings.neg(d))
-        ents.append(tuple(row))
-    return FormMatrix(m.ring, n, n, tuple(ents))
+    zero, one = rings.zero(m.ring), rings.one(m.ring)
+    a = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(m.entries)]
+    prev = one
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k].coeffs), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        pk, rk = a[k][k], a[k]
+        for i, row in enumerate(a):
+            if i == k:
+                continue
+            c = row[k]
+            for j in range(k + 1, 2 * n):
+                x = rings.sub(rings.mul(pk, row[j]), rings.mul(c, rk[j]))
+                row[j] = rings.div_exact(x, prev) if k else x
+        prev = pk
+    return prev, [row[n:] for row in a]
 
 
 def try_inverse(m: FormMatrix):
@@ -394,11 +376,14 @@ def try_inverse(m: FormMatrix):
                 row.append(rings._mk(m.ring, co))
             ents.append(tuple(row))
         return FormMatrix(m.ring, n, n, tuple(ents))
-    d = determinant(m)
+    scaled = _scaled_inverse(m)
+    if scaled is None:
+        return None
+    d, rows = scaled
     dinv = _laurent_unit_inverse(d)
     if dinv is None:
         return None
-    out = _adjugate(m).scale(dinv)
+    out = FormMatrix(m.ring, m.rows, m.rows, tuple(map(tuple, rows))).scale(dinv)
     if not m.mul(out).sub(identity_matrix(m.ring, m.rows)).is_zero():
         return None
     return out

@@ -143,20 +143,6 @@ def split_to_obj(s: forms.SplitForm):
     return {"ring": ring_to_obj(s.ring), "epsilon": s.epsilon, "psi": matrix_to_obj(s.psi)}
 
 
-def split_from_obj(obj) -> forms.SplitForm:
-    _require_keys(obj, ("epsilon", "psi"), "split form file")
-    ring = ring_from_obj(obj.get("ring", {"ring": "Z"}))
-    eps = _require_sign(obj["epsilon"], "epsilon")
-    return forms.SplitForm(ring, eps, matrix_from_obj(ring, obj["psi"]))
-
-
-def inclusion_to_obj(q: forms.QuadraticForm, inc: lagrangians.LagrangianInclusion):
-    out = {"form": form_to_obj(q), "basis": matrix_to_obj(inc.basis)}
-    if inc.theta is not None:
-        out["theta"] = matrix_to_obj(inc.theta)
-    return out
-
-
 def inclusion_from_obj(obj) -> tuple[forms.QuadraticForm, lagrangians.LagrangianInclusion]:
     _require_keys(obj, ("form", "basis"), "lagrangian file")
     q = form_from_obj(obj["form"])

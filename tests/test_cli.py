@@ -63,3 +63,19 @@ def test_a_missing_required_option_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["form-info"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb, form", [
+    ("witt", {"epsilon": 1, "lambda": [[2]], "mu": [1]}),
+    ("signature", {"ring": {"ring": "laurent"}, "epsilon": 1,
+                   "lambda": [[{"origin": 0, "coeffs": []}, {"origin": 0, "coeffs": [1]}],
+                              [{"origin": 0, "coeffs": [1]}, {"origin": 0, "coeffs": []}]],
+                   "mu": [{"origin": 0, "coeffs": []}, {"origin": 0, "coeffs": []}]}),
+], ids=["witt-of-a-singular-form", "signature-over-laurent"])
+def test_an_undefined_operation_exits_with_status_1(tmp_path, verb, form):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(form), encoding="utf-8")
+    status, report = run([verb, "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert status == 1
+    assert report["kind"] == "domain"
+    assert "result" not in report

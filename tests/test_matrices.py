@@ -266,3 +266,116 @@ def test_arithmetic_over_z_keeps_its_ring_and_shape_checks(data, rows, cols):
         a.sub(wrong)
     with pytest.raises(SchemaError):
         a.mul(z_matrix(draw_grid(data, cols + 1, rows), cols + 1, rows))
+
+
+# -- inverses over the group rings --------------------------------------------
+
+L = rings.laurent()
+C3 = rings.cyclic(3, 1)
+
+
+def unit_lu(rng, ring, n):
+    """L·U with unit monomials on the diagonal of L and dense monomials off it; invertible."""
+    def mono():
+        return rings.monomial(ring, rng.randint(-1, 1), rng.choice((1, -1)))
+
+    lower = [[mono() if j <= i else 0 for j in range(n)] for i in range(n)]
+    upper = [[mono() if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    return mx.matrix(ring, lower).mul(mx.matrix(ring, upper))
+
+
+def sparse_monomials(rng, ring, n):
+    """Entries 0 or +-z^e, so that elimination meets zero pivots."""
+    return mx.matrix(ring, [[rings.monomial(ring, rng.randint(-1, 1), rng.choice((1, -1)))
+                             if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)])
+
+
+def cofactor_det(m):
+    if m.rows == 0:
+        return rings.one(m.ring)
+    acc = rings.zero(m.ring)
+    for j in range(m.cols):
+        minor = m.submatrix(range(1, m.rows), [c for c in range(m.cols) if c != j])
+        term = rings.mul(m.entry(0, j), cofactor_det(minor))
+        acc = rings.add(acc, term if j % 2 == 0 else rings.neg(term))
+    return acc
+
+
+def cofactor_inverse(m):
+    """adj(m) / det(m) over Z[z,z^-1] when det(m) is a unit +-z^k, else None."""
+    d = cofactor_det(m)
+    if len(d.coeffs) != 1 or d.coeffs[0] not in (1, -1):
+        return None
+    dinv = rings.monomial(L, -d.shift, d.coeffs[0])
+    n = m.rows
+
+    def adjugate_entry(i, j):
+        c = cofactor_det(m.submatrix([r for r in range(n) if r != j], [c for c in range(n) if c != i]))
+        return rings.mul(dinv, c if (i + j) % 2 == 0 else rings.neg(c))
+
+    return mx.FormMatrix(L, n, n, tuple(tuple(adjugate_entry(i, j) for j in range(n)) for i in range(n)))
+
+
+def assert_two_sided_inverse(m, inv):
+    eye = mx.identity_matrix(m.ring, m.rows)
+    assert m.mul(inv) == eye
+    assert inv.mul(m) == eye
+
+
+@given(st.sampled_from([L, C4, C3]), st.integers(1, 6), st.integers(0, 2**32))
+def test_group_ring_inverse_is_two_sided(ring, n, seed):
+    m = unit_lu(random.Random(seed), ring, n)
+    inv = mx.try_inverse(m)
+    assert inv is not None
+    assert_two_sided_inverse(m, inv)
+
+
+@given(st.integers(1, 4), st.integers(0, 2**32), st.sampled_from(["unit-lu", "dense", "sparse"]))
+def test_laurent_inverse_matches_the_cofactor_formula(n, seed, kind):
+    rng = random.Random(seed)
+    if kind == "unit-lu":
+        m = unit_lu(rng, L, n)
+    elif kind == "dense":
+        m = random_matrix(rng, L, n, n, -1, 1)
+    else:
+        m = sparse_monomials(rng, L, n)
+    assert mx.try_inverse(m) == cofactor_inverse(m)
+
+
+def test_laurent_matrices_without_a_unit_determinant_have_no_inverse():
+    z, zinv = rings.monomial(L, 1), rings.monomial(L, -1)
+    one_plus_z = rings.add(rings.one(L), z)
+    assert mx.try_inverse(mx.matrix(L, [[1, 0], [0, one_plus_z]])) is None
+    assert mx.try_inverse(mx.matrix(L, [[2, 0], [0, 1]])) is None
+    assert mx.try_inverse(mx.matrix(L, [[z, 1], [1, zinv]])) is None  # rank 1
+    with pytest.raises(SingularMatrixError):
+        mx.inverse(mx.matrix(L, [[0, 0], [0, 1]]))
+
+
+def test_cyclic_matrices_without_a_unit_determinant_have_no_inverse():
+    one_plus_g = rings.add(rings.one(C2), rings.monomial(C2, 1))  # a zero divisor
+    assert mx.try_inverse(mx.matrix(C2, [[1, 0], [0, one_plus_g]])) is None
+    assert mx.try_inverse(mx.matrix(C4, [[2, 0], [0, 1]])) is None
+
+
+def test_laurent_inverse_with_determinant_a_power_of_z():
+    z = lambda k: rings.monomial(L, k)
+    m = mx.matrix(L, [[z(1), 1], [0, rings.neg(z(2))]])  # det -z^3
+    assert mx.inverse(m) == mx.matrix(L, [[z(-1), z(-3)], [0, rings.neg(z(-2))]])
+    swapped = mx.matrix(L, [[0, z(2)], [z(1), 1]])  # det -z^3, zero first pivot
+    assert mx.inverse(swapped) == mx.matrix(L, [[rings.neg(z(-3)), z(-1)], [z(-2), 0]])
+    assert_two_sided_inverse(swapped, mx.inverse(swapped))
+
+
+@pytest.mark.parametrize("ring", [L, C4])
+def test_group_ring_inverse_of_empty_and_non_square_matrices(ring):
+    empty = mx.identity_matrix(ring, 0)
+    assert mx.try_inverse(empty) == empty
+    assert mx.is_unimodular(empty)
+    assert mx.try_inverse(mx.zero_matrix(ring, 2, 3)) is None
+    assert mx.try_inverse(mx.matrix(ring, [[1, 0]])) is None
+
+
+def test_dense_laurent_inverse_at_rank_12():
+    m = unit_lu(random.Random(12), L, 12)
+    assert_two_sided_inverse(m, mx.inverse(m))
