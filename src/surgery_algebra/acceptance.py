@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
 from importlib import resources
 
 from . import complexes as cx
@@ -158,10 +159,7 @@ def criterion_3():
         q = bases[trial % 2]
         p = _random_unimodular(rng, Z, q.rank, steps=6)
         lam2 = p.star().mul(q.lam).mul(p)
-        mu2 = tuple(
-            forms.mu_value(q, p.submatrix(range(q.rank), [i])) for i in range(q.rank)
-        )
-        q2 = forms.QuadraticForm(Z, -1, lam2, mu2)
+        q2 = forms.QuadraticForm(Z, -1, lam2, forms.mu_values(q, p))
         if not forms.is_isometry(forms.FormIsometry(p), q2, q):
             return False, f"trial {trial}: transported matrix is not an isometry"
         if witt.arf(q2) != witt.arf(q):
@@ -416,6 +414,16 @@ CRITERIA = (
 )
 
 
+def _package_frame(exc: BaseException) -> str:
+    """module:function:line of the innermost traceback frame inside this package."""
+    where = "unknown"
+    for frame, line in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.split(".")[0] == __package__:
+            where = f"{module}:{frame.f_code.co_name}:{line}"
+    return where
+
+
 def run_criterion(number: int) -> dict:
     for num, name, fn in CRITERIA:
         if num == number:
@@ -423,7 +431,7 @@ def run_criterion(number: int) -> dict:
             try:
                 ok, detail = fn()
             except Exception as e:  # a crash is a failure, not an error report
-                ok, detail = False, f"exception: {e}"
+                ok, detail = False, f"exception {type(e).__name__} at {_package_frame(e)}: {e}"
             return {
                 "criterion": num,
                 "name": name,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every verb reads JSON from --in, runs one library operation, and emits a
-JSON report (to --out or stdout) holding the result, the provenance of the
-inputs and fixtures consumed, and the wall-clock timing.  Exit status is 0
-on success, 1 when the library rejects the mathematics (domain errors), and
-2 when the input cannot be understood at all (schema errors).
+JSON report (to --out or stdout) holding the result, the provenance (the
+input paths with the sha256 of each, the package version and the fixtures
+consumed), and the wall-clock timing.  Exit status is 0 on success, 1 when
+the library rejects the mathematics (domain errors), and 2 when the input
+cannot be understood at all (schema errors).
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import functools
 import sys
 import time
 
-from . import acceptance, complexes as cx, formations as fm, forms, lagrangians
+try:  # the builtin module, as random does for sha512: hashlib loads OpenSSL, about 4 MB resident
+    from _sha256 import sha256
+except ImportError:  # not built in, or renamed (Python 3.12 has _sha2)
+    from hashlib import sha256
+
+from . import __version__, acceptance, complexes as cx, formations as fm, forms, lagrangians
 from . import matrices, plumbing, serialize as sz, witt
 from .errors import DomainError, SchemaError, SurgeryAlgebraError
 
@@ -301,9 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sha256(path: str):
+    """Hex digest of the file's bytes, or None when it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
+
+
 def main(argv=None) -> int:
     # the parser is built once and holds no verb functions; look each up here
     args = build_parser().parse_args(argv)
+    inputs = [p for p in (getattr(args, "input", None), getattr(args, "witness", None)) if p]
+    digests = [_sha256(p) for p in inputs]
     report = {"verb": args.verb}
     start = time.monotonic()
     try:
@@ -322,7 +339,9 @@ def main(argv=None) -> int:
         if args.verb == "suite" and not result["passed"]:
             status = 1
     report["provenance"] = {
-        "inputs": [p for p in (getattr(args, "input", None), getattr(args, "witness", None)) if p],
+        "inputs": inputs,
+        "sha256": digests,
+        "version": __version__,
         "fixtures": acceptance.fixture_names("") if args.verb == "suite" else [],
     }
     report["seconds"] = round(time.monotonic() - start, 3)

@@ -142,7 +142,7 @@ def _as_map_pair(f):
 def _solve_chi0(n: FormMatrix, dprime: FormMatrix, epsilon: int):
     """chi0 with (chi0 - eps*chi0')·dprime' = n, over the integers, or None."""
     t = dprime.cols
-    ds = dprime.star()
+    ds, n_grid = dprime.star().to_int_grid(), n.to_int_grid()
     rows_n, cols_n = n.rows, n.cols
     cols = []
     for a in range(t):
@@ -150,10 +150,10 @@ def _solve_chi0(n: FormMatrix, dprime: FormMatrix, epsilon: int):
             ent = [[0] * t for _ in range(t)]
             ent[a][b] += 1
             ent[b][a] -= epsilon
-            img = _intlat.matmul(ent, ds.to_int_grid())
+            img = _intlat.matmul(ent, ds)
             cols.append([img[i][j] for i in range(rows_n) for j in range(cols_n)])
     a_grid = [[cols[v][e] for v in range(t * t)] for e in range(rows_n * cols_n)]
-    b_grid = [[n.to_int_grid()[i][j]] for i in range(rows_n) for j in range(cols_n)]
+    b_grid = [[n_grid[i][j]] for i in range(rows_n) for j in range(cols_n)]
     sol = _intlat.solve(a_grid, b_grid)
     if sol is None:
         return None

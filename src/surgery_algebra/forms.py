@@ -153,20 +153,15 @@ def split_to_quadratic(s: SplitForm) -> QuadraticForm:
 
 def quadratic_to_split(q: QuadraticForm) -> SplitForm:
     """Canonical lift: strict upper triangle of lambda, mu representatives on the diagonal."""
-    k = q.rank
-    z = rings.zero(q.ring)
-    ents = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if i < j:
-                row.append(q.lam.entry(i, j))
-            elif i == j:
-                row.append(q.mu[i].rep)
-            else:
-                row.append(z)
-        ents.append(tuple(row))
-    return SplitForm(q.ring, q.epsilon, FormMatrix(q.ring, k, k, tuple(ents)))
+    return SplitForm(q.ring, q.epsilon, _upper_triangle(q.lam, [m.rep for m in q.mu]))
+
+
+def _upper_triangle(m: FormMatrix, diagonal) -> FormMatrix:
+    """The strict upper triangle of the square matrix m, with the given diagonal."""
+    k, z = m.rows, rings.zero(m.ring)
+    rows = [[m.entry(i, j) if i < j else diagonal[i] if i == j else z for j in range(k)]
+            for i in range(k)]
+    return FormMatrix(m.ring, k, k, rows)
 
 
 def is_even(s: SymmetricForm) -> bool:
@@ -187,22 +182,25 @@ def lambda_value(form, x: FormMatrix, y: FormMatrix) -> rings.RingElement:
     return x.star().mul(lam).mul(y).entry(0, 0)
 
 
+def mu_values(q: QuadraticForm, f: FormMatrix) -> tuple[QEpsilonClass, ...]:
+    """mu of every column of f, read off the diagonal of f'·psi·f.
+
+    psi = quadratic_to_split(q).psi carries the mu representatives on its
+    diagonal and lambda on its strict upper triangle, so conj(x)'·psi·x is
+    the polarisation sum of mu_j·conj(x_j)·x_j over j and
+    conj(x_j)·lambda_jl·x_l over j < l.
+    """
+    if f.rows != q.rank:
+        raise SchemaError("mu_values expects columns of matching rank")
+    d = f.star().mul(quadratic_to_split(q).psi).mul(f)
+    return tuple(rings.q_eps_reduce(d.entry(i, i), q.epsilon) for i in range(f.cols))
+
+
 def mu_value(q: QuadraticForm, x: FormMatrix) -> QEpsilonClass:
-    """mu of an arbitrary column, expanded through the polarisation rule."""
+    """mu of an arbitrary column."""
     if x.cols != 1 or x.rows != q.rank:
         raise SchemaError("mu_value expects a single column of matching rank")
-    acc = rings.zero(q.ring)
-    for j in range(q.rank):
-        xj = x.entry(j, 0)
-        if rings.is_zero(xj):
-            continue
-        acc = rings.add(acc, rings.mul(rings.mul(xj, q.mu[j].rep), rings.involute(xj)))
-        for l in range(j + 1, q.rank):
-            xl = x.entry(l, 0)
-            if not rings.is_zero(xl):
-                term = rings.mul(rings.mul(rings.involute(xj), q.lam.entry(j, l)), xl)
-                acc = rings.add(acc, term)
-    return rings.q_eps_reduce(acc, q.epsilon)
+    return mu_values(q, x)[0]
 
 
 def is_quadratic_morphism(f: FormMatrix, source: QuadraticForm, target: QuadraticForm) -> bool:
@@ -213,11 +211,7 @@ def is_quadratic_morphism(f: FormMatrix, source: QuadraticForm, target: Quadrati
         return False
     if not f.star().mul(target.lam).mul(f).sub(source.lam).is_zero():
         return False
-    for i in range(source.rank):
-        col = f.column(i)
-        if mu_value(target, col) != source.mu[i]:
-            return False
-    return True
+    return mu_values(target, f) == tuple(source.mu)
 
 
 def is_isometry(iso: FormIsometry, source: QuadraticForm, target: QuadraticForm) -> bool:
@@ -237,23 +231,10 @@ def split_hessian_witness(n: FormMatrix, epsilon: int):
         return None
     if not n.add(n.star().scale_int(epsilon)).is_zero():
         return None
-    k = n.rows
-    z = rings.zero(n.ring)
-    ents = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if i < j:
-                row.append(n.entry(i, j))
-            elif i == j:
-                d = rings.desymmetrize(n.entry(i, i), epsilon)
-                if d is None:
-                    return None
-                row.append(d)
-            else:
-                row.append(z)
-        ents.append(tuple(row))
-    return FormMatrix(n.ring, k, k, tuple(ents))
+    diagonal = [rings.desymmetrize(n.entry(i, i), epsilon) for i in range(n.rows)]
+    if any(d is None for d in diagonal):
+        return None
+    return _upper_triangle(n, diagonal)
 
 
 def is_split_morphism(iso: FormIsometry, source: SplitForm, target: SplitForm) -> bool:
@@ -325,7 +306,7 @@ def split_from_projection(form: QuadraticForm, s: FormMatrix) -> SplitForm:
     lam_pull = f.star().mul(both.lam).mul(f)
     if not lam_pull.is_zero():
         raise PreconditionError("s'·lambda·s != (1-s)'·lambda·(1-s): pairing identity failed")
-    for i in range(k):
-        if not rings.class_is_zero(mu_value(both, f.column(i))):
+    for i, m in enumerate(mu_values(both, f)):
+        if not rings.class_is_zero(m):
             raise PreconditionError(f"mu(s·e_{i}) - mu((1-s)·e_{i}) != 0: quadratic identity failed")
     return SplitForm(form.ring, form.epsilon, form.lam.mul(s))

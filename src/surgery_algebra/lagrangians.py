@@ -55,9 +55,7 @@ def is_sublagrangian(form, L) -> bool:
         return False
     if not basis.star().mul(q.lam).mul(basis).is_zero():
         return False
-    return all(
-        rings.class_is_zero(forms.mu_value(q, basis.column(j))) for j in range(basis.cols)
-    )
+    return all(rings.class_is_zero(m) for m in forms.mu_values(q, basis))
 
 
 def is_lagrangian(form, L) -> bool:
@@ -197,5 +195,4 @@ def surgery_on_form(form: QuadraticForm, x) -> QuadraticForm:
     w = matrices.completion_of_primitive_vector(coords)
     quotient = perp.mul(w).submatrix(range(perp.rows), range(1, w.cols))
     lam = quotient.star().mul(form.lam).mul(quotient)
-    mu = tuple(forms.mu_value(form, quotient.column(j)) for j in range(quotient.cols))
-    return QuadraticForm(form.ring, form.epsilon, lam, mu)
+    return QuadraticForm(form.ring, form.epsilon, lam, forms.mu_values(form, quotient))

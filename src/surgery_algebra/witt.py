@@ -114,21 +114,14 @@ def symplectic_basis(form) -> FormMatrix:
     return matrices.int_matrix([[c[i] for c in cols] for i in range(k)])
 
 
-def _mu_bit(q: QuadraticForm, col: FormMatrix) -> int:
-    val = forms.mu_value(q, col)
-    return 0 if rings.class_is_zero(val) else 1
-
-
 def arf(q: QuadraticForm) -> int:
     """Sum of mu(u_i)·mu(v_i) over a symplectic basis, in Z/2."""
     if not isinstance(q, QuadraticForm):
         raise SchemaError("arf expects a quadratic form")
     b = symplectic_basis(q)
     m = b.cols // 2
-    total = 0
-    for i in range(m):
-        total += _mu_bit(q, b.column(i)) * _mu_bit(q, b.column(i + m))
-    return total % 2
+    bits = [0 if rings.class_is_zero(v) else 1 for v in forms.mu_values(q, b)]
+    return sum(bits[i] * bits[i + m] for i in range(m)) % 2
 
 
 @dataclass(frozen=True)

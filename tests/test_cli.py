@@ -1,10 +1,15 @@
 """The command-line front end: exit codes and reports, run in process."""
 
+import hashlib
 import json
 
 import pytest
 
+import surgery_algebra
 from surgery_algebra import acceptance, cli
+
+# sha256 of the shipped E8 fixture; the fixtures regenerate byte for byte
+E8_SHA256 = "7f27ba30027e05a9f66f67d5f50171f41e1ee1e6065fc19f7fb851572a155ea9"
 
 
 def e8_path():
@@ -79,3 +84,23 @@ def test_an_undefined_operation_exits_with_status_1(tmp_path, verb, form):
     assert status == 1
     assert report["kind"] == "domain"
     assert "result" not in report
+
+
+def test_provenance_carries_input_digests_and_the_package_version(tmp_path):
+    status, report = run(["form-info", "--in", e8_path(), "--out", str(tmp_path / "e8.json")])
+    assert status == 0
+    with open(e8_path(), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == E8_SHA256
+    assert report["provenance"]["inputs"] == [e8_path()]
+    assert report["provenance"]["sha256"] == [E8_SHA256]
+    assert report["provenance"]["version"] == surgery_algebra.__version__ == "0.1.0"
+
+    missing = str(tmp_path / "missing.json")
+    status, report = run(["form-info", "--in", missing, "--out", str(tmp_path / "missing-report.json")])
+    assert status == 2
+    assert report["provenance"]["inputs"] == [missing]
+    assert report["provenance"]["sha256"] == [None]
+
+    status, report = run(["milnor", "--ell", "3", "--out", str(tmp_path / "milnor.json")])
+    assert status == 0
+    assert report["provenance"]["sha256"] == [] and report["provenance"]["version"] == "0.1.0"

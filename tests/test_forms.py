@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from surgery_algebra import forms, matrices as mx, rings
 from surgery_algebra.errors import PreconditionError, WrongRingError
@@ -200,3 +201,35 @@ def test_split_sum_and_negation_shapes():
     s = direct_sum_split(a, b)
     assert s.psi.to_int_grid() == [[0, 1, 0], [0, 0, 0], [0, 0, 3]]
     assert negate_split(b).psi.to_int_grid() == [[-3]]
+
+
+# -- mu in closed form against the polarisation expansion ----------------------
+
+def mu_by_polarisation(q, x):
+    """The frozen entry-by-entry expansion: sum of x_j mu_j conj(x_j) and conj(x_j) lam_jl x_l, j < l."""
+    acc = rings.zero(q.ring)
+    for j in range(q.rank):
+        xj = x.entry(j, 0)
+        if rings.is_zero(xj):
+            continue
+        acc = rings.add(acc, rings.mul(rings.mul(xj, q.mu[j].rep), rings.involute(xj)))
+        for l in range(j + 1, q.rank):
+            xl = x.entry(l, 0)
+            if not rings.is_zero(xl):
+                term = rings.mul(rings.mul(rings.involute(xj), q.lam.entry(j, l)), xl)
+                acc = rings.add(acc, term)
+    return rings.q_eps_reduce(acc, q.epsilon)
+
+
+@given(st.sampled_from([Z, rings.cyclic(4, -1), rings.laurent()]), st.sampled_from([1, -1]),
+       st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32))
+def test_mu_values_match_the_polarisation_expansion(ring, eps, k, cols, seed):
+    rng = random.Random(seed)
+    q = split_to_quadratic(split_form(ring, eps, random_matrix(rng, ring, k, k)))
+    f = random_matrix(rng, ring, k, cols) if cols else mx.zero_matrix(ring, k, 0)
+    expected = tuple(mu_by_polarisation(q, f.column(j)) for j in range(cols))
+    assert forms.mu_values(q, f) == expected
+    assert tuple(mu_value(q, f.column(j)) for j in range(cols)) == expected
+    # the pullback along f carries exactly those classes, so f is a morphism onto q
+    pullback = forms.QuadraticForm(ring, eps, f.star().mul(q.lam).mul(f), expected)
+    assert forms.is_quadratic_morphism(f, pullback, q)

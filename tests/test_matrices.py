@@ -1,5 +1,6 @@
 """Exact matrix algebra and the integer lattice kernel."""
 
+import pickle
 import random
 from itertools import combinations
 from math import gcd
@@ -379,3 +380,102 @@ def test_group_ring_inverse_of_empty_and_non_square_matrices(ring):
 def test_dense_laurent_inverse_at_rank_12():
     m = unit_lu(random.Random(12), L, 12)
     assert_two_sided_inverse(m, mx.inverse(m))
+
+
+# -- grid storage over Z[Z/m] against the entrywise ring definitions ----------
+
+GRID_RINGS = [Z] + [rings.cyclic(m) for m in range(1, 7)] + [rings.cyclic(m, -1) for m in (2, 4, 6)]
+COEFFS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+def draw_element(data, ring, support):
+    """An element with coefficients only at the exponents in support."""
+    coeffs = [data.draw(COEFFS) if k in support else 0 for k in range(ring.m or 1)]
+    if ring.kind == "Z":
+        return rings.from_int(ring, coeffs[0])
+    return rings._mk(ring, coeffs)
+
+
+def draw_matrix(data, ring, rows, cols):
+    """Drawn entry by entry, so the shape survives 0 rows; a drawn support leaves some grids zero."""
+    support = data.draw(st.sets(st.integers(0, (ring.m or 1) - 1)))
+    return mx.FormMatrix(ring, rows, cols, tuple(tuple(draw_element(data, ring, support)
+                                                       for _ in range(cols)) for _ in range(rows)))
+
+
+def ref_entrywise(ring, rows, cols, f):
+    return mx.FormMatrix(ring, rows, cols, tuple(tuple(f(i, j) for j in range(cols))
+                                                 for i in range(rows)))
+
+
+def ref_product(a, c):
+    """The frozen entrywise product: sums of rings.mul over the inner index."""
+    def entry(i, j):
+        acc = rings.zero(a.ring)
+        for t in range(a.cols):
+            acc = rings.add(acc, rings.mul(a.entries[i][t], c.entries[t][j]))
+        return acc
+    return ref_entrywise(a.ring, a.rows, c.cols, entry)
+
+
+@given(st.data(), st.sampled_from(GRID_RINGS), SIZES, SIZES, SIZES)
+def test_grid_arithmetic_matches_the_ring_definitions(data, ring, rows, inner, cols):
+    a, b = draw_matrix(data, ring, rows, inner), draw_matrix(data, ring, rows, inner)
+    c = draw_matrix(data, ring, inner, cols)
+    s = draw_element(data, ring, range(ring.m or 1))
+    e = lambda m, i, j: m.entries[i][j]
+
+    assert a.add(b) == ref_entrywise(ring, rows, inner, lambda i, j: rings.add(e(a, i, j), e(b, i, j)))
+    assert a.sub(b) == ref_entrywise(ring, rows, inner, lambda i, j: rings.sub(e(a, i, j), e(b, i, j)))
+    assert a.neg() == ref_entrywise(ring, rows, inner, lambda i, j: rings.neg(e(a, i, j)))
+    assert a.scale(s) == ref_entrywise(ring, rows, inner, lambda i, j: rings.mul(s, e(a, i, j)))
+    assert a.star() == ref_entrywise(ring, inner, rows, lambda i, j: rings.involute(e(a, j, i)))
+    assert a.mul(c) == ref_product(a, c)
+    for m in (a, a.mul(c), a.star()):
+        assert m.is_zero() == all(rings.is_zero(x) for row in m.entries for x in row)
+
+
+@given(st.data(), st.sampled_from(GRID_RINGS), SIZES, SIZES)
+def test_grid_equality_hash_and_entries_follow_the_ring_elements(data, ring, rows, cols):
+    a, b = draw_matrix(data, ring, rows, cols), draw_matrix(data, ring, rows, cols)
+    assert (a == b) == (a.entries == b.entries)
+    for copy in (mx.FormMatrix(ring, rows, cols, a.entries), pickle.loads(pickle.dumps(a))):
+        assert copy == a and hash(copy) == hash(a) and copy.cols == cols
+    for i in range(rows):
+        for j in range(cols):
+            x = a.entry(i, j)
+            assert isinstance(x, rings.RingElement) and x.ring == ring and x == a.entries[i][j]
+    # the same matrix from int grids: as sum_k G_k g^k through the public API
+    # and handed to the grid constructor directly
+    order = ring.m or 1
+    grids = [[[x.coeffs[k] for x in row] for row in a.entries] for k in range(order)]
+    assert mx._grid_matrix(ring, rows, cols, tuple(grids)) == a
+    total = mx.zero_matrix(ring, rows, cols)
+    for k, g in enumerate(grids):
+        part = ref_entrywise(ring, rows, cols, lambda i, j: rings.from_int(ring, g[i][j]))
+        total = total.add(part.scale(rings.monomial(ring, k)))
+    assert total == a
+
+
+def test_construction_checks_shape_and_ring():
+    x = rings.monomial(C4, 1)
+    with pytest.raises(SchemaError):
+        mx.FormMatrix(C4, 1, 2, ((x,),))
+    with pytest.raises(SchemaError):
+        mx.FormMatrix(C4, 2, 1, ((x,),))
+    with pytest.raises(WrongRingError):
+        mx.FormMatrix(C4, 1, 1, ((rings.monomial(C2, 1),),))
+    with pytest.raises(WrongRingError):
+        mx.matrix(C4, [[rings.one(Z)]])
+    with pytest.raises(SchemaError):
+        mx._grid_matrix(C4, 1, 1, ([[1]],))  # one grid where the ring needs four
+    with pytest.raises(SchemaError):
+        mx._grid_matrix(Z, 2, 1, ([[1], [2, 3]],))
+    with pytest.raises(WrongRingError):
+        mx.matrix(C4, [[x]]).scale(rings.one(Z))
+    with pytest.raises(WrongRingError):
+        mx.matrix(C4, [[x]]).to_int_grid()
+    m = mx.int_matrix([[1, 2]])
+    grid = m.to_int_grid()
+    grid[0][0] = 99  # a fresh copy: the matrix does not change
+    assert m == mx.int_matrix([[1, 2]])

@@ -4,14 +4,21 @@ Everything is seeded and deterministic.  The curated null-surgery sequences
 are found by a bounded search at generation time; the shipped artifact only
 ever verifies them.  Run from the repository root:
 
-    python3 tools/make_fixtures.py
+    python3 tools/make_fixtures.py           # rewrite the shipped fixtures
+    python3 tools/make_fixtures.py --check   # regenerate into a temporary
+                                             # directory and compare bytes
+
+``--check`` writes nothing in the repository; it exits 1 when a fixture
+differs, is missing, or is shipped without being regenerated.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -41,8 +48,8 @@ E8_ROWS = [
 ]
 
 
-def write(name: str, obj) -> None:
-    path = os.path.join(FIXDIR, name)
+def write(outdir: str, name: str, obj) -> None:
+    path = os.path.join(outdir, name)
     sz.write_json(path, obj)
     print("wrote", os.path.relpath(path))
 
@@ -105,7 +112,7 @@ def random_valid_surgery(rng: random.Random, c: cx.OddComplex, budget: int = 200
     return None
 
 
-def make_null_sequences(count: int = 20):
+def make_null_sequences(outdir: str, count: int = 20):
     made = 0
     seed = 0
     while made < count:
@@ -141,27 +148,25 @@ def make_null_sequences(count: int = 20):
             "automorphism": sz.unitary_to_obj(u),
             "surgeries": [sz.surgery_to_obj(st) for st in steps],
         }
-        write(f"null-sequence-{made:02d}.json", obj)
+        write(outdir, f"null-sequence-{made:02d}.json", obj)
         made += 1
 
 
-def main():
-    os.makedirs(FIXDIR, exist_ok=True)
-
+def generate(outdir: str) -> None:
     e8 = forms.quadratic_form(Z, 1, E8_ROWS, [1] * 8)
-    write("e8.json", sz.form_to_obj(e8))
+    write(outdir, "e8.json", sz.form_to_obj(e8))
 
     arf = forms.quadratic_form(Z, -1, [[0, 1], [-1, 0]], [1, 1])
-    write("arf.json", sz.form_to_obj(arf))
+    write(outdir, "arf.json", sz.form_to_obj(arf))
 
     for k in (1, 2):
-        write(f"hyperbolic-plus-{k}.json", sz.form_to_obj(forms.hyperbolic_quadratic(Z, 1, k)))
-        write(f"hyperbolic-minus-{k}.json", sz.form_to_obj(forms.hyperbolic_quadratic(Z, -1, k)))
+        write(outdir, f"hyperbolic-plus-{k}.json", sz.form_to_obj(forms.hyperbolic_quadratic(Z, 1, k)))
+        write(outdir, f"hyperbolic-minus-{k}.json", sz.form_to_obj(forms.hyperbolic_quadratic(Z, -1, k)))
 
-    write("e8-graph.json", sz.graph_to_obj(pl.e8_graph()))
-    write("empty-graph.json", sz.graph_to_obj(pl.plumbing_graph(0, (), ())))
-    write("i-graph-untwisted.json", sz.graph_to_obj(pl.plumbing_graph(1, (0, 0), ((0, 1),))))
-    write("i-graph-twisted.json", sz.graph_to_obj(pl.plumbing_graph(1, (1, 1), ((0, 1),))))
+    write(outdir, "e8-graph.json", sz.graph_to_obj(pl.e8_graph()))
+    write(outdir, "empty-graph.json", sz.graph_to_obj(pl.plumbing_graph(0, (), ())))
+    write(outdir, "i-graph-untwisted.json", sz.graph_to_obj(pl.plumbing_graph(1, (0, 0), ((0, 1),))))
+    write(outdir, "i-graph-twisted.json", sz.graph_to_obj(pl.plumbing_graph(1, (1, 1), ((0, 1),))))
 
     # surgeries on the empty complex: the sphere stays a product for
     # delta = 0 and becomes the unit tangent bundle for delta = 1
@@ -176,10 +181,46 @@ def main():
                 "surgeries": [sz.surgery_to_obj(s)],
                 "effect": sz.complex_to_obj(effect),
             }
-            write(f"zero-surgery-p{parity}-d{delta}.json", obj)
+            write(outdir, f"zero-surgery-p{parity}-d{delta}.json", obj)
 
-    make_null_sequences()
+    make_null_sequences(outdir)
+
+
+def compare(new_dir: str, shipped_dir: str) -> int:
+    """Report every fixture that is not byte-identical; 1 if any, else 0."""
+    made = set(os.listdir(new_dir))
+    shipped = {n for n in os.listdir(shipped_dir) if n.endswith(".json")}
+    bad = 0
+    for name in sorted(made | shipped):
+        if name not in shipped:
+            print("missing from the shipped fixtures:", name)
+        elif name not in made:
+            print("shipped but not regenerated:", name)
+        else:
+            with open(os.path.join(new_dir, name), "rb") as a, \
+                    open(os.path.join(shipped_dir, name), "rb") as b:
+                if a.read() == b.read():
+                    continue
+            print("differs:", name)
+        bad += 1
+    print(f"{len(made | shipped) - bad} of {len(made | shipped)} fixtures byte-identical")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the shipped JSON fixtures.")
+    parser.add_argument("--check", action="store_true",
+                        help="regenerate into a temporary directory and compare bytes "
+                             "with the shipped fixtures")
+    args = parser.parse_args(argv)
+    if not args.check:
+        os.makedirs(FIXDIR, exist_ok=True)
+        generate(FIXDIR)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        generate(tmp)
+        return compare(tmp, FIXDIR)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
