@@ -10,6 +10,13 @@ minimal absolute value in the live submatrix, ties broken row-major.  The
 Hermite routines produce the canonical basis with positive pivots and
 earlier-column entries reduced into ``[0, pivot)``, so equal lattices give
 equal grids.
+
+Determinants and inverses come from one fraction-free elimination on
+[a | b] (Bareiss 1968).  After the step with pivot p_k every live entry is a
+minor of [a | b], so each update (p_k·a_ij − a_ik·a_kj) / p_(k−1) divides
+exactly, also in rows with a_ik = 0, which are only rescaled by
+p_k / p_(k−1).  The last pivot is ±det a; reducing every row (Gauss–Jordan)
+leaves ±det a times a^-1·b on the right.
 """
 
 from __future__ import annotations
@@ -66,15 +73,17 @@ def _find_pivot(a, m, n, t):
     return best
 
 
-def smith_normal_form(a: list[list[int]]):
+def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = True):
     """Return (U, D, V) with U·a·V = D diagonal, d1 | d2 | ..., di >= 0.
 
-    U and V are unimodular (built from row and column operations only).
+    U and V are unimodular (built from row and column operations only).  A
+    transform the caller does not want is neither built nor updated and
+    comes back as None; the pivots and D are the same either way.
     """
     m, n = dims(a)
     A = copy_grid(a)
-    U = identity(m)
-    V = identity(n)
+    U = identity(m) if want_u else None
+    V = identity(n) if want_v else None
     t = 0
     while t < min(m, n):
         piv = _find_pivot(A, m, n, t)
@@ -83,12 +92,14 @@ def smith_normal_form(a: list[list[int]]):
         i0, j0 = piv
         if i0 != t:
             A[t], A[i0] = A[i0], A[t]
-            U[t], U[i0] = U[i0], U[t]
+            if U:
+                U[t], U[i0] = U[i0], U[t]
         if j0 != t:
             for row in A:
                 row[t], row[j0] = row[j0], row[t]
-            for row in V:
-                row[t], row[j0] = row[j0], row[t]
+            if V:
+                for row in V:
+                    row[t], row[j0] = row[j0], row[t]
         d = A[t][t]
         dirty = False
         for i in range(t + 1, m):
@@ -97,8 +108,8 @@ def smith_normal_form(a: list[list[int]]):
                 if q:
                     for j in range(n):
                         A[i][j] -= q * A[t][j]
-                    for j in range(m):
-                        U[i][j] -= q * U[t][j]
+                    if U:
+                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
                 if A[i][t]:
                     dirty = True
         if dirty:
@@ -109,8 +120,9 @@ def smith_normal_form(a: list[list[int]]):
                 if q:
                     for i in range(m):
                         A[i][j] -= q * A[i][t]
-                    for i in range(n):
-                        V[i][j] -= q * V[i][t]
+                    if V:
+                        for i in range(n):
+                            V[i][j] -= q * V[i][t]
                 if A[t][j]:
                     dirty = True
         if dirty:
@@ -126,14 +138,14 @@ def smith_normal_form(a: list[list[int]]):
         if bad is not None:
             for j in range(n):
                 A[t][j] += A[bad][j]
-            for j in range(m):
-                U[t][j] += U[bad][j]
+            if U:
+                U[t] = [x + y for x, y in zip(U[t], U[bad])]
             continue
         if A[t][t] < 0:
             for j in range(n):
                 A[t][j] = -A[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
+            if U:
+                U[t] = [-x for x in U[t]]
         t += 1
     return U, A, V
 
@@ -143,15 +155,14 @@ def diagonal_of(d: list[list[int]]) -> list[int]:
     return [d[i][i] for i in range(min(m, n))]
 
 
-def rank(a: list[list[int]]) -> int:
-    _, d, _ = smith_normal_form(a)
-    return sum(1 for x in diagonal_of(d) if x)
-
-
 def elementary_divisors(a: list[list[int]]) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in the divisibility chain."""
-    _, d, _ = smith_normal_form(a)
+    _, d, _ = smith_normal_form(a, False, False)
     return [x for x in diagonal_of(d) if x]
+
+
+def rank(a: list[list[int]]) -> int:
+    return len(elementary_divisors(a))
 
 
 def cokernel_invariants(a: list[list[int]]) -> list[int]:
@@ -180,7 +191,7 @@ def is_surjection(a: list[list[int]]) -> bool:
 def kernel_basis(a: list[list[int]]) -> list[list[int]]:
     """n×s grid whose columns form a basis of ker(a); the basis is primitive."""
     m, n = dims(a)
-    _, d, v = smith_normal_form(a)
+    _, d, v = smith_normal_form(a, want_u=False)
     r = sum(1 for x in diagonal_of(d) if x)
     return [[v[i][j] for j in range(r, n)] for i in range(n)]
 
@@ -285,15 +296,52 @@ def solve_reduced(a: list[list[int]], b: list[list[int]]):
     return [[cols[c][i] for c in range(k)] for i in range(n)]
 
 
+def _bareiss(a: list[list[int]], b: list[list[int]]):
+    """(d, x) with d = +-det a and a·x = d·b for a square a, or (0, None) if a is singular.
+
+    With b of width 0 only the rows below each pivot are reduced, for d alone.
+    """
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    full = bool(b and b[0])
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return 0, None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        pk, tail = rk[k], rk[k + 1:]
+        for i in range(0 if full else k + 1, n):
+            row = rows[i]
+            c = row[k]
+            if i == k or (not c and pk == prev):
+                continue
+            if c:
+                row[k + 1:] = [(pk * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
+            else:  # only rescaled from p_(k-1) to p_k
+                row[k + 1:] = [pk * x // prev for x in row[k + 1:]]
+        prev = pk
+    return prev, [row[n:] for row in rows]
+
+
+def is_unimodular(a: list[list[int]]) -> bool:
+    """True iff a is square with determinant +-1."""
+    m, n = dims(a)
+    return m == n and _bareiss(a, [[]] * n)[0] in (1, -1)
+
+
+def unimodular_solve(a: list[list[int]], b: list[list[int]]):
+    """The X with a·X = b when a is unimodular, else None."""
+    if dims(a) != (len(b), len(b)):
+        return None
+    d, x = _bareiss(a, b)
+    return [[d * v for v in row] for row in x] if d in (1, -1) else None
+
+
 def inverse(a: list[list[int]]):
     """Exact inverse of a unimodular integer matrix, or None."""
-    m, n = dims(a)
-    if m != n:
-        return None
-    u, d, v = smith_normal_form(a)
-    if any(x != 1 for x in diagonal_of(d)) or len(diagonal_of(d)) != n:
-        return None
-    return matmul(v, u)
+    return unimodular_solve(a, identity(len(a)))
 
 
 def complement_of_primitive(b: list[list[int]]):
@@ -302,7 +350,7 @@ def complement_of_primitive(b: list[list[int]]):
     m, r = dims(b)
     if not is_split_injection(b):
         return None
-    u, d, _ = smith_normal_form(b)
+    u, d, _ = smith_normal_form(b, want_v=False)
     uinv = inverse(u)
     comp = [[uinv[i][j] for j in range(r, m)] for i in range(m)]
     proj = [u[i][:] for i in range(r, m)]
@@ -313,7 +361,7 @@ def completion_of_primitive_vector(v: list[int]):
     """A unimodular matrix whose first column is the primitive vector v, or None."""
     m = len(v)
     col = [[x] for x in v]
-    u, d, _ = smith_normal_form(col)
+    u, d, _ = smith_normal_form(col, want_v=False)
     if not (d and d[0][0] == 1):
         return None
     w = inverse(u)

@@ -5,7 +5,9 @@ JSON report (to --out or stdout) holding the result, the provenance (the
 input paths with the sha256 of each, the package version and the fixtures
 consumed), and the wall-clock timing.  Exit status is 0 on success, 1 when
 the library rejects the mathematics (domain errors), and 2 when the input
-cannot be understood at all (schema errors).
+cannot be understood at all (schema errors).  A failed call reports
+``error`` (the message), ``kind`` (``schema`` or ``domain``) and ``where``,
+the ``module:function:line`` of the innermost package frame that raised.
 """
 
 from __future__ import annotations
@@ -329,10 +331,12 @@ def main(argv=None) -> int:
     except SchemaError as e:
         report["error"] = str(e)
         report["kind"] = "schema"
+        report["where"] = acceptance._package_frame(e)
         status = 2
     except (DomainError, SurgeryAlgebraError) as e:
         report["error"] = str(e)
         report["kind"] = "domain"
+        report["where"] = acceptance._package_frame(e)
         status = 1
     if status == 0:
         report["result"] = result

@@ -129,7 +129,7 @@ def complex_homology(c: OddComplex) -> tuple[AbelianGroup, int]:
 
 
 def is_contractible(c: OddComplex) -> bool:
-    return matrices.try_inverse(c.d) is not None
+    return matrices.is_unimodular(c.d)
 
 
 def _as_map_pair(f):
@@ -309,9 +309,7 @@ def _check_cobordism_shapes(c: OddComplex, cprime: OddComplex, cob: Cobordism):
 def validate_cobordism(c: OddComplex, cprime: OddComplex, cob: Cobordism) -> bool:
     _check_cobordism_shapes(c, cprime, cob)
     m = duality_matrix(c, cprime, cob)
-    if m.rows != m.cols:
-        return False
-    return matrices.try_inverse(m) is not None
+    return matrices.is_unimodular(m)
 
 
 def surgery_on_complex(c: OddComplex, s: SurgeryData) -> tuple[OddComplex, Cobordism]:

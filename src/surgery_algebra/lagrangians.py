@@ -64,11 +64,11 @@ def is_lagrangian(form, L) -> bool:
     q = _as_quadratic(form)
     if not forms.is_nonsingular(q):
         raise DomainError("the lagrangian test needs a nonsingular form")
-    if not is_sublagrangian(form, L):
+    if not is_sublagrangian(q, L):
         return False
     if 2 * basis.cols != q.rank:
         return False
-    return matrices.same_span(orthogonal(form, basis), basis)
+    return matrices.same_span(orthogonal(q, basis), basis)
 
 
 def _check_theta(s: SplitForm, basis: FormMatrix, theta: FormMatrix):

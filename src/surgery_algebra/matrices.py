@@ -14,12 +14,15 @@ goes entry by entry through :mod:`surgery_algebra.rings`.  ``entry`` and
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
-grid.  Invertibility is decided over every supported ring: Z and Z[Z/m]
-through the integer regular representation (a block layout of the grids),
-and the Laurent ring by fraction-free (Bareiss) elimination, which yields
-d = +-det and d times the inverse; the units of Z[z,z^-1] are exactly
-+-z^k.  Lattice-splitting questions over non-integer rings are refused
-rather than approximated; callers there must supply witnesses.
+grid.  Invertibility over Z and Z[Z/m] is read off the integer regular
+representation R(M), a block layout of the grids: the ring is commutative,
+so M is invertible iff det R(M) = +-1.  ``is_unimodular`` computes only that
+determinant; ``try_inverse`` solves for the n columns of R(M)^-1 that hold
+the inverse's coefficients, by fraction-free (Bareiss) elimination.  Over
+Z[z,z^-1] the same elimination on RingElements yields d = +-det and d times
+the inverse; the units there are exactly +-z^k.  Lattice-splitting
+questions over non-integer rings are refused rather than approximated;
+callers there must supply witnesses.
 """
 
 from __future__ import annotations
@@ -375,8 +378,11 @@ def completion_of_primitive_vector(v: FormMatrix) -> FormMatrix:
 
 def _regular_grid(m: FormMatrix) -> list[list[int]]:
     """Integer matrix of m acting on coefficient vectors: block (i, j) is the
-    order x order circulant of entry (i, j), with grid k on its k-th diagonal."""
+    order x order circulant of entry (i, j), with grid k on its k-th diagonal.
+    Over Z this is the stored grid, which the caller must not mutate."""
     order = len(m._grids)
+    if order == 1:
+        return m._grids[0]
     grid = _intlat.zeros(m.rows * order, m.cols * order)
     for k, g in enumerate(m._grids):
         for i, row in enumerate(g):
@@ -431,12 +437,14 @@ def try_inverse(m: FormMatrix):
     if m.rows == 0:
         return m
     if not _boxed(m.ring):
+        # column j * order of block (i, j) of the inverse holds the coefficients
+        # of entry (i, j), so solve for those n columns only
         order, n = len(m._grids), m.rows
-        inv = _intlat.inverse(_regular_grid(m))
+        units = [[1 if r == j * order else 0 for j in range(n)] for r in range(n * order)]
+        inv = _intlat.unimodular_solve(_regular_grid(m), units)
         if inv is None:
             return None
-        # column j * order of block (i, j) holds the coefficients of entry (i, j)
-        grids = tuple([[inv[i * order + r][j * order] for j in range(n)] for i in range(n)]
+        grids = tuple([[inv[i * order + r][j] for j in range(n)] for i in range(n)]
                       for r in range(order))
         return _grid_matrix(m.ring, n, n, grids)
     scaled = _scaled_inverse(m)
@@ -460,4 +468,7 @@ def inverse(m: FormMatrix) -> FormMatrix:
 
 
 def is_unimodular(m: FormMatrix) -> bool:
-    return try_inverse(m) is not None
+    """Invertibility over the ring, decided without building an inverse over Z and Z[Z/m]."""
+    if _boxed(m.ring):
+        return try_inverse(m) is not None
+    return m.rows == m.cols and _intlat.is_unimodular(_regular_grid(m))

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import linecache
+import sys
 
 import pytest
 
@@ -104,3 +106,21 @@ def test_provenance_carries_input_digests_and_the_package_version(tmp_path):
     status, report = run(["milnor", "--ell", "3", "--out", str(tmp_path / "milnor.json")])
     assert status == 0
     assert report["provenance"]["sha256"] == [] and report["provenance"]["version"] == "0.1.0"
+
+
+@pytest.mark.parametrize("verb, form, status, kind, module, function, raised", [
+    ("form-info", {"ring": {"ring": "quaternion"}, "epsilon": 1, "lambda": [[2]], "mu": [1]},
+     2, "schema", "surgery_algebra.serialize", "ring_from_obj", "unknown ring kind"),
+    ("witt", {"epsilon": 1, "lambda": [[2]], "mu": [1]},
+     1, "domain", "surgery_algebra.witt", "witt_class", "witt class needs a nonsingular form"),
+], ids=["schema-error", "domain-error"])
+def test_an_error_report_names_the_innermost_package_frame(tmp_path, verb, form, status, kind,
+                                                           module, function, raised):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(form), encoding="utf-8")
+    code, report = run([verb, "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert (code, report["kind"]) == (status, kind)
+    where_module, where_function, line = report["where"].split(":")
+    assert (where_module, where_function) == (module, function)
+    source = linecache.getline(sys.modules[module].__file__, int(line))
+    assert "raise" in source and raised in source

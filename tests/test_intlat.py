@@ -1,0 +1,162 @@
+"""The integer elimination kernels in ``_intlat``, against the Smith-form paths they replace."""
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from surgery_algebra import _intlat
+from surgery_algebra import matrices as mx
+from surgery_algebra import rings
+
+from conftest import random_matrix, random_unimodular
+from test_matrices import det_int
+
+Z = rings.integers()
+
+
+def smith_inverse(a):
+    """The Smith-form inverse that the Bareiss elimination replaced, frozen here."""
+    m, n = _intlat.dims(a)
+    if m != n:
+        return None
+    u, d, v = _intlat.smith_normal_form(a)
+    if any(x != 1 for x in _intlat.diagonal_of(d)) or len(_intlat.diagonal_of(d)) != n:
+        return None
+    return _intlat.matmul(v, u)
+
+
+def square_grid(rng, kind, n):
+    """An n x n integer grid: unimodular, singular, of determinant +-2, or dense."""
+    if kind == "dense":
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    a = random_unimodular(rng, Z, n).to_int_grid()
+    if kind == "singular" and n:
+        i, j = rng.randrange(n), rng.randrange(n)
+        a[i] = [x + y for x, y in zip(a[j], a[j])] if i != j else [0] * n
+    elif kind == "det2" and n:
+        a[0] = [rng.choice((2, -2)) * x for x in a[0]]
+        a = _intlat.matmul(a, random_unimodular(rng, Z, n).to_int_grid())
+    return a
+
+
+KINDS = st.sampled_from(["unimodular", "singular", "det2", "dense"])
+
+
+@given(KINDS, st.integers(0, 8), st.integers(0, 3), st.integers(0, 2**32))
+def test_elimination_agrees_with_the_smith_inverse(kind, n, width, seed):
+    rng = random.Random(seed)
+    a = square_grid(rng, kind, n)
+    b = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)]
+    expected = smith_inverse(a)
+    assert _intlat.inverse(a) == expected
+    assert _intlat.is_unimodular(a) == (expected is not None)
+    x = _intlat.unimodular_solve(a, b)
+    assert x == (None if expected is None else _intlat.matmul(expected, b))
+    if kind != "dense" and n:
+        assert (expected is not None) == (kind == "unimodular")
+
+
+@given(KINDS, st.integers(0, 6), st.integers(1, 3), st.integers(0, 2**32))
+def test_elimination_yields_the_determinant_up_to_sign(kind, n, width, seed):
+    rng = random.Random(seed)
+    a = square_grid(rng, kind, n)
+    b = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)]
+    d, _ = _intlat._bareiss(a, [[]] * n)
+    assert abs(d) == abs(det_int(a))
+    full, x = _intlat._bareiss(a, b)
+    assert full == d
+    if d:
+        assert _intlat.matmul(a, x) == [[d * v for v in row] for row in b]
+
+
+@pytest.mark.parametrize("a, inv, det", [
+    # zero first pivot: the rows must be swapped
+    ([[0, 1], [1, 0]], [[0, 1], [1, 0]], -1),
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+    # a zero below the pivots 2 and -1: row 3 is only rescaled, by 2 and then by -1/2
+    ([[2, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, -2, 0], [0, 0, 1]], -1),
+    ([[2, 1, 0], [1, 0, 0], [0, 0, 3]], None, -3),
+    ([[3, 2, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 5, 1]],
+     [[1, -2, 0, 0], [-1, 3, 0, 0], [0, 0, 1, 0], [0, 0, -5, 1]], 1),
+])
+def test_elimination_on_row_swaps_and_rows_that_are_only_rescaled(a, inv, det):
+    assert _intlat.inverse(a) == inv == smith_inverse(a)
+    assert _intlat.is_unimodular(a) == (inv is not None)
+    assert abs(_intlat._bareiss(a, [[]] * len(a))[0]) == abs(det) == abs(det_int(a))
+
+
+def test_elimination_on_empty_and_non_square_grids():
+    assert _intlat.inverse([]) == []
+    assert _intlat.is_unimodular([])
+    assert _intlat.unimodular_solve([], []) == []
+    assert _intlat.unimodular_solve([[1]], [[]]) == [[]]
+    assert not _intlat.is_unimodular([[1, 0]])
+    assert _intlat.inverse([[1, 0]]) is None
+    assert _intlat.unimodular_solve([[1, 0], [0, 1]], [[1]]) is None
+
+
+# -- Z[Z/m] through the regular representation --------------------------------
+
+
+def frozen_cyclic_inverse(m):
+    """try_inverse over Z[Z/m] as it was: the Smith inverse of the whole regular
+    representation, built here from the entries."""
+    order, n = m.ring.m, m.rows
+    grid = [[0] * (n * order) for _ in range(n * order)]
+    for i in range(n):
+        for j in range(n):
+            for k, x in enumerate(m.entry(i, j).coeffs):
+                for c in range(order):
+                    grid[i * order + (c + k) % order][j * order + c] = x
+    inv = smith_inverse(grid)
+    if inv is None:
+        return None
+    return mx.matrix(m.ring, [[rings.RingElement(m.ring, tuple(inv[i * order + r][j * order]
+                                                                for r in range(order)))
+                               for j in range(n)] for i in range(n)])
+
+
+# w = -1 needs an even order
+CYCLIC_RINGS = [rings.cyclic(m, w) for m in range(1, 7) for w in (1, -1) if w == 1 or m % 2 == 0]
+
+
+@given(st.sampled_from(CYCLIC_RINGS), st.integers(0, 4), st.sampled_from(["unit", "random", "scaled"]),
+       st.integers(0, 2**32))
+def test_cyclic_inverse_agrees_with_the_regular_smith_path(ring, n, kind, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        m = random_matrix(rng, ring, n, n)
+    else:
+        m = random_unimodular(rng, ring, n, steps=n + 2)
+        if kind == "scaled" and n:
+            # 1 + g has no inverse in Z[Z/m] for m > 1; in Z[Z/1] it is 2
+            m = m.mul(mx.matrix(ring, [[rings.add(rings.one(ring), rings.monomial(ring, 1))
+                                        if i == j == 0 else int(i == j) for j in range(n)]
+                                       for i in range(n)]))
+    expected = frozen_cyclic_inverse(m)
+    assert mx.try_inverse(m) == expected
+    assert mx.is_unimodular(m) == (expected is not None)
+    if kind == "unit":
+        assert expected is not None
+    if kind == "scaled" and n:
+        assert expected is None
+
+
+# -- Smith forms that build only the transforms their caller reads -------------
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32))
+def test_smith_without_transforms_keeps_the_diagonal(rows, cols, seed):
+    rng = random.Random(seed)
+    a = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rows)]
+    u, d, v = _intlat.smith_normal_form(a)
+    for want_u in (True, False):
+        for want_v in (True, False):
+            u2, d2, v2 = _intlat.smith_normal_form(a, want_u, want_v)
+            assert d2 == d
+            assert u2 == (u if want_u else None)
+            assert v2 == (v if want_v else None)
+    divs = [x for x in _intlat.diagonal_of(d) if x]
+    assert _intlat.elementary_divisors(a) == divs
+    assert _intlat.rank(a) == len(divs)
