@@ -9,16 +9,18 @@ Three coefficient rings are supported, all with exact integer arithmetic:
 
 Elements are immutable coefficient vectors.  The quotient groups
 Q_eps = Lambda / {a - eps * conj(a)} get canonical coset representatives by
-Hermite reduction against the sublattice, so equality of classes is equality
-of representatives.
+folding: the subgroup is spanned by g^k - eps * w^k * g^-k, so each orbit
+{k, -k} of exponents folds onto one kept exponent e, which carries
+a_e + eps * w^e * a_-e.  The kept exponents are e >= 0 over Z[z, z^-1] and
+0 and ceil(m/2), ..., m-1 over Z[Z/m].  A self-conjugate exponent (0, and
+m/2 when m is even) keeps a_e when eps * w^e = 1 and a_e mod 2 when
+eps * w^e = -1.  Equality of classes is equality of representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import _intlat
 from .errors import DomainError, WrongRingError
 
 
@@ -246,16 +248,25 @@ def symmetrize(a: RingElement, epsilon: int) -> RingElement:
     return sub(a, involute(a))
 
 
-def _involution_grid(ring: RingSpec) -> list[list[int]]:
-    m = ring.m
-    t = _intlat.zeros(m, m)
-    for k in range(m):
-        t[(m - k) % m][k] = ring.w ** k
-    return t
+def _pairs(m: int):
+    """The orbits {p, m - p} of exponents mod m with p < m - p, as (p, m - p)."""
+    return [(p, m - p) for p in range(1, (m + 1) // 2)]
+
+
+def _self_conjugate(m: int):
+    """The exponents e with e = -e mod m: 0, and m/2 when m is even."""
+    return (0, m // 2) if m % 2 == 0 else (0,)
 
 
 def symmetrize_preimage(a: RingElement, epsilon: int):
-    """Some x with x + epsilon * conj(x) = a, or None if a is not in the image."""
+    """Some x with x + epsilon * conj(x) = a, or None if a is not in the image.
+
+    a is in the image iff a_-e = epsilon * w^e * a_e on every orbit and each
+    self-conjugate coefficient is even (epsilon * w^e = 1) or zero
+    (epsilon * w^e = -1).  Over Z[Z/m] x carries the lower exponent p of each
+    orbit pair, over Z[z, z^-1] the exponents k >= 0, and a self-conjugate
+    exponent carries a_e / 2.
+    """
     ring = a.ring
     if ring.kind == "Z":
         n = a.coeffs[0]
@@ -263,31 +274,29 @@ def symmetrize_preimage(a: RingElement, epsilon: int):
             return from_int(ring, n // 2) if n % 2 == 0 else None
         return zero(ring) if n == 0 else None
     if ring.kind == "cyclic":
-        m = ring.m
-        t = _involution_grid(ring)
-        mat = [[(1 if i == j else 0) + epsilon * t[i][j] for j in range(m)] for i in range(m)]
-        sol = _intlat.solve(mat, [[c] for c in a.coeffs])
-        if sol is None:
-            return None
-        return _mk(ring, [row[0] for row in sol])
+        m, c = ring.m, a.coeffs
+        x = [0] * m
+        for p, e in _pairs(m):
+            if c[e] != epsilon * ring.w ** p * c[p]:
+                return None
+            x[p] = c[p]
+        for e in _self_conjugate(m):
+            if epsilon * ring.w ** e == 1 and c[e] % 2 == 0:
+                x[e] = c[e] // 2
+            elif c[e]:
+                return None
+        return _mk(ring, x)
     if not a.coeffs:
         return a
-    b = max(abs(a.shift), abs(a.shift + len(a.coeffs) - 1))
-    full = [0] * (2 * b + 1)
-    for i, c in enumerate(a.coeffs):
-        full[a.shift + i + b] = c
-    a0 = full[b]
-    if epsilon == 1 and a0 % 2:
+    b = a.shift + len(a.coeffs) - 1
+    if a.shift != -b:
         return None
-    if epsilon == -1 and a0 != 0:
+    c = a.coeffs
+    if any(c[b - k] != epsilon * c[b + k] for k in range(1, b + 1)):
         return None
-    x = [0] * (2 * b + 1)
-    x[b] = a0 // 2 if epsilon == 1 else 0
-    for k in range(1, b + 1):
-        if full[b - k] != epsilon * full[b + k]:
-            return None
-        x[b + k] = full[b + k]
-    return _mk(laurent(), x, -b)
+    if c[b] % 2 if epsilon == 1 else c[b]:
+        return None
+    return _mk(ring, (c[b] // 2,) + c[b + 1:], 0)
 
 
 def desymmetrize(a: RingElement, epsilon: int):
@@ -297,30 +306,6 @@ def desymmetrize(a: RingElement, epsilon: int):
 
 def in_symmetrize_image(a: RingElement, epsilon: int) -> bool:
     return symmetrize_preimage(a, epsilon) is not None
-
-
-@lru_cache(maxsize=None)
-def _q_lattice(kind: str, m: int, w: int, epsilon: int, window: int):
-    """Hermite basis of the sublattice {a - eps*conj(a)} in coefficient coordinates."""
-    if kind == "cyclic":
-        ring = RingSpec(kind, m, w)
-        n = m
-        gens = []
-        for k in range(n):
-            e = monomial(ring, k)
-            v = sub(e, RingElement(ring, tuple(epsilon * c for c in involute(e).coeffs)))
-            gens.append(list(v.coeffs))
-        grid = [[gens[j][i] for j in range(n)] for i in range(n)]
-    else:
-        n = 2 * window + 1
-        grid = _intlat.zeros(n, n)
-        for k in range(window + 1):
-            col = [0] * n
-            col[window + k] += 1
-            col[window - k] -= epsilon
-            for i in range(n):
-                grid[i][k] = col[i]
-    return _intlat.hermite_column_basis(grid)
 
 
 @dataclass(frozen=True)
@@ -333,6 +318,11 @@ class QEpsilonClass:
 
 
 def q_eps_reduce(a: RingElement, epsilon: int) -> QEpsilonClass:
+    """The class of a, with the representative the module docstring describes.
+
+    Costs O(m) over Z[Z/m]; over Z[z, z^-1] it allocates only the folded
+    window [min |e|, max |e|] of the support of a.
+    """
     ring = a.ring
     if epsilon not in (1, -1):
         raise DomainError("epsilon must be +1 or -1")
@@ -341,18 +331,27 @@ def q_eps_reduce(a: RingElement, epsilon: int) -> QEpsilonClass:
         rep = a if epsilon == 1 else from_int(ring, n % 2)
         return QEpsilonClass(ring, epsilon, rep)
     if ring.kind == "cyclic":
-        h, piv = _q_lattice("cyclic", ring.m, ring.w, epsilon, 0)
-        red = _intlat.reduce_mod_lattice(list(a.coeffs), h, piv)
-        return QEpsilonClass(ring, epsilon, _mk(ring, red))
+        m, c = ring.m, a.coeffs
+        v = [0] * m
+        for p, e in _pairs(m):
+            v[e] = c[e] + epsilon * ring.w ** e * c[p]
+        for e in _self_conjugate(m):
+            v[e] = c[e] if epsilon * ring.w ** e == 1 else c[e] % 2
+        return QEpsilonClass(ring, epsilon, _mk(ring, v))
     if not a.coeffs:
         return QEpsilonClass(ring, epsilon, a)
-    b = max(abs(a.shift), abs(a.shift + len(a.coeffs) - 1))
-    h, piv = _q_lattice("laurent", 0, 1, epsilon, b)
-    full = [0] * (2 * b + 1)
+    lo, hi = a.shift, a.shift + len(a.coeffs) - 1
+    base = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    v = [0] * (max(abs(lo), abs(hi)) - base + 1)
     for i, c in enumerate(a.coeffs):
-        full[a.shift + i + b] = c
-    red = _intlat.reduce_mod_lattice(full, h, piv)
-    return QEpsilonClass(ring, epsilon, _mk(ring, red, -b))
+        e = lo + i
+        if e >= 0:
+            v[e - base] += c
+        else:
+            v[-e - base] += epsilon * c
+    if base == 0 and epsilon == -1:
+        v[0] %= 2
+    return QEpsilonClass(ring, epsilon, _mk(ring, v, base))
 
 
 def class_add(a: QEpsilonClass, b: QEpsilonClass) -> QEpsilonClass:
@@ -393,29 +392,22 @@ def _group_from_invariants(inv: list[int]) -> AbelianGroup:
 
 
 def q_eps_group(ring: RingSpec, epsilon: int, window: int | None = None) -> AbelianGroup:
-    """Q_eps(Lambda) as an abelian group.
+    """Q_eps(Lambda) as an abelian group, read off the fold.
 
-    The Laurent ring needs an exponent window bound: the result describes the
-    classes of elements supported on [-window, window], which is the whole
-    story for any fixed finite computation.
+    Each orbit pair {e, -e} gives one Z.  A self-conjugate exponent e gives
+    Z when eps * w^e = 1 and Z/2 when eps * w^e = -1.  The Laurent ring needs
+    an exponent window bound: the result describes the classes of elements
+    supported on [-window, window], that is window pairs and the exponent 0,
+    which is the whole story for any fixed finite computation.
     """
     if ring.kind == "Z":
-        if epsilon == 1:
-            return AbelianGroup(1, ())
-        return AbelianGroup(0, (2,))
+        ring = cyclic(1)
     if ring.kind == "cyclic":
-        m = ring.m
-        gens = []
-        for k in range(m):
-            e = monomial(ring, k)
-            gens.append(list(sub(e, RingElement(ring, tuple(epsilon * c for c in involute(e).coeffs))).coeffs))
-        grid = [[gens[j][i] for j in range(m)] for i in range(m)]
-        return _group_from_invariants(_intlat.cokernel_invariants(grid))
-    if window is None:
-        raise DomainError("Q_eps of the Laurent ring needs an exponent window bound")
-    n = 2 * window + 1
-    grid = _intlat.zeros(n, n)
-    for k in range(window + 1):
-        grid[window + k][k] += 1
-        grid[window - k][k] -= epsilon
-    return _group_from_invariants(_intlat.cokernel_invariants(grid))
+        pairs, signs = len(_pairs(ring.m)), [epsilon * ring.w ** e for e in _self_conjugate(ring.m)]
+    else:
+        if window is None:
+            raise DomainError("Q_eps of the Laurent ring needs an exponent window bound")
+        if window < 0:
+            raise DomainError(f"the exponent window must be at least 0, got {window}")
+        pairs, signs = window, [epsilon]
+    return AbelianGroup(pairs + signs.count(1), (2,) * signs.count(-1))

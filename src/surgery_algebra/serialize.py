@@ -72,6 +72,12 @@ def element_to_obj(a: RingElement):
     return {"origin": a.shift, "coeffs": list(a.coeffs)}
 
 
+# Laurent exponents beyond this bound are refused: lambda + eps * conj(lambda)
+# and the other dense window operations cost time and memory proportional to
+# the widest exponent, not to the size of the file.
+MAX_LAURENT_EXPONENT = 100_000
+
+
 def element_from_obj(ring: RingSpec, obj) -> RingElement:
     if ring.kind == "Z":
         return rings.from_int(ring, _require_int(obj, "integer element"))
@@ -80,19 +86,17 @@ def element_from_obj(ring: RingSpec, obj) -> RingElement:
             raise SchemaError(
                 f"cyclic group ring element must be a list of {ring.m} integers"
             )
-        coeffs = [_require_int(v, "group ring coefficient") for v in obj]
-        out = rings.zero(ring)
-        for k, c in enumerate(coeffs):
-            out = rings.add(out, rings.monomial(ring, k, c))
-        return out
+        return RingElement(ring, tuple(_require_int(v, "group ring coefficient") for v in obj))
     _require_keys(obj, ("origin", "coeffs"), "Laurent element")
     origin = _require_int(obj["origin"], "origin")
     if not isinstance(obj["coeffs"], list):
         raise SchemaError("Laurent coefficients must be a list")
-    out = rings.zero(ring)
-    for k, c in enumerate(obj["coeffs"]):
-        out = rings.add(out, rings.monomial(ring, origin + k, _require_int(c, "coefficient")))
-    return out
+    coeffs = [_require_int(c, "coefficient") for c in obj["coeffs"]]
+    if max(abs(origin), abs(origin + max(len(coeffs) - 1, 0))) > MAX_LAURENT_EXPONENT:
+        raise SchemaError(f"Laurent exponents must lie in [-{MAX_LAURENT_EXPONENT}, "
+                          f"{MAX_LAURENT_EXPONENT}], got origin {origin} with "
+                          f"{len(coeffs)} coefficients")
+    return rings._mk(ring, coeffs, origin)
 
 
 def matrix_to_obj(m: FormMatrix):

@@ -10,7 +10,6 @@ in the integers and one bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _intlat, forms, matrices, rings
 from .errors import DomainError, SchemaError, SingularMatrixError, WrongRingError
@@ -32,15 +31,16 @@ def signature(form) -> int:
     """Positive minus negative diagonal count after exact diagonalisation.
 
     Accepts a symmetric or quadratic form over the integers.  Congruence
-    steps run over the rationals; a zero diagonal entry is first repaired by
-    adding a row and column that pair with it nontrivially, so every pivot
-    is 1x1 and contributes its sign.
+    steps run fraction-free (Bareiss): the live block holds prev times the
+    rational Schur complement, where prev is the last pivot, so the update
+    (d * g_rc - g_rp * g_pc) / prev divides exactly and the rational pivot
+    d / prev has the sign of d * prev.  A zero diagonal entry is first
+    repaired by adding a row and column that pair with it nontrivially, so
+    every pivot is 1x1 and contributes its sign.
     """
-    grid = _int_symmetric(form, 1, "signature")
-    k = len(grid)
-    g = [[Fraction(x) for x in row] for row in grid]
-    live = list(range(k))
-    sig = 0
+    g = _int_symmetric(form, 1, "signature")
+    live = list(range(len(g)))
+    sig, prev = 0, 1
     while live:
         p = live[0]
         if g[p][p] == 0:
@@ -55,17 +55,14 @@ def signature(form) -> int:
             for c in live:
                 g[p][c] += t * g[j][c]
         d = g[p][p]
-        sig += 1 if d > 0 else -1
+        sig += 1 if (d > 0) == (prev > 0) else -1
         live = live[1:]
+        gp = g[p]
         for r in live:
-            if g[r][p] == 0:
-                continue
-            f = g[r][p] / d
+            gr, grp = g[r], g[r][p]
             for c in live:
-                g[r][c] -= f * g[p][c]
-            g[r][p] = Fraction(0)
-        for c in live:
-            g[p][c] = Fraction(0)
+                gr[c] = (d * gr[c] - grp * gp[c]) // prev
+        prev = d
     return sig
 
 

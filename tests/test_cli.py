@@ -4,6 +4,7 @@ import hashlib
 import json
 import linecache
 import sys
+import time
 
 import pytest
 
@@ -124,3 +125,32 @@ def test_an_error_report_names_the_innermost_package_frame(tmp_path, verb, form,
     assert (where_module, where_function) == (module, function)
     source = linecache.getline(sys.modules[module].__file__, int(line))
     assert "raise" in source and raised in source
+
+
+def laurent_form(mu_origin):
+    """A 1x1 Laurent form file with lambda = 2 and mu = z^mu_origin."""
+    return {"ring": {"ring": "laurent"}, "epsilon": 1, "lambda": [[{"origin": 0, "coeffs": [2]}]],
+            "mu": [{"origin": mu_origin, "coeffs": [1]}]}
+
+
+def test_a_far_mu_exponent_is_rejected_quickly(tmp_path):
+    # mu = z^-3000 folds to z^3000, whose symmetrisation is not lambda = 2
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(laurent_form(-3000)), encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert (status, report["kind"]) == (1, "domain")
+    assert "mu[0]" in report["error"]
+
+
+@pytest.mark.parametrize("origin", [10**9, -10**9])
+def test_an_exponent_beyond_the_cap_is_a_schema_error(tmp_path, origin):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(laurent_form(origin)), encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert (status, report["kind"]) == (2, "schema")
+    assert "Laurent exponents must lie in" in report["error"]
+    assert report["where"].startswith("surgery_algebra.serialize:element_from_obj:")

@@ -1,12 +1,15 @@
 """The JSON wire formats: every object survives a round trip through canonical text."""
 
 import random
+import time
 
+import pytest
 from hypothesis import given, strategies as st
 
 from surgery_algebra import complexes as cx
 from surgery_algebra import forms, rings
 from surgery_algebra import serialize as sz
+from surgery_algebra.errors import SchemaError
 from surgery_algebra.matrices import FormMatrix
 
 from conftest import ring_element
@@ -84,3 +87,62 @@ def test_complexes_round_trip(ring, parity, c0, c1, seed):
     assert back == c
     assert (back.rank_bottom, back.rank_top) == (c0, c1)
     assert sz.dumps_canonical(sz.complex_to_obj(back)) == text
+
+
+def add_fold_element_from_obj(ring, obj):
+    """The element parser as it was: one rings.add per monomial, quadratic in the length."""
+    if ring.kind == "cyclic":
+        out = rings.zero(ring)
+        for k, c in enumerate(obj):
+            out = rings.add(out, rings.monomial(ring, k, c))
+        return out
+    out = rings.zero(ring)
+    for k, c in enumerate(obj["coeffs"]):
+        out = rings.add(out, rings.monomial(ring, obj["origin"] + k, c))
+    return out
+
+
+@st.composite
+def element_objects(draw):
+    """Cyclic coefficient lists and Laurent windows, zeros at either end included."""
+    coeff = st.integers(-3, 3) | st.integers(-2**70, 2**70)
+    ring = draw(st.sampled_from([r for r in RINGS if r.kind != "Z"]))
+    if ring.kind == "cyclic":
+        return ring, draw(st.lists(coeff, min_size=ring.m, max_size=ring.m))
+    return ring, {"origin": draw(st.integers(-40, 40)), "coeffs": draw(st.lists(coeff, max_size=12))}
+
+
+@given(element_objects())
+def test_element_parsing_matches_the_add_fold(data):
+    ring, obj = data
+    got = sz.element_from_obj(ring, obj)
+    assert got == add_fold_element_from_obj(ring, obj)
+    assert sz.element_from_obj(ring, sz.element_to_obj(got)) == got
+
+
+def test_a_long_laurent_element_parses_in_linear_time():
+    rng = random.Random(5)
+    obj = {"origin": -4000, "coeffs": [rng.randint(-99, 99) for _ in range(8000)]}
+    start = time.process_time()
+    a = sz.element_from_obj(rings.laurent(), obj)
+    assert time.process_time() - start < 0.5
+    assert sz.element_to_obj(a) == obj
+
+
+@pytest.mark.parametrize("origin, count", [
+    (sz.MAX_LAURENT_EXPONENT + 1, 1),
+    (-sz.MAX_LAURENT_EXPONENT - 1, 1),
+    (-sz.MAX_LAURENT_EXPONENT - 1, 0),
+    (sz.MAX_LAURENT_EXPONENT - 5, 7),
+    (-10**9, 3),
+])
+def test_laurent_exponents_beyond_the_cap_are_refused(origin, count):
+    with pytest.raises(SchemaError, match="Laurent exponents must lie in"):
+        sz.element_from_obj(rings.laurent(), {"origin": origin, "coeffs": [1] * count})
+
+
+def test_laurent_exponents_at_the_cap_are_read():
+    cap, L = sz.MAX_LAURENT_EXPONENT, rings.laurent()
+    assert sz.element_from_obj(L, {"origin": -cap, "coeffs": [1]}) == rings.monomial(L, -cap)
+    assert sz.element_from_obj(L, {"origin": cap - 1, "coeffs": [0, 1]}) == rings.monomial(L, cap)
+    assert sz.element_from_obj(L, {"origin": cap, "coeffs": []}) == rings.zero(L)

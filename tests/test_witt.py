@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from surgery_algebra import forms, matrices as mx, rings, witt
+from surgery_algebra import formations, forms, lagrangians, matrices as mx, rings, witt
 from surgery_algebra.errors import SingularMatrixError
 from surgery_algebra.forms import (
     FormIsometry,
@@ -19,7 +21,7 @@ from surgery_algebra.forms import (
 from surgery_algebra.lagrangians import surgery_on_form
 from surgery_algebra.witt import WittClass, arf, is_stably_hyperbolic, signature, symplectic_basis, witt_class
 
-from conftest import random_unimodular
+from conftest import random_split, random_unimodular
 from test_forms import arf_form
 from test_matrices import E8_ROWS
 
@@ -137,3 +139,130 @@ def test_witt_class_survives_surgery():
         moved = transported(hyperbolic_quadratic(Z, -1, 2), p)
         x = mx.inverse(p).submatrix(range(4), range(1))
         assert witt_class(surgery_on_form(moved, x)) == witt_class(moved)
+
+
+def fraction_signature(grid):
+    """The signature as it was computed before: congruence steps over the rationals."""
+    k = len(grid)
+    g = [[Fraction(x) for x in row] for row in grid]
+    live = list(range(k))
+    sig = 0
+    while live:
+        p = live[0]
+        if g[p][p] == 0:
+            j = next((c for c in live[1:] if g[p][c] != 0), None)
+            if j is None:
+                raise SingularMatrixError("signature needs a nonsingular form")
+            for t in (1, -1):
+                if g[p][p] + 2 * t * g[p][j] + g[j][j] != 0:
+                    break
+            for r in live:
+                g[r][p] += t * g[r][j]
+            for c in live:
+                g[p][c] += t * g[j][c]
+        d = g[p][p]
+        sig += 1 if d > 0 else -1
+        live = live[1:]
+        for r in live:
+            if g[r][p] == 0:
+                continue
+            f = g[r][p] / d
+            for c in live:
+                g[r][c] -= f * g[p][c]
+            g[r][p] = Fraction(0)
+        for c in live:
+            g[p][c] = Fraction(0)
+    return sig
+
+
+@st.composite
+def symmetric_grids(draw):
+    """Symmetric integer grids, often with zero diagonal entries and often singular."""
+    n = draw(st.integers(0, 9))
+    entries = st.integers(-3, 3)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.just(0) | entries)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(entries)
+    return g
+
+
+@settings(max_examples=300)
+@given(symmetric_grids())
+def test_signature_matches_the_rational_diagonalisation(grid):
+    try:
+        want = fraction_signature(grid)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            signature(mx.int_matrix(grid))
+        return
+    assert signature(mx.int_matrix(grid)) == want
+
+
+def test_signature_repairs_zero_pivots_fraction_free():
+    # a zero first pivot; then Bareiss pivots 2, -1, -4, where the last is a
+    # positive rational pivot because the one before it is negative
+    assert signature(mx.int_matrix([[0, 1], [1, 0]])) == 0
+    assert signature(mx.int_matrix([[2, 1, 0], [1, 0, 1], [0, 1, 2]])) == 1
+    assert signature(mx.int_matrix([[0, 2, 1], [2, 0, 1], [1, 1, 0]])) == fraction_signature(
+        [[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+    big = direct_sum(transported(e8_quadratic(), random_unimodular(random.Random(9), Z, 8, 40)),
+                     hyperbolic_quadratic(Z, 1, 12))
+    assert signature(big) == fraction_signature(big.lam.to_int_grid()) == 8
+
+
+def drawn_symmetric(rng):
+    """A transported nonsingular even form: E8, -E8, a hyperbolic plane or a random split form."""
+    base = rng.choice([e8_quadratic, lambda: negate(e8_quadratic()),
+                       lambda: hyperbolic_quadratic(Z, 1, 1),
+                       lambda: forms.split_to_quadratic(random_split(rng, Z, 1, rng.randint(1, 2)))])()
+    return transported(base, random_unimodular(rng, Z, base.rank))
+
+
+def assert_hyperbolic_with_the_diagonal(q):
+    """q + (-q) is stably hyperbolic, and its diagonal is a lagrangian that witnesses it."""
+    s = direct_sum(q, negate(q))
+    assert is_stably_hyperbolic(s)
+    assert lagrangians.is_lagrangian(s, mx.vstack(mx.identity_matrix(Z, q.rank), mx.identity_matrix(Z, q.rank)))
+
+
+def assert_boundary_is_trivial(q):
+    """The boundary formation of a nonsingular form is trivial, with the isometry checked."""
+    phi = formations.boundary_formation(q)
+    iso = formations.is_trivial_formation(phi)
+    assert iso is not None
+    trivial = formations.trivial_formation(Z, phi.epsilon, q.rank)
+    assert formations.verify_formation_isomorphism(trivial, phi, iso.f)
+
+
+def drawn_antisymmetric(rng):
+    """A transported nonsingular (-1)-quadratic form, of Arf invariant 0 or 1."""
+    base = rng.choice([arf_form, lambda: hyperbolic_quadratic(Z, -1, 1),
+                       lambda: forms.split_to_quadratic(random_split(rng, Z, -1, rng.randint(1, 2)))])()
+    return transported(base, random_unimodular(rng, Z, base.rank))
+
+
+seeds = st.integers(0, 2**32)
+
+
+@settings(max_examples=25)
+@given(seeds)
+def test_symmetric_witt_invariants_on_drawn_forms(seed):
+    rng = random.Random(seed)
+    a, b = drawn_symmetric(rng), drawn_symmetric(rng)
+    assert signature(direct_sum(a, b)) == signature(a) + signature(b)
+    assert signature(negate(a)) == -signature(a)
+    assert_hyperbolic_with_the_diagonal(a)
+    assert_boundary_is_trivial(a)
+
+
+@settings(max_examples=25)
+@given(seeds)
+def test_antisymmetric_witt_invariants_on_drawn_forms(seed):
+    rng = random.Random(seed)
+    a, b = drawn_antisymmetric(rng), drawn_antisymmetric(rng)
+    assert arf(direct_sum(a, b)) == (arf(a) + arf(b)) % 2
+    assert arf(negate(a)) == arf(a)
+    assert_hyperbolic_with_the_diagonal(a)
+    assert_boundary_is_trivial(a)
