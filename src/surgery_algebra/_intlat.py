@@ -1,9 +1,9 @@
 """Exact integer lattice algorithms on plain list-of-list matrices.
 
 Everything here works on rectangular grids of Python ints (row-major,
-``a[i][j]``).  These routines back both the public matrix layer and the
-quotient-group arithmetic in :mod:`surgery_algebra.rings`, which is why they
-live in a module with no other package imports.
+``a[i][j]``), the form in which FormMatrix keeps its coefficient grids.
+These routines back the matrix layer and the integer steps of ``witt`` and
+``complexes``, and they import nothing else from the package.
 
 Determinism contract: the Smith form pivot is always a nonzero entry of
 minimal absolute value in the live submatrix, ties broken row-major.  The

@@ -4,13 +4,16 @@ Morphisms follow the column convention: a map Lambda^m -> Lambda^n is an
 n x m matrix acting on column vectors, composition is matrix product in
 function order, and the dual of a map is its conjugate transpose.
 
-Over Z and Z[Z/m] a matrix is stored as m integer grids, M = sum_k M_k g^k,
-Z being the case m = 1.  Arithmetic runs on the ints: sums grid by grid,
-products as a cyclic convolution of grids through ``_intlat.matmul`` that
-skips zero grids, the dual by transposing grid k into slot -k scaled by
-w^k.  Over Z[z,z^-1] the one grid holds RingElements and the arithmetic
-goes entry by entry through :mod:`surgery_algebra.rings`.  ``entry`` and
-``entries`` return RingElements over every ring, built on demand.
+Over every ring a matrix is stored as integer grids keyed by exponent,
+M = sum_k M_k g^k (g = z over Z[z,z^-1]).  The exponent k is read mod m over
+Z[Z/m], is any integer over Z[z,z^-1] and is 0 over Z.  Only the grids that
+occur are kept, so a Laurent matrix with entries z^-N and z^N holds two
+grids, not 2N+1; a kept grid may still be all zero, and equality, hashing
+and ``is_zero`` skip such grids.  One set of operations on the ints serves
+all three rings: sums grid by grid, products as a convolution of the
+nonzero grids through ``_intlat.matmul`` (exponents add), the dual by
+transposing grid k into slot -k scaled by w^k.  Only the constructor,
+``entry`` and ``entries`` convert between grids and RingElements.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
@@ -35,38 +38,44 @@ from .errors import SchemaError, SingularMatrixError, WrongRingError
 from .rings import AbelianGroup, RingElement, RingSpec
 
 
-def _order(ring: RingSpec) -> int:
-    """Number of grids: the group order over Z[Z/m], else one (Z has m = 0)."""
-    return ring.m or 1
-
-
-def _boxed(ring: RingSpec) -> bool:
-    """True over Z[z,z^-1], whose one grid holds RingElements instead of ints."""
-    return ring.kind == "laurent"
-
-
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class FormMatrix:
-    """An immutable rows x cols matrix; ``FormMatrix(ring, rows, cols, entries)``
-    builds one from rows of RingElements.  Equality compares the grids."""
+    """An immutable rows x cols matrix sum_k M_k g^k, held as ``{k: M_k}``;
+    ``FormMatrix(ring, rows, cols, entries)`` builds one from rows of
+    RingElements.  Equality compares the nonzero grids."""
 
     ring: RingSpec
     rows: int
     cols: int
-    _grids: tuple
+    _grids: dict
 
     def __new__(cls, ring: RingSpec, rows: int, cols: int, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise SchemaError("matrix entry grid does not match declared shape")
         if any(e.ring != ring for row in entries for e in row):
             raise WrongRingError("entry over wrong ring")
-        if _boxed(ring):
-            return _grid_matrix(ring, rows, cols, ([list(row) for row in entries],))
-        grids = tuple([[e.coeffs[k] for e in row] for row in entries] for k in range(_order(ring)))
+        if ring.kind != "laurent":
+            grids = {k: [[e.coeffs[k] for e in row] for row in entries] for k in range(ring.m or 1)}
+            return _grid_matrix(ring, rows, cols, grids)
+        grids = {}
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
+                for k, c in enumerate(e.coeffs, e.shift):
+                    if c:
+                        if k not in grids:
+                            grids[k] = _intlat.zeros(rows, cols)
+                        grids[k][i][j] = c
         return _grid_matrix(ring, rows, cols, grids)
 
+    def __eq__(self, other):
+        if not isinstance(other, FormMatrix):
+            return NotImplemented
+        return ((self.ring, self.rows, self.cols, _nonzero(self))
+                == (other.ring, other.rows, other.cols, _nonzero(other)))
+
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, tuple(tuple(map(tuple, g)) for g in self._grids)))
+        grids = frozenset((k, tuple(map(tuple, g))) for k, g in _nonzero(self).items())
+        return hash((self.ring, self.rows, self.cols, grids))
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
         return self.ring, self.rows, self.cols, self.entries
@@ -75,51 +84,50 @@ class FormMatrix:
 
     @property
     def entries(self) -> tuple[tuple[RingElement, ...], ...]:
-        if _boxed(self.ring):
-            return tuple(map(tuple, self._grids[0]))
-        ring = self.ring
-        return tuple(tuple(RingElement(ring, c) for c in zip(*rows)) for rows in zip(*self._grids))
+        return tuple(tuple(self.entry(i, j) for j in range(self.cols)) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> RingElement:
-        if _boxed(self.ring):
-            return self._grids[0][i][j]
-        return RingElement(self.ring, tuple([g[i][j] for g in self._grids]))
+        ring = self.ring
+        if ring.kind == "Z":  # the common case, kept to one lookup
+            g = self._grids.get(0)
+            return RingElement(ring, (g[i][j] if g else 0,))
+        terms = {k: g[i][j] for k, g in self._grids.items() if g[i][j]}
+        lo, hi = (min(terms), max(terms)) if terms and ring.kind == "laurent" else (0, (ring.m or 1) - 1)
+        return rings._mk(ring, [terms.get(k, 0) for k in range(lo, hi + 1)], lo)
 
     def column(self, j: int) -> "FormMatrix":
-        return _grid_matrix(self.ring, self.rows, 1, tuple([[r[j]] for r in g] for g in self._grids))
+        grids = {k: [[r[j]] for r in g] for k, g in self._grids.items()}
+        return _grid_matrix(self.ring, self.rows, 1, grids)
 
     def submatrix(self, row_idx, col_idx) -> "FormMatrix":
-        grids = tuple([[g[i][j] for j in col_idx] for i in row_idx] for g in self._grids)
+        grids = {k: [[g[i][j] for j in col_idx] for i in row_idx] for k, g in self._grids.items()}
         return _grid_matrix(self.ring, len(row_idx), len(col_idx), grids)
 
     def is_zero(self) -> bool:
-        if _boxed(self.ring):
-            return not any(c for row in self._grids[0] for e in row for c in e.coeffs)
-        return not any(any(map(any, g)) for g in self._grids)
+        return not _nonzero(self)
 
     def to_int_grid(self) -> list[list[int]]:
         """A fresh copy of the integer grid; the integers only."""
         if self.ring.kind != "Z":
             raise WrongRingError("integer grid view requires the integers")
-        return [row[:] for row in self._grids[0]]
+        return [row[:] for row in _grid(self, 0)]
 
     # -- arithmetic -----------------------------------------------------
 
     def add(self, other: "FormMatrix") -> "FormMatrix":
-        return self._zip(other, rings.add if _boxed(self.ring) else operator.add)
+        return self._zip(other, operator.add)
 
     def sub(self, other: "FormMatrix") -> "FormMatrix":
-        return self._zip(other, rings.sub if _boxed(self.ring) else operator.sub)
+        return self._zip(other, operator.sub)
 
     def _zip(self, other: "FormMatrix", op) -> "FormMatrix":
         _same_shape(self, other)
-        grids = tuple([list(map(op, ra, rb)) for ra, rb in zip(ga, gb)]
-                      for ga, gb in zip(self._grids, other._grids))
+        grids = {k: [list(map(op, ra, rb)) for ra, rb in zip(_grid(self, k), _grid(other, k))]
+                 for k in self._grids.keys() | other._grids.keys()}
         return _grid_matrix(self.ring, self.rows, self.cols, grids)
 
     def neg(self) -> "FormMatrix":
-        op = rings.neg if _boxed(self.ring) else operator.neg
-        grids = tuple([list(map(op, row)) for row in g] for g in self._grids)
+        grids = {k: [list(map(operator.neg, row)) for row in g] for k, g in self._grids.items()}
         return _grid_matrix(self.ring, self.rows, self.cols, grids)
 
     def mul(self, other: "FormMatrix") -> "FormMatrix":
@@ -127,32 +135,16 @@ class FormMatrix:
             raise WrongRingError("matrix product over mixed rings")
         if self.cols != other.rows:
             raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        if _boxed(self.ring):
-            z, right = rings.zero(self.ring), other._grids[0]
-            out = []
-            for ai in self._grids[0]:
-                row = []
-                for j in range(other.cols):
-                    acc = z
-                    for x, bt in zip(ai, right):
-                        if not rings.is_zero(x):
-                            acc = rings.add(acc, rings.mul(x, bt[j]))
-                    row.append(acc)
-                out.append(row)
-            return _grid_matrix(self.ring, self.rows, other.cols, (out,))
-        right = _nonzero(other._grids)
-        terms = ((p + q, _intlat.matmul(a, b)) for p, a in _nonzero(self._grids) for q, b in right)
+        right = _nonzero(other).items()
+        terms = ((p + q, _intlat.matmul(a, b)) for p, a in _nonzero(self).items() for q, b in right)
         return _collect(self.ring, self.rows, other.cols, terms)
 
     def scale(self, a: RingElement) -> "FormMatrix":
         if a.ring != self.ring:
             raise WrongRingError(f"mixed rings {a.ring} and {self.ring}")
-        if _boxed(self.ring):
-            grids = ([[rings.mul(a, e) for e in row] for row in self._grids[0]],)
-            return _grid_matrix(self.ring, self.rows, self.cols, grids)
-        mine = _nonzero(self._grids)
+        mine = _nonzero(self).items()
         terms = ((p + q, [[s * x for x in row] for row in g])
-                 for p, s in enumerate(a.coeffs) if s for q, g in mine)
+                 for p, s in enumerate(a.coeffs, a.shift) if s for q, g in mine)
         return _collect(self.ring, self.rows, self.cols, terms)
 
     def scale_int(self, n: int) -> "FormMatrix":
@@ -160,29 +152,28 @@ class FormMatrix:
 
     def star(self) -> "FormMatrix":
         """Conjugate transpose; the dual of the morphism."""
-        def transpose(g):
-            return [list(c) for c in zip(*g)] if self.rows else [[] for _ in range(self.cols)]
-
-        if _boxed(self.ring):
-            grids = ([list(map(rings.involute, r)) for r in transpose(self._grids[0])],)
-            return _grid_matrix(self.ring, self.cols, self.rows, grids)
         # conj(g^k) = w^k g^-k, so grid k moves to slot -k with the sign w^k
-        order, w = len(self._grids), self.ring.w
-        out = [None] * order
-        for k, t in enumerate(map(transpose, self._grids)):
-            out[-k % order] = t if w ** k == 1 else [[-x for x in r] for r in t]
-        return _grid_matrix(self.ring, self.cols, self.rows, tuple(out))
+        ring, out = self.ring, {}
+        for k, g in self._grids.items():
+            t = [list(c) for c in zip(*g)] if self.rows else [[] for _ in range(self.cols)]
+            out[_exponent(ring, -k)] = t if ring.w == 1 or k % 2 == 0 else [[-x for x in r] for r in t]
+        return _grid_matrix(ring, self.cols, self.rows, out)
 
 
 _set = object.__setattr__
 
 
-def _grid_matrix(ring: RingSpec, rows: int, cols: int, grids: tuple) -> FormMatrix:
+def _exponent(ring: RingSpec, k: int) -> int:
+    """The key of g^k: k mod m over Z[Z/m], k itself over Z[z,z^-1] (and Z, where k = 0)."""
+    return k % ring.m if ring.m else k
+
+
+def _grid_matrix(ring: RingSpec, rows: int, cols: int, grids: dict) -> FormMatrix:
     """A matrix that takes ownership of its grids, which nobody may mutate afterwards."""
     # plain loops: this runs on every result, mostly of small matrices
-    if len(grids) != _order(ring):
-        raise SchemaError("matrix grids do not match the ring")
-    for g in grids:
+    for k, g in grids.items():
+        if k and (k != _exponent(ring, k) or ring.kind == "Z"):
+            raise SchemaError(f"no grid at exponent {k} over {ring}")
         if len(g) != rows:
             raise SchemaError("matrix grids do not match declared shape")
         for r in g:
@@ -196,23 +187,25 @@ def _grid_matrix(ring: RingSpec, rows: int, cols: int, grids: tuple) -> FormMatr
     return m
 
 
-def _nonzero(grids) -> list:
-    """(k, grid) for each grid with a nonzero entry."""
-    return [(k, g) for k, g in enumerate(grids) if any(map(any, g))]
+def _grid(m: FormMatrix, k: int) -> list[list[int]]:
+    """The stored grid M_k, or a fresh zero grid if none is kept; the caller must not mutate it."""
+    g = m._grids.get(k)
+    return _intlat.zeros(m.rows, m.cols) if g is None else g
+
+
+def _nonzero(m: FormMatrix) -> dict:
+    """{k: M_k} for each grid with a nonzero entry."""
+    return {k: g for k, g in m._grids.items() if any(map(any, g))}
 
 
 def _collect(ring: RingSpec, rows: int, cols: int, terms) -> FormMatrix:
-    """The rows x cols matrix sum of T g^k over the (k, T) in terms; k is read mod the order."""
-    order = _order(ring)
-    out = [None] * order
+    """The rows x cols matrix sum of T g^k over the (k, T) in terms."""
+    out = {}
     for k, t in terms:
-        k %= order
-        acc = out[k]
+        k = _exponent(ring, k)
+        acc = out.get(k)
         out[k] = t if acc is None else [list(map(operator.add, ra, rb)) for ra, rb in zip(acc, t)]
-    if None in out:
-        zero = _intlat.zeros(rows, cols)
-        out = [zero if g is None else g for g in out]
-    return _grid_matrix(ring, rows, cols, tuple(out))
+    return _grid_matrix(ring, rows, cols, out)
 
 
 def _same_shape(a: FormMatrix, b: FormMatrix):
@@ -237,14 +230,15 @@ def int_matrix(data) -> FormMatrix:
 
 
 def zero_matrix(ring: RingSpec, rows: int, cols: int) -> FormMatrix:
-    z = rings.zero(ring) if _boxed(ring) else 0
-    return _grid_matrix(ring, rows, cols, ([[z] * cols for _ in range(rows)],) * _order(ring))
+    return _grid_matrix(ring, rows, cols, {})
 
 
 def identity_matrix(ring: RingSpec, n: int) -> FormMatrix:
-    z, o = (rings.zero(ring), rings.one(ring)) if _boxed(ring) else (0, 1)
-    eye = [[o if i == j else z for j in range(n)] for i in range(n)]
-    return _grid_matrix(ring, n, n, (eye,) + (_intlat.zeros(n, n),) * (_order(ring) - 1))
+    return _grid_matrix(ring, n, n, {0: _intlat.identity(n)})
+
+
+def _keys(ms) -> set:
+    return set().union(*(m._grids for m in ms))
 
 
 def hstack(*ms: FormMatrix) -> FormMatrix:
@@ -254,8 +248,7 @@ def hstack(*ms: FormMatrix) -> FormMatrix:
     ring = ms[0].ring
     if any(m.rows != rows or m.ring != ring for m in ms):
         raise SchemaError("hstack needs equal row counts over one ring")
-    grids = tuple([[x for m in ms for x in m._grids[k][i]] for i in range(rows)]
-                  for k in range(_order(ring)))
+    grids = {k: [[x for r in rs for x in r] for rs in zip(*(_grid(m, k) for m in ms))] for k in _keys(ms)}
     return _grid_matrix(ring, rows, sum(m.cols for m in ms), grids)
 
 
@@ -266,7 +259,7 @@ def vstack(*ms: FormMatrix) -> FormMatrix:
     ring = ms[0].ring
     if any(m.cols != cols or m.ring != ring for m in ms):
         raise SchemaError("vstack needs equal column counts over one ring")
-    grids = tuple([row for m in ms for row in m._grids[k]] for k in range(_order(ring)))
+    grids = {k: [row for m in ms for row in _grid(m, k)] for k in _keys(ms)}
     return _grid_matrix(ring, sum(m.rows for m in ms), cols, grids)
 
 
@@ -282,12 +275,12 @@ def _z_grid(m: FormMatrix, what: str) -> list[list[int]]:
     """The stored integer grid of m, which the caller must not mutate."""
     if m.ring.kind != "Z":
         raise WrongRingError(f"{what} is only decided over the integers; supply a witness instead")
-    return m._grids[0]
+    return _grid(m, 0)
 
 
 def _z(grid: list[list[int]], rows: int, cols: int) -> FormMatrix:
     """A matrix over Z that takes ownership of an int grid from ``_intlat``."""
-    return _grid_matrix(rings.Z, rows, cols, (grid,))
+    return _grid_matrix(rings.Z, rows, cols, {0: grid})
 
 
 def smith_normal_form(m: FormMatrix):
@@ -380,11 +373,11 @@ def _regular_grid(m: FormMatrix) -> list[list[int]]:
     """Integer matrix of m acting on coefficient vectors: block (i, j) is the
     order x order circulant of entry (i, j), with grid k on its k-th diagonal.
     Over Z this is the stored grid, which the caller must not mutate."""
-    order = len(m._grids)
+    order = m.ring.m or 1
     if order == 1:
-        return m._grids[0]
+        return _grid(m, 0)
     grid = _intlat.zeros(m.rows * order, m.cols * order)
-    for k, g in enumerate(m._grids):
+    for k, g in m._grids.items():
         for i, row in enumerate(g):
             for j, x in enumerate(row):
                 if x:
@@ -411,7 +404,7 @@ def _scaled_inverse(m: FormMatrix):
     """
     n = m.rows
     zero, one = rings.zero(m.ring), rings.one(m.ring)
-    a = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(m._grids[0])]
+    a = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(m.entries)]
     prev = one
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k].coeffs), None)
@@ -436,16 +429,15 @@ def try_inverse(m: FormMatrix):
         return None
     if m.rows == 0:
         return m
-    if not _boxed(m.ring):
+    if m.ring.kind != "laurent":
         # column j * order of block (i, j) of the inverse holds the coefficients
         # of entry (i, j), so solve for those n columns only
-        order, n = len(m._grids), m.rows
+        order, n = m.ring.m or 1, m.rows
         units = [[1 if r == j * order else 0 for j in range(n)] for r in range(n * order)]
         inv = _intlat.unimodular_solve(_regular_grid(m), units)
         if inv is None:
             return None
-        grids = tuple([[inv[i * order + r][j] for j in range(n)] for i in range(n)]
-                      for r in range(order))
+        grids = {r: [[inv[i * order + r][j] for j in range(n)] for i in range(n)] for r in range(order)}
         return _grid_matrix(m.ring, n, n, grids)
     scaled = _scaled_inverse(m)
     if scaled is None:
@@ -454,7 +446,7 @@ def try_inverse(m: FormMatrix):
     dinv = _laurent_unit_inverse(d)
     if dinv is None:
         return None
-    out = _grid_matrix(m.ring, m.rows, m.rows, (rows,)).scale(dinv)
+    out = FormMatrix(m.ring, m.rows, m.rows, rows).scale(dinv)
     if not m.mul(out).sub(identity_matrix(m.ring, m.rows)).is_zero():
         return None
     return out
@@ -469,6 +461,6 @@ def inverse(m: FormMatrix) -> FormMatrix:
 
 def is_unimodular(m: FormMatrix) -> bool:
     """Invertibility over the ring, decided without building an inverse over Z and Z[Z/m]."""
-    if _boxed(m.ring):
+    if m.ring.kind == "laurent":
         return try_inverse(m) is not None
     return m.rows == m.cols and _intlat.is_unimodular(_regular_grid(m))

@@ -76,6 +76,10 @@ def element_to_obj(a: RingElement):
 # and the other dense window operations cost time and memory proportional to
 # the widest exponent, not to the size of the file.
 MAX_LAURENT_EXPONENT = 100_000
+# Over Z[Z/m] an n x n matrix is inverted through its integer regular
+# representation, which is m * n wide and costs its cube, so a file a few KB
+# long could ask for minutes: m * max(rows, cols) beyond this bound is refused.
+MAX_CYCLIC_WIDTH = 256
 
 
 def element_from_obj(ring: RingSpec, obj) -> RingElement:
@@ -110,15 +114,16 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
     r = len(obj)
     if rows is not None and r != rows:
         raise SchemaError(f"matrix has {r} rows, expected {rows}")
-    if r == 0:
-        if cols is None:
-            cols = 0
-        return matrices.zero_matrix(ring, 0, cols)
-    c = len(obj[0])
+    c = len(obj[0]) if r else cols or 0
     if any(len(row) != c for row in obj):
         raise SchemaError("matrix rows have unequal lengths")
     if cols is not None and c != cols:
         raise SchemaError(f"matrix has {c} columns, expected {cols}")
+    if ring.m * max(r, c) > MAX_CYCLIC_WIDTH:
+        raise SchemaError(f"a {r}x{c} matrix over {ring} is {ring.m * max(r, c)} wide in its regular "
+                          f"representation, beyond {MAX_CYCLIC_WIDTH}")
+    if r == 0:
+        return matrices.zero_matrix(ring, 0, c)
     data = [[element_from_obj(ring, v) for v in row] for row in obj]
     return matrices.matrix(ring, data)
 

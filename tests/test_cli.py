@@ -9,7 +9,7 @@ import time
 import pytest
 
 import surgery_algebra
-from surgery_algebra import acceptance, cli
+from surgery_algebra import acceptance, cli, serialize
 
 # sha256 of the shipped E8 fixture; the fixtures regenerate byte for byte
 E8_SHA256 = "7f27ba30027e05a9f66f67d5f50171f41e1ee1e6065fc19f7fb851572a155ea9"
@@ -154,3 +154,46 @@ def test_an_exponent_beyond_the_cap_is_a_schema_error(tmp_path, origin):
     assert (status, report["kind"]) == (2, "schema")
     assert "Laurent exponents must lie in" in report["error"]
     assert report["where"].startswith("surgery_algebra.serialize:element_from_obj:")
+
+
+def test_a_form_with_exponents_at_the_cap_is_read_quickly(tmp_path):
+    # lambda = z^-N + 2 + z^N and mu = 1 + z^N: stored sparsely, this is a few grids, not 2N+1
+    n = serialize.MAX_LAURENT_EXPONENT
+    lam = {"origin": -n, "coeffs": [1] + [0] * (n - 1) + [2] + [0] * (n - 1) + [1]}
+    mu = {"origin": 0, "coeffs": [1] + [0] * (n - 1) + [1]}
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps({"ring": {"ring": "laurent"}, "epsilon": 1, "lambda": [[lam]], "mu": [mu]}),
+                   encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert status == 0 and report["result"]["rank"] == 1
+
+
+def cyclic_form(m, n):
+    """An n x n diagonal form over Z[Z/m] with lambda_ii = 2 + g + g^-1 and mu_i = 1 + g."""
+    zero, lam, mu = [0] * m, [0] * m, [0] * m
+    lam[0], lam[1], lam[-1] = 2, 1, 1
+    mu[0], mu[1] = 1, 1
+    return {"ring": {"ring": "cyclic", "m": m, "w": 1}, "epsilon": 1,
+            "lambda": [[lam if i == j else zero for j in range(n)] for i in range(n)], "mu": [mu] * n}
+
+
+@pytest.mark.parametrize("m, n", [(800, 1), (129, 2)])
+def test_a_cyclic_form_beyond_the_width_cap_is_a_schema_error(tmp_path, m, n):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(cyclic_form(m, n)), encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert (status, report["kind"]) == (2, "schema")
+    assert f"beyond {serialize.MAX_CYCLIC_WIDTH}" in report["error"]
+    assert report["where"].startswith("surgery_algebra.serialize:matrix_from_obj:")
+
+
+@pytest.mark.parametrize("m, n", [(256, 1), (128, 2)])
+def test_a_cyclic_form_at_the_width_cap_is_read(tmp_path, m, n):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(cyclic_form(m, n)), encoding="utf-8")
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert status == 0 and report["result"]["rank"] == n

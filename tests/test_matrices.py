@@ -6,7 +6,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import _intlat
 from surgery_algebra import matrices as mx
@@ -382,23 +382,32 @@ def test_dense_laurent_inverse_at_rank_12():
     assert_two_sided_inverse(m, mx.inverse(m))
 
 
-# -- grid storage over Z[Z/m] against the entrywise ring definitions ----------
+# -- grid storage against the entrywise ring definitions ----------------------
 
-GRID_RINGS = [Z] + [rings.cyclic(m) for m in range(1, 7)] + [rings.cyclic(m, -1) for m in (2, 4, 6)]
+GRID_RINGS = ([Z] + [rings.cyclic(m) for m in range(1, 7)] + [rings.cyclic(m, -1) for m in (2, 4, 6)]
+              + [L])
 COEFFS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**70, 2**70))
+# Laurent supports straddle 0, reach below it and leave gaps, some of them wide;
+# they vary the most, so half of the draws are Laurent
+LAURENT_EXPONENTS = st.integers(-6, 6) | st.sampled_from([-40, 40])
+GRID_RING_DRAWS = st.sampled_from(GRID_RINGS) | st.just(L)
+
+
+def exponents(ring):
+    return LAURENT_EXPONENTS if ring.kind == "laurent" else st.integers(0, (ring.m or 1) - 1)
 
 
 def draw_element(data, ring, support):
     """An element with coefficients only at the exponents in support."""
-    coeffs = [data.draw(COEFFS) if k in support else 0 for k in range(ring.m or 1)]
-    if ring.kind == "Z":
-        return rings.from_int(ring, coeffs[0])
-    return rings._mk(ring, coeffs)
+    out = rings.zero(ring)
+    for k in sorted(support):
+        out = rings.add(out, rings.monomial(ring, k, data.draw(COEFFS)))
+    return out
 
 
 def draw_matrix(data, ring, rows, cols):
     """Drawn entry by entry, so the shape survives 0 rows; a drawn support leaves some grids zero."""
-    support = data.draw(st.sets(st.integers(0, (ring.m or 1) - 1)))
+    support = data.draw(st.sets(exponents(ring)))
     return mx.FormMatrix(ring, rows, cols, tuple(tuple(draw_element(data, ring, support)
                                                        for _ in range(cols)) for _ in range(rows)))
 
@@ -418,11 +427,13 @@ def ref_product(a, c):
     return ref_entrywise(a.ring, a.rows, c.cols, entry)
 
 
-@given(st.data(), st.sampled_from(GRID_RINGS), SIZES, SIZES, SIZES)
+@settings(max_examples=120)
+@given(st.data(), GRID_RING_DRAWS, SIZES, SIZES, SIZES)
 def test_grid_arithmetic_matches_the_ring_definitions(data, ring, rows, inner, cols):
     a, b = draw_matrix(data, ring, rows, inner), draw_matrix(data, ring, rows, inner)
     c = draw_matrix(data, ring, inner, cols)
-    s = draw_element(data, ring, range(ring.m or 1))
+    s = draw_element(data, ring, range(ring.m or 1) if ring.kind != "laurent"
+                     else data.draw(st.sets(exponents(ring), max_size=3)))
     e = lambda m, i, j: m.entries[i][j]
 
     assert a.add(b) == ref_entrywise(ring, rows, inner, lambda i, j: rings.add(e(a, i, j), e(b, i, j)))
@@ -435,7 +446,8 @@ def test_grid_arithmetic_matches_the_ring_definitions(data, ring, rows, inner, c
         assert m.is_zero() == all(rings.is_zero(x) for row in m.entries for x in row)
 
 
-@given(st.data(), st.sampled_from(GRID_RINGS), SIZES, SIZES)
+@settings(max_examples=120)
+@given(st.data(), GRID_RING_DRAWS, SIZES, SIZES)
 def test_grid_equality_hash_and_entries_follow_the_ring_elements(data, ring, rows, cols):
     a, b = draw_matrix(data, ring, rows, cols), draw_matrix(data, ring, rows, cols)
     assert (a == b) == (a.entries == b.entries)
@@ -447,14 +459,25 @@ def test_grid_equality_hash_and_entries_follow_the_ring_elements(data, ring, row
             assert isinstance(x, rings.RingElement) and x.ring == ring and x == a.entries[i][j]
     # the same matrix from int grids: as sum_k G_k g^k through the public API
     # and handed to the grid constructor directly
-    order = ring.m or 1
-    grids = [[[x.coeffs[k] for x in row] for row in a.entries] for k in range(order)]
-    assert mx._grid_matrix(ring, rows, cols, tuple(grids)) == a
+    def coeff(x, k):
+        return x.coeffs[k - x.shift] if 0 <= k - x.shift < len(x.coeffs) else 0
+
+    exps = sorted({x.shift + t for row in a.entries for x in row for t, c in enumerate(x.coeffs) if c}
+                  if ring.kind == "laurent" else range(ring.m or 1))
+    grids = {k: [[coeff(x, k) for x in row] for row in a.entries] for k in exps}
     total = mx.zero_matrix(ring, rows, cols)
-    for k, g in enumerate(grids):
+    for k, g in grids.items():
         part = ref_entrywise(ring, rows, cols, lambda i, j: rings.from_int(ring, g[i][j]))
         total = total.add(part.scale(rings.monomial(ring, k)))
     assert total == a
+    # explicit all-zero grids change neither equality nor the hash
+    zero = [[0] * cols for _ in range(rows)]
+    kept = {k: g for k, g in grids.items() if any(map(any, g))}
+    spare = range(ring.m or 1) if ring.kind != "laurent" else (-99, 99)
+    padded = {**{k: zero for k in spare}, **kept}
+    for layout in (grids, kept, padded):
+        m = mx._grid_matrix(ring, rows, cols, layout)
+        assert m == a and hash(m) == hash(a) and m.is_zero() == a.is_zero()
 
 
 def test_construction_checks_shape_and_ring():
@@ -468,9 +491,13 @@ def test_construction_checks_shape_and_ring():
     with pytest.raises(WrongRingError):
         mx.matrix(C4, [[rings.one(Z)]])
     with pytest.raises(SchemaError):
-        mx._grid_matrix(C4, 1, 1, ([[1]],))  # one grid where the ring needs four
+        mx._grid_matrix(C4, 1, 1, {4: [[1]]})  # a grid at exponent m over Z[Z/m]
     with pytest.raises(SchemaError):
-        mx._grid_matrix(Z, 2, 1, ([[1], [2, 3]],))
+        mx._grid_matrix(C4, 1, 1, {-1: [[1]]})
+    with pytest.raises(SchemaError):
+        mx._grid_matrix(Z, 1, 1, {1: [[1]]})  # a nonzero exponent over Z
+    with pytest.raises(SchemaError):
+        mx._grid_matrix(Z, 2, 1, {0: [[1], [2, 3]]})
     with pytest.raises(WrongRingError):
         mx.matrix(C4, [[x]]).scale(rings.one(Z))
     with pytest.raises(WrongRingError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surgery_algebra import complexes as cx
-from surgery_algebra import forms, rings
+from surgery_algebra import formations, forms, rings, unitary
 from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError
 from surgery_algebra.matrices import FormMatrix
@@ -87,6 +87,59 @@ def test_complexes_round_trip(ring, parity, c0, c1, seed):
     assert back == c
     assert (back.rank_bottom, back.rank_top) == (c0, c1)
     assert sz.dumps_canonical(sz.complex_to_obj(back)) == text
+
+
+def complex_with_top_rank(ring, top):
+    """A zero complex whose rank_top tells a reader how wide a map out of C_(n+1) is."""
+    return cx.OddComplex(ring, 0, FormMatrix(ring, 0, top, ()), FormMatrix(ring, top, 0, ((),) * top),
+                         FormMatrix(ring, 0, 0, ()))
+
+
+@given(ring_strategy, st.sampled_from([1, -1]), sizes, sizes, sizes, seeds)
+def test_formations_round_trip(ring, eps, k, f_cols, g_cols, seed):
+    rng = random.Random(seed)
+    q = forms.split_to_quadratic(random_split(rng, ring, eps, k))
+    phi = formations.Formation(ring, eps, q, random_matrix(rng, ring, k, f_cols),
+                               random_matrix(rng, ring, k, g_cols))
+    obj, text = through_text(sz.formation_to_obj(phi))
+    back = sz.formation_from_obj(obj)
+    if k == 0:  # a basis with no rows loses its width on the wire
+        assert (back.f.cols, back.g.cols) == (0, 0)
+        return
+    assert back == phi
+    assert sz.dumps_canonical(sz.formation_to_obj(back)) == text
+
+
+@given(ring_strategy, st.sampled_from([1, -1]), sizes, seeds)
+def test_unitary_automorphisms_round_trip(ring, eps, k, seed):
+    rng = random.Random(seed)
+    u = unitary.UnitaryAutomorphism(ring, eps, *(random_matrix(rng, ring, k, k) for _ in range(4)))
+    obj, text = through_text(sz.unitary_to_obj(u))
+    back = sz.unitary_from_obj(obj)
+    assert back == u
+    assert sz.dumps_canonical(sz.unitary_to_obj(back)) == text
+
+
+@given(ring_strategy, sizes, sizes, seeds)
+def test_surgery_data_round_trip(ring, rows, top, seed):
+    rng = random.Random(seed)
+    s = cx.SurgeryData(random_matrix(rng, ring, rows, top), random_matrix(rng, ring, rows, rows))
+    obj, text = through_text(sz.surgery_to_obj(s))
+    back = sz.surgery_from_obj(obj, source=complex_with_top_rank(ring, top))
+    assert back == s
+    assert sz.dumps_canonical(sz.surgery_to_obj(back)) == text
+
+
+@given(ring_strategy, sizes, sizes, sizes, seeds)
+def test_cobordisms_round_trip(ring, rows, top, top_prime, seed):
+    rng = random.Random(seed)
+    cob = cx.Cobordism(random_matrix(rng, ring, rows, top), random_matrix(rng, ring, rows, top_prime),
+                       random_matrix(rng, ring, rows, rows))
+    obj, text = through_text(sz.cobordism_to_obj(cob))
+    back = sz.cobordism_from_obj(ring, obj, source=complex_with_top_rank(ring, top),
+                                 target=complex_with_top_rank(ring, top_prime))
+    assert back == cob
+    assert sz.dumps_canonical(sz.cobordism_to_obj(back)) == text
 
 
 def add_fold_element_from_obj(ring, obj):
