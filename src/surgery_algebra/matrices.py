@@ -7,13 +7,15 @@ function order, and the dual of a map is its conjugate transpose.
 Over every ring a matrix is stored as integer grids keyed by exponent,
 M = sum_k M_k g^k (g = z over Z[z,z^-1]).  The exponent k is read mod m over
 Z[Z/m], is any integer over Z[z,z^-1] and is 0 over Z.  Only the grids that
-occur are kept, so a Laurent matrix with entries z^-N and z^N holds two
-grids, not 2N+1; a kept grid may still be all zero, and equality, hashing
-and ``is_zero`` skip such grids.  One set of operations on the ints serves
-all three rings: sums grid by grid, products as a convolution of the
-nonzero grids through ``_intlat.matmul`` (exponents add), the dual by
-transposing grid k into slot -k scaled by w^k.  Only the constructor,
-``entry`` and ``entries`` convert between grids and RingElements.
+occur are kept (rows * cols ints per exponent; ``serialize`` caps that for
+files), so a Laurent matrix with entries z^-N and z^N holds two grids, not
+2N+1.  A sum that cancels may keep an all-zero grid, which equality,
+hashing and ``is_zero`` skip.  One set of operations on the ints serves all
+three rings: sums grid by grid, products as a convolution through
+``_intlat.matmul`` of the pairs M_p N_q where a nonzero column of M_p meets
+a nonzero row of N_q (exponents add), the dual by transposing grid k into
+slot -k scaled by w^k.  Only the constructor, ``entry`` and ``entries``
+convert between grids and RingElements.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
@@ -54,17 +56,16 @@ class FormMatrix:
             raise SchemaError("matrix entry grid does not match declared shape")
         if any(e.ring != ring for row in entries for e in row):
             raise WrongRingError("entry over wrong ring")
-        if ring.kind != "laurent":
-            grids = {k: [[e.coeffs[k] for e in row] for row in entries] for k in range(ring.m or 1)}
-            return _grid_matrix(ring, rows, cols, grids)
         grids = {}
         for i, row in enumerate(entries):
             for j, e in enumerate(row):
-                for k, c in enumerate(e.coeffs, e.shift):
+                k = e.shift
+                for c in e.coeffs:
                     if c:
                         if k not in grids:
                             grids[k] = _intlat.zeros(rows, cols)
                         grids[k][i][j] = c
+                    k += 1
         return _grid_matrix(ring, rows, cols, grids)
 
     def __eq__(self, other):
@@ -135,8 +136,11 @@ class FormMatrix:
             raise WrongRingError("matrix product over mixed rings")
         if self.cols != other.rows:
             raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        right = _nonzero(other).items()
-        terms = ((p + q, _intlat.matmul(a, b)) for p, a in _nonzero(self).items() for q, b in right)
+        # M_p N_q vanishes unless a nonzero column of M_p meets a nonzero row of N_q
+        left = [(p, a, tuple(map(any, zip(*a)))) for p, a in self._grids.items()]
+        right = [(q, b, tuple(map(any, b))) for q, b in other._grids.items()]
+        terms = ((p + q, _intlat.matmul(a, b)) for p, a, cols in left for q, b, rows in right
+                 if any(map(operator.and_, cols, rows)))
         return _collect(self.ring, self.rows, other.cols, terms)
 
     def scale(self, a: RingElement) -> "FormMatrix":
@@ -219,10 +223,7 @@ def matrix(ring: RingSpec, data) -> FormMatrix:
     """Build a matrix from rows of RingElements or plain ints."""
     ents = [[e if isinstance(e, RingElement) else rings.from_int(ring, e) for e in row] for row in data]
     rows = len(ents)
-    cols = len(ents[0]) if rows else 0
-    if any(len(r) != cols for r in ents):
-        raise SchemaError("ragged matrix rows")
-    return FormMatrix(ring, rows, cols, ents)
+    return FormMatrix(ring, rows, len(ents[0]) if rows else 0, ents)
 
 
 def int_matrix(data) -> FormMatrix:
@@ -244,8 +245,7 @@ def _keys(ms) -> set:
 def hstack(*ms: FormMatrix) -> FormMatrix:
     if not ms:
         raise SchemaError("hstack of nothing")
-    rows = ms[0].rows
-    ring = ms[0].ring
+    rows, ring = ms[0].rows, ms[0].ring
     if any(m.rows != rows or m.ring != ring for m in ms):
         raise SchemaError("hstack needs equal row counts over one ring")
     grids = {k: [[x for r in rs for x in r] for rs in zip(*(_grid(m, k) for m in ms))] for k in _keys(ms)}
@@ -255,8 +255,7 @@ def hstack(*ms: FormMatrix) -> FormMatrix:
 def vstack(*ms: FormMatrix) -> FormMatrix:
     if not ms:
         raise SchemaError("vstack of nothing")
-    cols = ms[0].cols
-    ring = ms[0].ring
+    cols, ring = ms[0].cols, ms[0].ring
     if any(m.cols != cols or m.ring != ring for m in ms):
         raise SchemaError("vstack needs equal column counts over one ring")
     grids = {k: [row for m in ms for row in _grid(m, k)] for k in _keys(ms)}
@@ -386,12 +385,6 @@ def _regular_grid(m: FormMatrix) -> list[list[int]]:
     return grid
 
 
-def _laurent_unit_inverse(d: RingElement):
-    if len(d.coeffs) == 1 and d.coeffs[0] in (1, -1):
-        return rings.monomial(d.ring, -d.shift, d.coeffs[0])
-    return None
-
-
 def _scaled_inverse(m: FormMatrix):
     """(d, rows of d * m^-1) with d = +-det m over Z[z,z^-1], or None if m is singular.
 
@@ -443,10 +436,9 @@ def try_inverse(m: FormMatrix):
     if scaled is None:
         return None
     d, rows = scaled
-    dinv = _laurent_unit_inverse(d)
-    if dinv is None:
+    if len(d.coeffs) != 1 or d.coeffs[0] not in (1, -1):  # the units are +-z^k
         return None
-    out = FormMatrix(m.ring, m.rows, m.rows, rows).scale(dinv)
+    out = FormMatrix(m.ring, m.rows, m.rows, rows).scale(rings.monomial(m.ring, -d.shift, d.coeffs[0]))
     if not m.mul(out).sub(identity_matrix(m.ring, m.rows)).is_zero():
         return None
     return out

@@ -80,6 +80,10 @@ MAX_LAURENT_EXPONENT = 100_000
 # representation, which is m * n wide and costs its cube, so a file a few KB
 # long could ask for minutes: m * max(rows, cols) beyond this bound is refused.
 MAX_CYCLIC_WIDTH = 256
+# Over Z[z,z^-1] a matrix keeps one rows x cols grid per exponent that occurs
+# in it, so single-term entries at distinct exponents would cost rows * cols
+# times the size of the file: (exponents) * rows * cols beyond this is refused.
+MAX_LAURENT_GRID_CELLS = 2 ** 18
 
 
 def element_from_obj(ring: RingSpec, obj) -> RingElement:
@@ -125,6 +129,11 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
     if r == 0:
         return matrices.zero_matrix(ring, 0, c)
     data = [[element_from_obj(ring, v) for v in row] for row in obj]
+    if ring.kind == "laurent":
+        exponents = {k for row in data for e in row for k, x in enumerate(e.coeffs, e.shift) if x}
+        if len(exponents) * r * c > MAX_LAURENT_GRID_CELLS:
+            raise SchemaError(f"a {r}x{c} matrix over {ring} with {len(exponents)} distinct exponents "
+                              f"is stored as {len(exponents) * r * c} grid cells, beyond {MAX_LAURENT_GRID_CELLS}")
     return matrices.matrix(ring, data)
 
 

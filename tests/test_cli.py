@@ -197,3 +197,40 @@ def test_a_cyclic_form_at_the_width_cap_is_read(tmp_path, m, n):
     src.write_text(json.dumps(cyclic_form(m, n)), encoding="utf-8")
     status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
     assert status == 0 and report["result"]["rank"] == n
+
+
+def distinct_exponent_form(n):
+    """An n x n Laurent form with lambda_ij = z^(n*i+j) above the diagonal, its conjugate below
+    and 2 on it: n*n - n + 1 distinct exponents, so n*n - n + 1 grids of n x n."""
+    def entry(i, j):
+        if i == j:
+            return {"origin": 0, "coeffs": [2]}
+        return {"origin": n * i + j if i < j else -(n * j + i), "coeffs": [1]}
+    return {"ring": {"ring": "laurent"}, "epsilon": 1,
+            "lambda": [[entry(i, j) for j in range(n)] for i in range(n)],
+            "mu": [{"origin": 0, "coeffs": [1]}] * n}
+
+
+def test_a_laurent_form_with_distinct_exponents_under_the_grid_cap_is_split_quickly(tmp_path):
+    # 463 exponents x 22 x 22 = 224,092 grid cells, under the cap
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(distinct_exponent_form(22)), encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["split", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert status == 0
+    psi = report["result"]["split"]["psi"]
+    assert psi[0][1] == {"origin": 1, "coeffs": [1]} and psi[1][0] == {"origin": 0, "coeffs": []}
+
+
+@pytest.mark.parametrize("n", [23, 100])
+def test_a_laurent_form_beyond_the_grid_cap_is_a_schema_error(tmp_path, n):
+    # 507 x 23 x 23 = 268,203 cells; at n = 100, 9,901 x 100 x 100 = 99,010,000
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(distinct_exponent_form(n)), encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["split", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert (status, report["kind"]) == (2, "schema")
+    assert f"beyond {serialize.MAX_LAURENT_GRID_CELLS}" in report["error"]
+    assert report["where"].startswith("surgery_algebra.serialize:matrix_from_obj:")

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from itertools import combinations
 from math import gcd
 
@@ -506,3 +507,21 @@ def test_construction_checks_shape_and_ring():
     grid = m.to_int_grid()
     grid[0][0] = 99  # a fresh copy: the matrix does not change
     assert m == mx.int_matrix([[1, 2]])
+
+
+def test_a_product_of_many_sparse_laurent_grids_is_quick():
+    # lambda_ij = z^(22 i + j) above the diagonal and its conjugate below: 463 grids of 22 x 22,
+    # each with one or two nonzero entries; only about n pairs of grids per grid meet
+    n = 22
+    rows = [[rings.from_int(L, 2) if i == j else rings.monomial(L, n * i + j) if i < j
+             else rings.monomial(L, -(n * j + i)) for j in range(n)] for i in range(n)]
+    lam = mx.matrix(L, rows)
+    start = time.monotonic()
+    square = lam.mul(lam)
+    assert time.monotonic() - start < 2.0
+    ref = [[rings.zero(L)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for t in range(n):
+                ref[i][j] = rings.add(ref[i][j], rings.mul(rows[i][t], rows[t][j]))
+    assert square == mx.matrix(L, ref)

@@ -199,3 +199,18 @@ def test_laurent_exponents_at_the_cap_are_read():
     assert sz.element_from_obj(L, {"origin": -cap, "coeffs": [1]}) == rings.monomial(L, -cap)
     assert sz.element_from_obj(L, {"origin": cap - 1, "coeffs": [0, 1]}) == rings.monomial(L, cap)
     assert sz.element_from_obj(L, {"origin": cap, "coeffs": []}) == rings.zero(L)
+
+
+@pytest.mark.parametrize("count, accepted", [(2 ** 16, True), (2 ** 16 + 1, False)])
+def test_laurent_matrices_are_capped_by_their_grid_cells(count, accepted):
+    # a 2 x 2 matrix with count distinct exponents is stored as 4 * count grid cells
+    assert 4 * 2 ** 16 == sz.MAX_LAURENT_GRID_CELLS
+    L, zero = rings.laurent(), {"origin": 0, "coeffs": []}
+    obj = [[{"origin": -1000, "coeffs": [1] * count}, zero], [zero, {"origin": 0, "coeffs": [1]}]]
+    if not accepted:
+        with pytest.raises(SchemaError, match="grid cells"):
+            sz.matrix_from_obj(L, obj)
+        return
+    m = sz.matrix_from_obj(L, obj)
+    assert m.entry(0, 0).shift == -1000 and len(m.entry(0, 0).coeffs) == count
+    assert m.entry(1, 1) == rings.one(L)
