@@ -97,8 +97,7 @@ class FormMatrix:
         return rings._mk(ring, [terms.get(k, 0) for k in range(lo, hi + 1)], lo)
 
     def column(self, j: int) -> "FormMatrix":
-        grids = {k: [[r[j]] for r in g] for k, g in self._grids.items()}
-        return _grid_matrix(self.ring, self.rows, 1, grids)
+        return self.submatrix(range(self.rows), (j,))
 
     def submatrix(self, row_idx, col_idx) -> "FormMatrix":
         grids = {k: [[g[i][j] for j in col_idx] for i in row_idx] for k, g in self._grids.items()}
@@ -122,7 +121,10 @@ class FormMatrix:
         return self._zip(other, operator.sub)
 
     def _zip(self, other: "FormMatrix", op) -> "FormMatrix":
-        _same_shape(self, other)
+        if self.ring != other.ring:
+            raise WrongRingError("matrix arithmetic over mixed rings")
+        if self.rows != other.rows or self.cols != other.cols:
+            raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         grids = {k: [list(map(op, ra, rb)) for ra, rb in zip(_grid(self, k), _grid(other, k))]
                  for k in self._grids.keys() | other._grids.keys()}
         return _grid_matrix(self.ring, self.rows, self.cols, grids)
@@ -212,13 +214,6 @@ def _collect(ring: RingSpec, rows: int, cols: int, terms) -> FormMatrix:
     return _grid_matrix(ring, rows, cols, out)
 
 
-def _same_shape(a: FormMatrix, b: FormMatrix):
-    if a.ring != b.ring:
-        raise WrongRingError("matrix arithmetic over mixed rings")
-    if a.rows != b.rows or a.cols != b.cols:
-        raise SchemaError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-
-
 def matrix(ring: RingSpec, data) -> FormMatrix:
     """Build a matrix from rows of RingElements or plain ints."""
     ents = [[e if isinstance(e, RingElement) else rings.from_int(ring, e) for e in row] for row in data]
@@ -245,7 +240,8 @@ def _keys(ms) -> set:
 def hstack(*ms: FormMatrix) -> FormMatrix:
     if not ms:
         raise SchemaError("hstack of nothing")
-    rows, ring = ms[0].rows, ms[0].ring
+    rows = ms[0].rows
+    ring = ms[0].ring
     if any(m.rows != rows or m.ring != ring for m in ms):
         raise SchemaError("hstack needs equal row counts over one ring")
     grids = {k: [[x for r in rs for x in r] for rs in zip(*(_grid(m, k) for m in ms))] for k in _keys(ms)}
@@ -255,7 +251,8 @@ def hstack(*ms: FormMatrix) -> FormMatrix:
 def vstack(*ms: FormMatrix) -> FormMatrix:
     if not ms:
         raise SchemaError("vstack of nothing")
-    cols, ring = ms[0].cols, ms[0].ring
+    cols = ms[0].cols
+    ring = ms[0].ring
     if any(m.cols != cols or m.ring != ring for m in ms):
         raise SchemaError("vstack needs equal column counts over one ring")
     grids = {k: [row for m in ms for row in _grid(m, k)] for k in _keys(ms)}
