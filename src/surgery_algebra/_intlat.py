@@ -16,7 +16,9 @@ Determinants and inverses come from one fraction-free elimination on
 minor of [a | b], so each update (p_k·a_ij − a_ik·a_kj) / p_(k−1) divides
 exactly, also in rows with a_ik = 0, which are only rescaled by
 p_k / p_(k−1).  The last pivot is ±det a; reducing every row (Gauss–Jordan)
-leaves ±det a times a^-1·b on the right.
+leaves ±det a times a^-1·b on the right.  Only ring operations and exact
+divisions occur, so ``matrices`` runs the same elimination on Laurent
+matrices packed into ints by z ↦ 2^B.
 """
 
 from __future__ import annotations
@@ -296,7 +298,7 @@ def solve_reduced(a: list[list[int]], b: list[list[int]]):
     return [[cols[c][i] for c in range(k)] for i in range(n)]
 
 
-def _bareiss(a: list[list[int]], b: list[list[int]]):
+def bareiss(a: list[list[int]], b: list[list[int]]):
     """(d, x) with d = +-det a and a·x = d·b for a square a, or (0, None) if a is singular.
 
     With b of width 0 only the rows below each pivot are reduced, for d alone.
@@ -328,14 +330,14 @@ def _bareiss(a: list[list[int]], b: list[list[int]]):
 def is_unimodular(a: list[list[int]]) -> bool:
     """True iff a is square with determinant +-1."""
     m, n = dims(a)
-    return m == n and _bareiss(a, [[]] * n)[0] in (1, -1)
+    return m == n and bareiss(a, [[]] * n)[0] in (1, -1)
 
 
 def unimodular_solve(a: list[list[int]], b: list[list[int]]):
     """The X with a·X = b when a is unimodular, else None."""
     if dims(a) != (len(b), len(b)):
         return None
-    d, x = _bareiss(a, b)
+    d, x = bareiss(a, b)
     return [[d * v for v in row] for row in x] if d in (1, -1) else None
 
 

@@ -11,11 +11,14 @@ occur are kept (rows * cols ints per exponent; ``serialize`` caps that for
 files), so a Laurent matrix with entries z^-N and z^N holds two grids, not
 2N+1.  A sum that cancels may keep an all-zero grid, which equality,
 hashing and ``is_zero`` skip.  One set of operations on the ints serves all
-three rings: sums grid by grid, products as a convolution through
-``_intlat.matmul`` of the pairs M_p N_q where a nonzero column of M_p meets
-a nonzero row of N_q (exponents add), the dual by transposing grid k into
-slot -k scaled by w^k.  Only the constructor, ``entry`` and ``entries``
-convert between grids and RingElements.
+three rings: sums grid by grid, the dual by transposing grid k into slot -k
+scaled by w^k, and products through ``_intlat.matmul``.  Two single grids
+multiply directly (always so over Z); otherwise both factors are packed by
+Kronecker substitution z -> 2^B, entry (i, j) becoming the int
+sum_k M_k[i][j] 2^(B (k - lo)), with B wide enough that every coefficient
+of the product is one signed base-2^B digit, and one integer product is
+read back digit by digit (folded mod m over Z[Z/m]).  Only the constructor,
+``entry`` and ``entries`` convert between grids and RingElements.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
@@ -24,16 +27,23 @@ representation R(M), a block layout of the grids: the ring is commutative,
 so M is invertible iff det R(M) = +-1.  ``is_unimodular`` computes only that
 determinant; ``try_inverse`` solves for the n columns of R(M)^-1 that hold
 the inverse's coefficients, by fraction-free (Bareiss) elimination.  Over
-Z[z,z^-1] the same elimination on RingElements yields d = +-det and d times
-the inverse; the units there are exactly +-z^k.  Lattice-splitting
-questions over non-integer rings are refused rather than approximated;
-callers there must supply witnesses.
+Z[z,z^-1] the units are exactly +-z^k, and the same integer elimination
+decides it: each row and then each column is shifted into Z[z], giving P,
+which is packed at z = 2^B, where B covers the l1 bound
+prod_i (1 + sum_j ||P_ij||_1) on every minor of [P | I].  So the packed
+determinant is +-2^(Bk) exactly when det P = +-z^k, and the packed
+right-hand block reads back as the inverse.
+Before that, det M(1) = +-1 (M(1) = sum_k M_k) is required: z -> 1 maps
+units to units, and this cheap test turns most non-units away before any
+wide integer is built.  Lattice-splitting questions over non-integer rings
+are refused rather than approximated; callers there must supply witnesses.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 from . import _intlat, rings
 from .errors import SchemaError, SingularMatrixError, WrongRingError
@@ -85,6 +95,10 @@ class FormMatrix:
 
     @property
     def entries(self) -> tuple[tuple[RingElement, ...], ...]:
+        ring = self.ring
+        if ring.kind == "cyclic":  # the m coefficients of a row of entries, read off the m grids
+            grids = [_grid(self, k) for k in range(ring.m)]
+            return tuple(tuple(RingElement(ring, c) for c in zip(*rows)) for rows in zip(*grids))
         return tuple(tuple(self.entry(i, j) for j in range(self.cols)) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> RingElement:
@@ -92,8 +106,11 @@ class FormMatrix:
         if ring.kind == "Z":  # the common case, kept to one lookup
             g = self._grids.get(0)
             return RingElement(ring, (g[i][j] if g else 0,))
+        if ring.kind == "cyclic":
+            get = self._grids.get
+            return RingElement(ring, tuple([g[i][j] if (g := get(k)) else 0 for k in range(ring.m)]))
         terms = {k: g[i][j] for k, g in self._grids.items() if g[i][j]}
-        lo, hi = (min(terms), max(terms)) if terms and ring.kind == "laurent" else (0, (ring.m or 1) - 1)
+        lo, hi = (min(terms), max(terms)) if terms else (0, -1)
         return rings._mk(ring, [terms.get(k, 0) for k in range(lo, hi + 1)], lo)
 
     def column(self, j: int) -> "FormMatrix":
@@ -138,12 +155,21 @@ class FormMatrix:
             raise WrongRingError("matrix product over mixed rings")
         if self.cols != other.rows:
             raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        # M_p N_q vanishes unless a nonzero column of M_p meets a nonzero row of N_q
-        left = [(p, a, tuple(map(any, zip(*a)))) for p, a in self._grids.items()]
-        right = [(q, b, tuple(map(any, b))) for q, b in other._grids.items()]
-        terms = ((p + q, _intlat.matmul(a, b)) for p, a, cols in left for q, b, rows in right
-                 if any(map(operator.and_, cols, rows)))
-        return _collect(self.ring, self.rows, other.cols, terms)
+        a, b = self._grids, other._grids
+        if not (a and b and self.rows and self.cols and other.cols):
+            return zero_matrix(self.ring, self.rows, other.cols)
+        if len(a) == 1 and len(b) == 1:
+            (p, ga), = a.items()
+            (q, gb), = b.items()
+            return _collect(self.ring, self.rows, other.cols, [(p + q, _intlat.matmul(ga, gb))])
+        # z -> 2^width turns the convolution of the grids into one integer product; a
+        # coefficient of the product sums at most (min span + 1) * inner products
+        lo_a, lo_b = min(a), min(b)
+        span = min(max(a) - lo_a, max(b) - lo_b)
+        width = _width(_max_abs(a.values()) * _max_abs(b.values()) * self.cols * (span + 1))
+        prod = _intlat.matmul(_pack(a, [lo_a] * self.rows, width, self.cols),
+                              _pack(b, [lo_b] * other.rows, width, other.cols))
+        return _collect(self.ring, self.rows, other.cols, _unpack(prod, width, lo_a + lo_b).items())
 
     def scale(self, a: RingElement) -> "FormMatrix":
         if a.ring != self.ring:
@@ -212,6 +238,49 @@ def _collect(ring: RingSpec, rows: int, cols: int, terms) -> FormMatrix:
         acc = out.get(k)
         out[k] = t if acc is None else [list(map(operator.add, ra, rb)) for ra, rb in zip(acc, t)]
     return _grid_matrix(ring, rows, cols, out)
+
+
+def _max_abs(grids) -> int:
+    """The largest |x| over the entries of the grids."""
+    return max(map(abs, chain.from_iterable(chain.from_iterable(grids))), default=0)
+
+
+def _width(bound: int) -> int:
+    """Bits per packed digit: whole bytes, so that every |c| <= bound is one signed digit."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _pack(grids: dict, lows, width: int, cols: int) -> list[list[int]]:
+    """The int grid of M at z = 2^width with row i shifted by z^-lows[i]: entry (i, j)
+    is sum_k M_k[i][j] 2^(width (k - lows[i])); each lows[i] is at most row i's lowest exponent."""
+    out = _intlat.zeros(len(lows), cols)
+    for k, g in grids.items():
+        for lo, o, row in zip(lows, out, g):
+            s = width * (k - lo)
+            for j, x in enumerate(row):
+                if x:
+                    o[j] += x << s
+    return out
+
+
+def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
+    """{k: M_k} from a packed grid whose signed base-2^width digits, each of absolute value
+    under 2^(width-1), are the coefficients of z^lo, z^(lo+1), ...; only nonzero grids."""
+    size, half = width // 8, 1 << (width - 1)
+    rows, cols = _intlat.dims(grid)
+    digits = _max_abs((grid,)).bit_length() // width + 1
+    nbytes = size * digits
+    # adding half to every digit makes each one a plain base-2^width digit in [1, 2^width);
+    # the entries lie nbytes apart in buf, in row-major order, and digit t of each starts
+    # t * size bytes in
+    bias = int.from_bytes(half.to_bytes(size, "little") * digits, "little")
+    buf = b"".join([(x + bias).to_bytes(nbytes, "little") for row in grid for x in row])
+    out = {}
+    for t in range(digits):
+        vals = [int.from_bytes(buf[at:at + size], "little") - half for at in range(t * size, len(buf), nbytes)]
+        if any(vals):
+            out[lo + t] = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
+    return out
 
 
 def matrix(ring: RingSpec, data) -> FormMatrix:
@@ -382,35 +451,35 @@ def _regular_grid(m: FormMatrix) -> list[list[int]]:
     return grid
 
 
-def _scaled_inverse(m: FormMatrix):
-    """(d, rows of d * m^-1) with d = +-det m over Z[z,z^-1], or None if m is singular.
+def _laurent_elimination(m: FormMatrix, b: list[list[int]]):
+    """(width, rlo, clo, k, x) with P x = z^k b when det m = +-z^(k + sum rlo + sum clo), else None.
 
-    Fraction-free Gauss-Jordan elimination on [m | I] (Bareiss 1968).  After
-    step k every row is p_k times its Gauss-Jordan row over the fraction
-    field, p_k being the k-th pivot, so each new entry
-    (p_k * a_ij - a_ik * a_kj) / p_(k-1) is a minor of [m | I] and the
-    division is exact.  Columns up to k are never read again and are left
-    stale, so the left block is not carried through to d * I.
+    P = diag(z^-rlo) m diag(z^-clo) is m with each row, then each column,
+    shifted down to exponent 0, a matrix over Z[z].  The Bareiss elimination of
+    [P | b] runs on P packed at z = 2^width, a ring map Z[z] -> Z: each exact
+    division of polynomials is an exact division of ints, and a polynomial is
+    zero iff its image is.  Every entry the elimination keeps is a minor of
+    [P | I], so its l1 norm is at most prod_i (1 + sum_j ||P_ij||_1), and
+    width keeps each coefficient one signed digit; x is packed the same way.
     """
-    n = m.rows
-    zero, one = rings.zero(m.ring), rings.one(m.ring)
-    a = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(m.entries)]
-    prev = one
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k].coeffs), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        pk, rk = a[k][k], a[k]
-        for i, row in enumerate(a):
-            if i == k:
-                continue
-            c = row[k]
-            for j in range(k + 1, 2 * n):
-                x = rings.sub(rings.mul(pk, row[j]), rings.mul(c, rk[j]))
-                row[j] = rings.div_exact(x, prev) if k else x
-        prev = pk
-    return prev, [row[n:] for row in a]
+    grids = list(m._grids.values())
+    # z -> 1 maps units to units, and m(1) is cheap to test; it also has no zero row or column
+    if not _intlat.is_unimodular([[sum(c) for c in zip(*(g[i] for g in grids))] for i in range(m.rows)]):
+        return None
+    rlo = [min(k for k, g in m._grids.items() if any(g[i])) for i in range(m.rows)]
+    bound = 1
+    for i in range(m.rows):
+        bound *= 1 + sum(abs(x) for g in grids for x in g[i])
+    width = _width(bound)
+    p = _pack(m._grids, rlo, width, m.cols)
+    # the lowest set bit of a packed entry lies in its lowest nonzero digit
+    clo = [min(((v & -v).bit_length() - 1) // width for v in col if v) for col in zip(*p)]
+    d, x = _intlat.bareiss([[v >> width * c for v, c in zip(row, clo)] for row in p], b)
+    e = abs(d)
+    k, r = divmod(e.bit_length() - 1, width)
+    if r or e & (e - 1):  # only +-2^(width k), the image of +-z^k, is a unit
+        return None
+    return width, rlo, clo, k, x if d > 0 else [[-v for v in row] for row in x]
 
 
 def try_inverse(m: FormMatrix):
@@ -419,24 +488,27 @@ def try_inverse(m: FormMatrix):
         return None
     if m.rows == 0:
         return m
+    n = m.rows
     if m.ring.kind != "laurent":
         # column j * order of block (i, j) of the inverse holds the coefficients
         # of entry (i, j), so solve for those n columns only
-        order, n = m.ring.m or 1, m.rows
+        order = m.ring.m or 1
         units = [[1 if r == j * order else 0 for j in range(n)] for r in range(n * order)]
         inv = _intlat.unimodular_solve(_regular_grid(m), units)
         if inv is None:
             return None
         grids = {r: [[inv[i * order + r][j] for j in range(n)] for i in range(n)] for r in range(order)}
         return _grid_matrix(m.ring, n, n, grids)
-    scaled = _scaled_inverse(m)
-    if scaled is None:
+    found = _laurent_elimination(m, _intlat.identity(n))
+    if found is None:
         return None
-    d, rows = scaled
-    if len(d.coeffs) != 1 or d.coeffs[0] not in (1, -1):  # the units are +-z^k
-        return None
-    out = FormMatrix(m.ring, m.rows, m.rows, rows).scale(rings.monomial(m.ring, -d.shift, d.coeffs[0]))
-    if not m.mul(out).sub(identity_matrix(m.ring, m.rows)).is_zero():
+    width, rlo, clo, k, x = found
+    # m^-1 = diag(z^-clo) z^-k x diag(z^-rlo); entry (i, j) moves up by
+    # z^(top - clo[i] - rlo[j]), never down, so that every entry starts at z^(-k - top)
+    top = max(clo) + max(rlo)
+    x = [[v << width * (top - c - r) for v, r in zip(row, rlo)] for row, c in zip(x, clo)]
+    out = _grid_matrix(m.ring, n, n, _unpack(x, width, -k - top))
+    if not m.mul(out).sub(identity_matrix(m.ring, n)).is_zero():
         return None
     return out
 
@@ -449,7 +521,9 @@ def inverse(m: FormMatrix) -> FormMatrix:
 
 
 def is_unimodular(m: FormMatrix) -> bool:
-    """Invertibility over the ring, decided without building an inverse over Z and Z[Z/m]."""
+    """Invertibility over the ring, decided by a determinant without building an inverse."""
+    if m.rows != m.cols:
+        return False
     if m.ring.kind == "laurent":
-        return try_inverse(m) is not None
-    return m.rows == m.cols and _intlat.is_unimodular(_regular_grid(m))
+        return _laurent_elimination(m, [[]] * m.rows) is not None
+    return _intlat.is_unimodular(_regular_grid(m))

@@ -189,38 +189,6 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     return _mk(ring, v, a.shift + b.shift)
 
 
-def div_exact(a: RingElement, b: RingElement) -> RingElement:
-    """The Laurent polynomial q with q * b = a; DomainError if b does not divide a.
-
-    Both windows are trimmed, so their lowest coefficients are nonzero and the
-    quotient window starts at a.shift - b.shift.  Long division from the top
-    term then needs every leading coefficient to divide exactly and must leave
-    no remainder.
-    """
-    _check_same_ring(a, b)
-    if a.ring.kind != "laurent":
-        raise WrongRingError(f"exact division is only defined here over the Laurent ring, not {a.ring}")
-    if not b.coeffs:
-        raise DomainError("division by zero in the Laurent ring")
-    if not a.coeffs:
-        return a
-    nb = len(b.coeffs)
-    r = list(a.coeffs)
-    q = [0] * (len(r) - nb + 1)  # empty when b has the wider window: all of a remains
-    lead = b.coeffs[-1]
-    for t in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[t + nb - 1], lead)
-        if rem:
-            raise DomainError("inexact Laurent division: a leading coefficient does not divide")
-        if c:
-            q[t] = c
-            for s, y in enumerate(b.coeffs):
-                r[t + s] -= c * y
-    if any(r[:nb - 1]):
-        raise DomainError("inexact Laurent division: nonzero remainder")
-    return _mk(a.ring, q, a.shift - b.shift)
-
-
 def is_zero(a: RingElement) -> bool:
     return all(c == 0 for c in a.coeffs)
 

@@ -223,6 +223,17 @@ def test_a_laurent_form_with_distinct_exponents_under_the_grid_cap_is_split_quic
     assert psi[0][1] == {"origin": 1, "coeffs": [1]} and psi[1][0] == {"origin": 0, "coeffs": []}
 
 
+def test_form_info_on_a_laurent_form_with_distinct_exponents_is_quick(tmp_path):
+    # lambda(1) = I + J has determinant n + 1, so no elimination over Z[z,z^-1] is needed
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(distinct_exponent_form(16)), encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert status == 0
+    assert report["result"]["nonsingular"] is False
+
+
 @pytest.mark.parametrize("n", [23, 100])
 def test_a_laurent_form_beyond_the_grid_cap_is_a_schema_error(tmp_path, n):
     # 507 x 23 x 23 = 268,203 cells; at n = 100, 9,901 x 100 x 100 = 99,010,000

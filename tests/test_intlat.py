@@ -62,9 +62,9 @@ def test_elimination_yields_the_determinant_up_to_sign(kind, n, width, seed):
     rng = random.Random(seed)
     a = square_grid(rng, kind, n)
     b = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)]
-    d, _ = _intlat._bareiss(a, [[]] * n)
+    d, _ = _intlat.bareiss(a, [[]] * n)
     assert abs(d) == abs(det_int(a))
-    full, x = _intlat._bareiss(a, b)
+    full, x = _intlat.bareiss(a, b)
     assert full == d
     if d:
         assert _intlat.matmul(a, x) == [[d * v for v in row] for row in b]
@@ -83,7 +83,7 @@ def test_elimination_yields_the_determinant_up_to_sign(kind, n, width, seed):
 def test_elimination_on_row_swaps_and_rows_that_are_only_rescaled(a, inv, det):
     assert _intlat.inverse(a) == inv == smith_inverse(a)
     assert _intlat.is_unimodular(a) == (inv is not None)
-    assert abs(_intlat._bareiss(a, [[]] * len(a))[0]) == abs(det) == abs(det_int(a))
+    assert abs(_intlat.bareiss(a, [[]] * len(a))[0]) == abs(det) == abs(det_int(a))
 
 
 def test_elimination_on_empty_and_non_square_grids():

@@ -350,6 +350,10 @@ def test_laurent_matrices_without_a_unit_determinant_have_no_inverse():
     assert mx.try_inverse(mx.matrix(L, [[1, 0], [0, one_plus_z]])) is None
     assert mx.try_inverse(mx.matrix(L, [[2, 0], [0, 1]])) is None
     assert mx.try_inverse(mx.matrix(L, [[z, 1], [1, zinv]])) is None  # rank 1
+    # det m(1) = 1 passes the test at z = 1, but det m = 2z - 1 is no unit
+    two_z_minus_one = rings.sub(rings.monomial(L, 1, 2), rings.one(L))
+    diag = mx.matrix(L, [[1, 0], [0, two_z_minus_one]])
+    assert mx.try_inverse(diag) is None and not mx.is_unimodular(diag)
     with pytest.raises(SingularMatrixError):
         mx.inverse(mx.matrix(L, [[0, 0], [0, 1]]))
 
@@ -376,6 +380,36 @@ def test_group_ring_inverse_of_empty_and_non_square_matrices(ring):
     assert mx.is_unimodular(empty)
     assert mx.try_inverse(mx.zero_matrix(ring, 2, 3)) is None
     assert mx.try_inverse(mx.matrix(ring, [[1, 0]])) is None
+
+
+NON_UNITS = [[(2, 0)], [(1, 0), (1, 1)], [(-1, 0), (2, 1)], [(1, -1), (-1, 0), (1, 1)]]
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32),
+       st.sampled_from(["unit-lu", "non-unit", "singular", "dense", "sparse"]))
+def test_laurent_unimodularity_agrees_with_the_inverse(n, seed, kind):
+    rng = random.Random(seed)
+    if kind in ("unit-lu", "non-unit", "singular"):
+        m = unit_lu(rng, L, n)
+        rows = [list(r) for r in m.entries]
+        if kind == "non-unit":  # a row times 2, 1 + z, 2z - 1 or z^-1 - 1 + z, which are not units
+            c = rings.zero(L)
+            for coeff, k in rng.choice(NON_UNITS):
+                c = rings.add(c, rings.monomial(L, k, coeff))
+            rows[0] = [rings.mul(c, x) for x in rows[0]]
+        elif kind == "singular":
+            rows[-1] = rows[0] if n > 1 else [rings.zero(L)]
+        m = mx.matrix(L, rows)
+    elif kind == "dense":
+        m = random_matrix(rng, L, n, n, -1, 1)
+    else:
+        m = sparse_monomials(rng, L, n)
+    inv = mx.try_inverse(m)
+    assert mx.is_unimodular(m) == (inv is not None)
+    if kind != "dense" and kind != "sparse":
+        assert (inv is not None) == (kind == "unit-lu")
+    if inv is not None:
+        assert_two_sided_inverse(m, inv)
 
 
 def test_dense_laurent_inverse_at_rank_12():
@@ -507,6 +541,32 @@ def test_construction_checks_shape_and_ring():
     grid = m.to_int_grid()
     grid[0][0] = 99  # a fresh copy: the matrix does not change
     assert m == mx.int_matrix([[1, 2]])
+
+
+def constant_grids(ring, rows, cols, value, span, alternate):
+    """Every entry value * sum_{k <= span} g^k, with the sign of g^k alternating if asked."""
+    x = rings.zero(ring)
+    for k in range(span + 1):
+        x = rings.add(x, rings.monomial(ring, k, -value if alternate and k % 2 else value))
+    return mx.matrix(ring, [[x] * cols for _ in range(rows)])
+
+
+# |a| |b| inner (min span + 1) is 2^7 or 2^15: a bound short of it by one span would
+# pick a digit one byte too narrow for the middle coefficient
+@pytest.mark.parametrize("ring", [C4, L], ids=["cyclic", "laurent"])
+@pytest.mark.parametrize("a, b, inner, span_a, span_b", [
+    (8, 8, 1, 1, 1), (4, 4, 2, 3, 3), (4, 4, 2, 3, 1), (64, 64, 2, 3, 3),
+])
+@pytest.mark.parametrize("signs", ["equal", "negative", "alternating"])
+def test_a_packed_product_whose_coefficient_reaches_the_bound(ring, a, b, inner, span_a, span_b, signs):
+    left = constant_grids(ring, 2, inner, a, span_a, signs == "alternating")
+    right = constant_grids(ring, inner, 3, -b if signs == "negative" else b, span_b,
+                           signs == "alternating")
+    prod = left.mul(right)
+    assert prod == ref_product(left, right)
+    if ring == L:
+        middle = prod.entry(0, 0).coeffs[min(span_a, span_b)]
+        assert abs(middle) == a * b * inner * (min(span_a, span_b) + 1)
 
 
 def test_a_product_of_many_sparse_laurent_grids_is_quick():

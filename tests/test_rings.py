@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import _intlat, rings
-from surgery_algebra.errors import DomainError, WrongRingError
+from surgery_algebra.errors import DomainError
 from surgery_algebra.rings import (
     AbelianGroup,
     RingElement,
@@ -17,7 +17,6 @@ from surgery_algebra.rings import (
     class_neg,
     class_twist,
     cyclic,
-    div_exact,
     from_int,
     in_symmetrize_image,
     integers,
@@ -158,40 +157,6 @@ def test_twist_is_the_quadratic_substitution(data, eps):
     ring, (a, x) = data
     cls = q_eps_reduce(x, eps)
     assert class_twist(cls, a) == q_eps_reduce(mul(mul(a, x), involute(a)), eps)
-
-
-@st.composite
-def laurent_elements(draw, nonzero=False):
-    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
-    if nonzero and not any(coeffs):
-        coeffs[-1] = 1
-    shift = draw(st.integers(-6, 6))
-    return el(L, [(c, shift + k) for k, c in enumerate(coeffs)])
-
-
-LAURENT_UNITS = st.builds(monomial, st.just(L), st.integers(-6, 6), st.sampled_from([1, -1]))
-
-
-@given(laurent_elements(), st.one_of(laurent_elements(nonzero=True), LAURENT_UNITS))
-def test_exact_laurent_division_undoes_multiplication(a, b):
-    assert div_exact(mul(a, b), b) == a
-
-
-@pytest.mark.parametrize("a, b", [
-    ([(1, 0), (2, 1)], [(2, 0), (1, 1)]),   # (1+2z)/(2+z): nonzero remainder
-    ([(1, 0), (1, 2)], [(1, 0), (1, 1)]),   # (1+z^2)/(1+z): nonzero remainder
-    ([(1, 1)], [(2, 0)]),                   # z/2: the coefficient does not divide
-    ([(1, 0)], [(1, -1), (1, 0)]),          # 1/(z^-1+1): the divisor is wider
-    ([(1, 0)], []),                         # division by zero
-])
-def test_inexact_laurent_division_raises(a, b):
-    with pytest.raises(DomainError):
-        div_exact(el(L, a), el(L, b))
-
-
-def test_exact_division_is_refused_off_the_laurent_ring():
-    with pytest.raises(WrongRingError):
-        div_exact(from_int(Z, 4), from_int(Z, 2))
 
 
 # -- the orbit fold against a frozen copy of the lattice code it replaced -----
