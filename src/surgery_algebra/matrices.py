@@ -17,7 +17,9 @@ multiply directly (always so over Z); otherwise both factors are packed by
 Kronecker substitution z -> 2^B, entry (i, j) becoming the int
 sum_k M_k[i][j] 2^(B (k - lo)), with B wide enough that every coefficient
 of the product is one signed base-2^B digit, and one integer product is
-read back digit by digit (folded mod m over Z[Z/m]).  Only the constructor,
+read back digit by digit (folded mod m over Z[Z/m]), skipping the digits no
+entry uses.  That product costs time with the exponent window, not with the
+grids present; ``serialize`` caps the window of files.  Only the constructor,
 ``entry`` and ``entries`` convert between grids and RingElements.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
@@ -42,7 +44,11 @@ are refused rather than approximated; callers there must supply witnesses.
 from __future__ import annotations
 
 import operator
+import re
+import struct
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 from . import _intlat, rings
@@ -95,10 +101,6 @@ class FormMatrix:
 
     @property
     def entries(self) -> tuple[tuple[RingElement, ...], ...]:
-        ring = self.ring
-        if ring.kind == "cyclic":  # the m coefficients of a row of entries, read off the m grids
-            grids = [_grid(self, k) for k in range(ring.m)]
-            return tuple(tuple(RingElement(ring, c) for c in zip(*rows)) for rows in zip(*grids))
         return tuple(tuple(self.entry(i, j) for j in range(self.cols)) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> RingElement:
@@ -163,10 +165,10 @@ class FormMatrix:
             (q, gb), = b.items()
             return _collect(self.ring, self.rows, other.cols, [(p + q, _intlat.matmul(ga, gb))])
         # z -> 2^width turns the convolution of the grids into one integer product; a
-        # coefficient of the product sums at most (min span + 1) * inner products
+        # coefficient of the product sums one product of grids per pair of exponents that
+        # add up to it, so at most min(grids) * inner products
         lo_a, lo_b = min(a), min(b)
-        span = min(max(a) - lo_a, max(b) - lo_b)
-        width = _width(_max_abs(a.values()) * _max_abs(b.values()) * self.cols * (span + 1))
+        width = _width(_max_abs(a.values()) * _max_abs(b.values()) * self.cols * min(len(a), len(b)))
         prod = _intlat.matmul(_pack(a, [lo_a] * self.rows, width, self.cols),
                               _pack(b, [lo_b] * other.rows, width, other.cols))
         return _collect(self.ring, self.rows, other.cols, _unpack(prod, width, lo_a + lo_b).items())
@@ -246,8 +248,10 @@ def _max_abs(grids) -> int:
 
 
 def _width(bound: int) -> int:
-    """Bits per packed digit: whole bytes, so that every |c| <= bound is one signed digit."""
-    return (bound.bit_length() + 8) // 8 * 8
+    """Bits per packed digit, so that every |c| <= bound is one signed digit: 8, 16, 32
+    or 64 bits, which ``_unpack`` reads as a C array, and beyond that whole bytes."""
+    bits = bound.bit_length() + 1
+    return next((w for w in (8, 16, 32, 64) if bits <= w), (bits + 7) // 8 * 8)
 
 
 def _pack(grids: dict, lows, width: int, cols: int) -> list[list[int]]:
@@ -266,21 +270,31 @@ def _pack(grids: dict, lows, width: int, cols: int) -> list[list[int]]:
 def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
     """{k: M_k} from a packed grid whose signed base-2^width digits, each of absolute value
     under 2^(width-1), are the coefficients of z^lo, z^(lo+1), ...; only nonzero grids."""
-    size, half = width // 8, 1 << (width - 1)
+    size, half, order = width // 8, 1 << (width - 1), sys.byteorder
     rows, cols = _intlat.dims(grid)
     digits = _max_abs((grid,)).bit_length() // width + 1
     nbytes = size * digits
-    # adding half to every digit makes each one a plain base-2^width digit in [1, 2^width);
-    # the entries lie nbytes apart in buf, in row-major order, and digit t of each starts
-    # t * size bytes in
-    bias = int.from_bytes(half.to_bytes(size, "little") * digits, "little")
-    buf = b"".join([(x + bias).to_bytes(nbytes, "little") for row in grid for x in row])
+    # adding half to every signed digit c makes it a plain base-2^width digit c + half,
+    # with no carry between digits, and xor with half then leaves c in two's complement
+    bias = int.from_bytes(half.to_bytes(size, order) * digits, order)
+    flat = [(x + bias) ^ bias for row in grid for x in row]
+    # the entries lie nbytes apart in buf, in row-major order, and digit t of each
+    # starts t * size bytes in; digits of up to 8 bytes are read as one C array
+    buf = b"".join([y.to_bytes(nbytes, order) for y in flat])
+    cells = memoryview(buf).cast(_DIGIT_FORMATS[size]) if size in _DIGIT_FORMATS else None
+    # only the runs of digits that some entry uses are read: a sparse product skips the rest
+    used = reduce(operator.or_, flat).to_bytes(nbytes, order)
     out = {}
-    for t in range(digits):
-        vals = [int.from_bytes(buf[at:at + size], "little") - half for at in range(t * size, len(buf), nbytes)]
-        if any(vals):
+    for run in re.finditer(rb"[^\0]+", used):
+        for t in range(run.start() // size, (run.end() - 1) // size + 1):
+            vals = (cells[t::digits].tolist() if cells is not None else
+                    [int.from_bytes(buf[at:at + size], order, signed=True) for at in range(t * size, len(buf), nbytes)])
             out[lo + t] = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
     return out
+
+
+# the signed C types, by size in bytes (1, 2, 4 and 8), that ``_unpack`` reads digits as
+_DIGIT_FORMATS = {struct.calcsize(f): f for f in "bhiq"}
 
 
 def matrix(ring: RingSpec, data) -> FormMatrix:

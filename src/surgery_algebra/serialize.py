@@ -84,6 +84,11 @@ MAX_CYCLIC_WIDTH = 256
 # in it, so single-term entries at distinct exponents would cost rows * cols
 # times the size of the file: (exponents) * rows * cols beyond this is refused.
 MAX_LAURENT_GRID_CELLS = 2 ** 18
+# A product of Laurent matrices packs each entry into one integer of (exponent
+# window) * width bits, so a file with a few entries z^-N and z^N could ask for
+# products of megabit integers: (widest exponent - lowest + 1) * rows * cols
+# beyond this is refused.
+MAX_LAURENT_WINDOW_CELLS = 2 ** 19
 
 
 def element_from_obj(ring: RingSpec, obj) -> RingElement:
@@ -134,6 +139,11 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
         if len(exponents) * r * c > MAX_LAURENT_GRID_CELLS:
             raise SchemaError(f"a {r}x{c} matrix over {ring} with {len(exponents)} distinct exponents "
                               f"is stored as {len(exponents) * r * c} grid cells, beyond {MAX_LAURENT_GRID_CELLS}")
+        window = max(exponents) - min(exponents) + 1 if exponents else 0
+        if window * r * c > MAX_LAURENT_WINDOW_CELLS:
+            raise SchemaError(f"a {r}x{c} matrix over {ring} with exponents from {min(exponents)} to "
+                              f"{max(exponents)} is packed as {window * r * c} window cells, "
+                              f"beyond {MAX_LAURENT_WINDOW_CELLS}")
     return matrices.matrix(ring, data)
 
 

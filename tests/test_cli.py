@@ -234,6 +234,25 @@ def test_form_info_on_a_laurent_form_with_distinct_exponents_is_quick(tmp_path):
     assert report["result"]["nonsingular"] is False
 
 
+def test_a_laurent_form_beyond_the_window_cap_is_a_schema_error(tmp_path):
+    # z^N above the diagonal, z^-N below and 2 on it, N the widest exponent a file may hold:
+    # three grids of 22 x 22, but (2N + 1) * 22 * 22 window cells, each packed product
+    # entry an integer of megabits
+    n, big = 22, serialize.MAX_LAURENT_EXPONENT
+    def entry(i, j):
+        return {"origin": 0 if i == j else big if i < j else -big, "coeffs": [2 if i == j else 1]}
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps({"ring": {"ring": "laurent"}, "epsilon": 1,
+                               "lambda": [[entry(i, j) for j in range(n)] for i in range(n)],
+                               "mu": [{"origin": 0, "coeffs": [1]}] * n}), encoding="utf-8")
+    start = time.monotonic()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.monotonic() - start < 1.0
+    assert (status, report["kind"]) == (2, "schema")
+    assert f"beyond {serialize.MAX_LAURENT_WINDOW_CELLS}" in report["error"]
+    assert report["where"].startswith("surgery_algebra.serialize:matrix_from_obj:")
+
+
 @pytest.mark.parametrize("n", [23, 100])
 def test_a_laurent_form_beyond_the_grid_cap_is_a_schema_error(tmp_path, n):
     # 507 x 23 x 23 = 268,203 cells; at n = 100, 9,901 x 100 x 100 = 99,010,000

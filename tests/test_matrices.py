@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from surgery_algebra import _intlat
 from surgery_algebra import matrices as mx
 from surgery_algebra import rings
+from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.rings import AbelianGroup
 
@@ -585,3 +586,40 @@ def test_a_product_of_many_sparse_laurent_grids_is_quick():
             for t in range(n):
                 ref[i][j] = rings.add(ref[i][j], rings.mul(rows[i][t], rows[t][j]))
     assert square == mx.matrix(L, ref)
+
+
+def grid_by_grid_product(a, c):
+    """sum over pairs of grids of A_p C_q z^(p+q), each pair one integer product."""
+    out = mx.zero_matrix(a.ring, a.rows, c.cols)
+    for p, ga in a._grids.items():
+        for q, gc in c._grids.items():
+            part = mx._grid_matrix(a.ring, a.rows, c.cols, {p + q: _intlat.matmul(ga, gc)})
+            out = out.add(part)
+    return out
+
+
+def test_a_square_at_the_exponent_cap_is_quick():
+    # (z^-N + 2 + z^N)^2 with N the widest exponent a file may hold: one entry of 2N + 1 digits
+    n = sz.MAX_LAURENT_EXPONENT
+    x = rings.add(rings.add(rings.monomial(L, -n), rings.from_int(L, 2)), rings.monomial(L, n))
+    m = mx.matrix(L, [[x]])
+    start = time.monotonic()
+    square = m.mul(m)
+    assert time.monotonic() - start < 1.0
+    assert square == mx.matrix(L, [[rings.mul(x, x)]])
+
+
+def test_a_sparse_product_at_the_window_cap_is_quick():
+    # 22 x 22 entries drawn from z^-h, +-2 and z^h, with (2h + 1) * 22 * 22 just under the window
+    # cap: three grids each, but every packed entry is 2h + 1 digits wide
+    n = 22
+    h = (sz.MAX_LAURENT_WINDOW_CELLS // (n * n) - 1) // 2
+    rng = random.Random(7)
+    choices = [rings.monomial(L, -h), rings.from_int(L, 2), rings.from_int(L, -2), rings.monomial(L, h)]
+    m = mx.matrix(L, [[rng.choice(choices) for _ in range(n)] for _ in range(n)])
+    assert (2 * h + 1) * n * n <= sz.MAX_LAURENT_WINDOW_CELLS
+    start = time.monotonic()
+    square = m.mul(m)
+    assert time.monotonic() - start < 2.0
+    assert square == grid_by_grid_product(m, m)
+    assert sorted(square._grids) == [-2 * h, -h, 0, h, 2 * h]

@@ -214,3 +214,18 @@ def test_laurent_matrices_are_capped_by_their_grid_cells(count, accepted):
     m = sz.matrix_from_obj(L, obj)
     assert m.entry(0, 0).shift == -1000 and len(m.entry(0, 0).coeffs) == count
     assert m.entry(1, 1) == rings.one(L)
+
+
+@pytest.mark.parametrize("top, accepted", [(2 ** 16 - 1, True), (2 ** 16, False)])
+def test_laurent_matrices_are_capped_by_their_exponent_window(top, accepted):
+    # a 2 x 2 matrix holding z^-65536 and z^top spans top + 65537 exponents, 4 * (top + 65537)
+    # window cells, though it is stored as two grids
+    assert 4 * 2 ** 17 == sz.MAX_LAURENT_WINDOW_CELLS
+    L, zero = rings.laurent(), {"origin": 0, "coeffs": []}
+    obj = [[{"origin": -2 ** 16, "coeffs": [1]}, zero], [zero, {"origin": top, "coeffs": [1]}]]
+    if not accepted:
+        with pytest.raises(SchemaError, match="window cells"):
+            sz.matrix_from_obj(L, obj)
+        return
+    m = sz.matrix_from_obj(L, obj)
+    assert m.entry(1, 1) == rings.monomial(L, top) and len(m._grids) == 2
