@@ -248,10 +248,8 @@ def _max_abs(grids) -> int:
 
 
 def _width(bound: int) -> int:
-    """Bits per packed digit, so that every |c| <= bound is one signed digit: 8, 16, 32
-    or 64 bits, which ``_unpack`` reads as a C array, and beyond that whole bytes."""
-    bits = bound.bit_length() + 1
-    return next((w for w in (8, 16, 32, 64) if bits <= w), (bits + 7) // 8 * 8)
+    """Bits per packed digit: whole bytes, so that every |c| <= bound is one signed digit."""
+    return (bound.bit_length() + 8) // 8 * 8
 
 
 def _pack(grids: dict, lows, width: int, cols: int) -> list[list[int]]:
@@ -279,7 +277,7 @@ def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
     bias = int.from_bytes(half.to_bytes(size, order) * digits, order)
     flat = [(x + bias) ^ bias for row in grid for x in row]
     # the entries lie nbytes apart in buf, in row-major order, and digit t of each
-    # starts t * size bytes in; digits of up to 8 bytes are read as one C array
+    # starts t * size bytes in; digits of 1, 2, 4 or 8 bytes are read as one C array
     buf = b"".join([y.to_bytes(nbytes, order) for y in flat])
     cells = memoryview(buf).cast(_DIGIT_FORMATS[size]) if size in _DIGIT_FORMATS else None
     # only the runs of digits that some entry uses are read: a sparse product skips the rest
