@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import operator
 import re
-import struct
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -277,22 +276,16 @@ def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
     bias = int.from_bytes(half.to_bytes(size, order) * digits, order)
     flat = [(x + bias) ^ bias for row in grid for x in row]
     # the entries lie nbytes apart in buf, in row-major order, and digit t of each
-    # starts t * size bytes in; digits of 1, 2, 4 or 8 bytes are read as one C array
+    # starts t * size bytes in
     buf = b"".join([y.to_bytes(nbytes, order) for y in flat])
-    cells = memoryview(buf).cast(_DIGIT_FORMATS[size]) if size in _DIGIT_FORMATS else None
     # only the runs of digits that some entry uses are read: a sparse product skips the rest
     used = reduce(operator.or_, flat).to_bytes(nbytes, order)
     out = {}
     for run in re.finditer(rb"[^\0]+", used):
         for t in range(run.start() // size, (run.end() - 1) // size + 1):
-            vals = (cells[t::digits].tolist() if cells is not None else
-                    [int.from_bytes(buf[at:at + size], order, signed=True) for at in range(t * size, len(buf), nbytes)])
+            vals = [int.from_bytes(buf[at:at + size], order, signed=True) for at in range(t * size, len(buf), nbytes)]
             out[lo + t] = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
     return out
-
-
-# the signed C types, by size in bytes (1, 2, 4 and 8), that ``_unpack`` reads digits as
-_DIGIT_FORMATS = {struct.calcsize(f): f for f in "bhiq"}
 
 
 def matrix(ring: RingSpec, data) -> FormMatrix:
