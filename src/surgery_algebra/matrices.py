@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import operator
 import re
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -267,23 +266,23 @@ def _pack(grids: dict, lows, width: int, cols: int) -> list[list[int]]:
 def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
     """{k: M_k} from a packed grid whose signed base-2^width digits, each of absolute value
     under 2^(width-1), are the coefficients of z^lo, z^(lo+1), ...; only nonzero grids."""
-    size, half, order = width // 8, 1 << (width - 1), sys.byteorder
+    size, half = width // 8, 1 << (width - 1)
     rows, cols = _intlat.dims(grid)
     digits = _max_abs((grid,)).bit_length() // width + 1
     nbytes = size * digits
     # adding half to every signed digit c makes it a plain base-2^width digit c + half,
     # with no carry between digits, and xor with half then leaves c in two's complement
-    bias = int.from_bytes(half.to_bytes(size, order) * digits, order)
+    bias = int.from_bytes(half.to_bytes(size, "little") * digits, "little")
     flat = [(x + bias) ^ bias for row in grid for x in row]
     # the entries lie nbytes apart in buf, in row-major order, and digit t of each
     # starts t * size bytes in
-    buf = b"".join([y.to_bytes(nbytes, order) for y in flat])
+    buf = b"".join([y.to_bytes(nbytes, "little") for y in flat])
     # only the runs of digits that some entry uses are read: a sparse product skips the rest
-    used = reduce(operator.or_, flat).to_bytes(nbytes, order)
+    used = reduce(operator.or_, flat).to_bytes(nbytes, "little")
     out = {}
     for run in re.finditer(rb"[^\0]+", used):
         for t in range(run.start() // size, (run.end() - 1) // size + 1):
-            vals = [int.from_bytes(buf[at:at + size], order, signed=True) for at in range(t * size, len(buf), nbytes)]
+            vals = [int.from_bytes(buf[at:at + size], "little", signed=True) for at in range(t * size, len(buf), nbytes)]
             out[lo + t] = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
     return out
 
