@@ -24,21 +24,30 @@ grids present; ``serialize`` caps the window of files.  Only the constructor,
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
-grid.  Invertibility over Z and Z[Z/m] is read off the integer regular
-representation R(M), a block layout of the grids: the ring is commutative,
-so M is invertible iff det R(M) = +-1.  ``is_unimodular`` computes only that
-determinant; ``try_inverse`` solves for the n columns of R(M)^-1 that hold
-the inverse's coefficients, by fraction-free (Bareiss) elimination.  Over
-Z[z,z^-1] the units are exactly +-z^k, and the same integer elimination
-decides it: each row and then each column is shifted into Z[z], giving P,
-which is packed at z = 2^B, where B covers the l1 bound
-prod_i (1 + sum_j ||P_ij||_1) on every minor of [P | I].  So the packed
-determinant is +-2^(Bk) exactly when det P = +-z^k, and the packed
-right-hand block reads back as the inverse.
-Before that, det M(1) = +-1 (M(1) = sum_k M_k) is required: z -> 1 maps
-units to units, and this cheap test turns most non-units away before any
-wide integer is built.  Lattice-splitting questions over non-integer rings
-are refused rather than approximated; callers there must supply witnesses.
+grid.  The rings are commutative, so M is invertible iff det M is a unit,
+and every determinant comes from one fraction-free (Bareiss) elimination on
+ints, in one of two layouts.  Over Z, and over Z[Z/m] for the shapes the one
+shape rule ``_packs_cyclic`` keeps there (n = 1, n > 8, and small m n), it
+runs on the integer regular representation R(M), a block layout of the
+grids: M is invertible iff det R(M) = +-1; ``is_unimodular`` computes only
+that determinant, and ``try_inverse`` solves for the n columns of R(M)^-1
+that hold the inverse's coefficients.  That costs (m n)^3.  Otherwise M is
+lifted to a matrix over Z[z] (over Z[Z/m], grid k becomes the coefficient of
+z^k, 0 <= k < m), each row and then each column is shifted down to exponent
+0, giving P, and P is packed at z = 2^B, where B covers Hadamard's bound
+prod_i (sum_j ||P_ij||_1^2)^(1/2) on every coefficient of every minor of P,
+and of its fold mod z^m - 1.  Over Z[z,z^-1] the units are exactly +-z^k, so
+M is invertible iff the packed determinant is +-2^(Bk).  Reducing mod
+z^m - 1 is a ring map Z[z] -> Z[Z/m], so over Z[Z/m] det M is g^s u, where u
+is det P folded mod g^m - 1, and M is invertible iff u is a unit, which the
+m x m regular representation of the 1 x 1 matrix (u) decides.  Either way
+the packed right-hand block of [P | I] reads back as the inverse, times
+z^-k or u^-1.  Before that, det M(1) = +-1 (M(1) = sum_k M_k) is required:
+z -> 1 (over Z[Z/m] the augmentation) maps units to units, and this cheap
+test turns most non-units away before any wide integer is built; a matrix
+it passes whose packed elimination would exceed ``MAX_ELIMINATION_SIZE`` is
+refused.  Lattice-splitting questions over non-integer rings are refused
+rather than approximated; callers there must supply witnesses.
 """
 
 from __future__ import annotations
@@ -455,30 +464,84 @@ def _regular_grid(m: FormMatrix) -> list[list[int]]:
     return grid
 
 
-def _laurent_elimination(m: FormMatrix, b: list[list[int]]):
-    """(width, rlo, clo, k, x) with P x = z^k b when det m = +-z^(k + sum rlo + sum clo), else None.
+def _regular_inverse(m: FormMatrix):
+    """The inverse of a square m over Z or Z[Z/m] read off R(m)^-1, or None."""
+    # column j * order of block (i, j) of the inverse holds the coefficients
+    # of entry (i, j), so solve for those n columns only
+    n, order = m.rows, m.ring.m or 1
+    units = [[1 if r == j * order else 0 for j in range(n)] for r in range(n * order)]
+    inv = _intlat.unimodular_solve(_regular_grid(m), units)
+    if inv is None:
+        return None
+    grids = {r: [[inv[i * order + r][j] for j in range(n)] for i in range(n)] for r in range(order)}
+    return _grid_matrix(m.ring, n, n, grids)
+
+
+def _packs_cyclic(n: int, order: int) -> bool:
+    """Whether invertibility of an n x n matrix over Z[Z/order] is decided by the
+    packed elimination over Z[z] rather than on its (n order)-wide regular
+    representation: the one shape rule for both operations, read off the
+    ladder of both paths in CHANGES.md.  The packed path has a fixed cost (the
+    packing, the fold, the unit test on order x order, a packed product to
+    check an inverse) that only a wide enough regular representation
+    outweighs, and beyond n = 8 its integers outgrow the (n order)^3 solve."""
+    return 2 <= n <= 8 and order >= 4 and n * order >= 24
+
+
+# The packed elimination of an n x n matrix makes about n^3 operations on
+# integers of up to D bits, D the sum over the rows of the packed P of its
+# widest entry (Hadamard's bound, up to log2(n)/2 per row), and its time grows
+# about as (n^2 D)^2.  On transported hyperbolic Laurent forms of rank 10 to
+# 32 (Python 3.11, one core of a 2-vCPU x86 host), form-info took 0.25-1.1 s
+# just under this bound, 1.2 s at n^2 D = 19.3 million and 7.2 s at 49
+# million.  Matrices beyond it are refused once z -> 1 has not ruled them out.
+MAX_ELIMINATION_SIZE = 2 ** 24
+
+
+def _packed_elimination(m: FormMatrix, b: list[list[int]]):
+    """(width, rlo, clo, d, x) with P x = d b and d = +-det P != 0, else None.
 
     P = diag(z^-rlo) m diag(z^-clo) is m with each row, then each column,
-    shifted down to exponent 0, a matrix over Z[z].  The Bareiss elimination of
-    [P | b] runs on P packed at z = 2^width, a ring map Z[z] -> Z: each exact
-    division of polynomials is an exact division of ints, and a polynomial is
-    zero iff its image is.  Every entry the elimination keeps is a minor of
-    [P | I], so its l1 norm is at most prod_i (1 + sum_j ||P_ij||_1), and
-    width keeps each coefficient one signed digit; x is packed the same way.
+    shifted down to exponent 0, a matrix over Z[z]; over Z[Z/m] the grids
+    keyed 0 .. m-1 are read as the lift with those exponents.  The Bareiss
+    elimination of [P | b] runs on P packed at z = 2^width, a ring map
+    Z[z] -> Z: each exact division of polynomials is an exact division of
+    ints, and a polynomial is zero iff its image is.  Every entry the
+    elimination keeps is +- a minor f of P.  On |z| = 1 each entry of P is at
+    most its l1 norm, so by Hadamard |f(z)| <= prod_i (sum_j ||P_ij||_1^2)^(1/2)
+    (each factor at least 1, as m(1) has no zero row), and also so by columns;
+    each coefficient of f, and of f folded mod z^m - 1, is an average of f over
+    points of |z| = 1, so none is larger.  width keeps each one signed digit,
+    and d and x are packed the same way.
     """
     grids = list(m._grids.values())
-    # z -> 1 maps units to units, and m(1) is cheap to test; it also has no zero row or column
+    # z -> 1 maps units to units (over Z[Z/m] it is the augmentation), and m(1)
+    # is cheap to test; it also has no zero row or column
     if not _intlat.is_unimodular([[sum(c) for c in zip(*(g[i] for g in grids))] for i in range(m.rows)]):
         return None
     rlo = [min(k for k, g in m._grids.items() if any(g[i])) for i in range(m.rows)]
-    bound = 1
-    for i in range(m.rows):
-        bound *= 1 + sum(abs(x) for g in grids for x in g[i])
-    width = _width(bound)
+    norms = [[sum(c) ** 2 for c in zip(*(map(abs, g[i]) for g in grids))] for i in range(m.rows)]
+    # every coefficient is at most the square root of the smaller product, which is under 2^(bits/2)
+    bits = min(reduce(operator.mul, map(sum, lines), 1) for lines in (norms, zip(*norms))).bit_length()
+    width = _width((1 << (bits + 1) // 2) - 1)
     p = _pack(m._grids, rlo, width, m.cols)
     # the lowest set bit of a packed entry lies in its lowest nonzero digit
     clo = [min(((v & -v).bit_length() - 1) // width for v in col if v) for col in zip(*p)]
-    d, x = _intlat.bareiss([[v >> width * c for v, c in zip(row, clo)] for row in p], b)
+    p = [[v >> width * c for v, c in zip(row, clo)] for row in p]
+    size = m.rows ** 2 * sum(max(map(int.bit_length, row)) for row in p)
+    if size > MAX_ELIMINATION_SIZE:
+        raise SchemaError(f"a {m.rows}x{m.cols} matrix over {m.ring} packs into integers of up to "
+                          f"{size // m.rows ** 2} bits, rank^2 * bits {size} beyond {MAX_ELIMINATION_SIZE}")
+    d, x = _intlat.bareiss(p, b)
+    return (width, rlo, clo, d, x) if d else None
+
+
+def _laurent_elimination(m: FormMatrix, b: list[list[int]]):
+    """(width, rlo, clo, k, x) with P x = z^k b when det m = +-z^(k + sum rlo + sum clo), else None."""
+    found = _packed_elimination(m, b)
+    if found is None:
+        return None
+    width, rlo, clo, d, x = found
     e = abs(d)
     k, r = divmod(e.bit_length() - 1, width)
     if r or e & (e - 1):  # only +-2^(width k), the image of +-z^k, is a unit
@@ -486,33 +549,71 @@ def _laurent_elimination(m: FormMatrix, b: list[list[int]]):
     return width, rlo, clo, k, x if d > 0 else [[-v for v in row] for row in x]
 
 
+def _folded(ring: RingSpec, grid: list[list[int]], width: int, shifts) -> FormMatrix:
+    """The matrix over Z[Z/m] whose entry (i, j) is g^shifts[i][j] times the polynomial
+    packed in grid[i][j], folded mod g^m - 1.
+
+    At z = 2^width, z^m - 1 is N = 2^(width m) - 1, so the fold is the residue
+    mod N: the folded coefficients of a minor of P stay within the bound that
+    width covers (see ``_packed_elimination``), so the folded value is the
+    residue of least absolute value."""
+    big = (1 << width * ring.m) - 1
+    out = []
+    for row, srow in zip(grid, shifts):
+        out.append(r := [])
+        for v, s in zip(row, srow):
+            v = (v << width * (s % ring.m)) % big
+            r.append(v - big if v > big >> 1 else v)
+    return _grid_matrix(ring, len(grid), len(grid[0]), _unpack(out, width, 0))
+
+
+def _cyclic_elimination(m: FormMatrix, b: list[list[int]]):
+    """(width, rlo, clo, u, x) as from the packed elimination of m's lift, with u
+    the 1 x 1 matrix det P mod g^m - 1, which is a unit iff m is invertible; else None."""
+    found = _packed_elimination(m, b)
+    if found is None:
+        return None
+    width, rlo, clo, d, x = found
+    return width, rlo, clo, _folded(m.ring, [[d]], width, [[0]]), x
+
+
 def try_inverse(m: FormMatrix):
-    """Exact two-sided inverse with ring entries, or None."""
+    """Exact two-sided inverse with ring entries, or None.
+
+    Over Z, and over Z[Z/m] for the shapes the rule ``_packs_cyclic`` keeps
+    there, the inverse is read off R(m)^-1.  Otherwise it comes from the packed
+    elimination of [P | I]: x = d P^-1 over Z[z], so over Z[z,z^-1], where
+    d = +-z^k, m^-1 = diag(z^-clo) z^-k x diag(z^-rlo), and over Z[Z/m], where
+    u = d mod g^m - 1 must be a unit, m^-1 = u^-1 diag(g^-clo) x diag(g^-rlo)
+    folded mod g^m - 1, with u^-1 the 1 x 1 inverse read off R(u)^-1.  Either
+    result is checked by m m^-1 = I.  A matrix whose packed elimination would
+    exceed ``MAX_ELIMINATION_SIZE`` raises SchemaError.
+    """
     if m.rows != m.cols:
         return None
     if m.rows == 0:
         return m
-    n = m.rows
-    if m.ring.kind != "laurent":
-        # column j * order of block (i, j) of the inverse holds the coefficients
-        # of entry (i, j), so solve for those n columns only
-        order = m.ring.m or 1
-        units = [[1 if r == j * order else 0 for j in range(n)] for r in range(n * order)]
-        inv = _intlat.unimodular_solve(_regular_grid(m), units)
-        if inv is None:
+    n, ring = m.rows, m.ring
+    if ring.kind == "laurent":
+        found = _laurent_elimination(m, _intlat.identity(n))
+        if found is None:
             return None
-        grids = {r: [[inv[i * order + r][j] for j in range(n)] for i in range(n)] for r in range(order)}
-        return _grid_matrix(m.ring, n, n, grids)
-    found = _laurent_elimination(m, _intlat.identity(n))
-    if found is None:
-        return None
-    width, rlo, clo, k, x = found
-    # m^-1 = diag(z^-clo) z^-k x diag(z^-rlo); entry (i, j) moves up by
-    # z^(top - clo[i] - rlo[j]), never down, so that every entry starts at z^(-k - top)
-    top = max(clo) + max(rlo)
-    x = [[v << width * (top - c - r) for v, r in zip(row, rlo)] for row, c in zip(x, clo)]
-    out = _grid_matrix(m.ring, n, n, _unpack(x, width, -k - top))
-    if not m.mul(out).sub(identity_matrix(m.ring, n)).is_zero():
+        width, rlo, clo, k, x = found
+        # entry (i, j) moves up by z^(top - clo[i] - rlo[j]), never down, so that
+        # every entry starts at z^(-k - top)
+        top = max(clo) + max(rlo)
+        x = [[v << width * (top - c - r) for v, r in zip(row, rlo)] for row, c in zip(x, clo)]
+        out = _grid_matrix(ring, n, n, _unpack(x, width, -k - top))
+    elif ring.kind == "cyclic" and _packs_cyclic(n, ring.m):
+        found = _cyclic_elimination(m, _intlat.identity(n))
+        uinv = found and _regular_inverse(found[3])
+        if uinv is None:
+            return None
+        width, rlo, clo, _, x = found
+        out = _folded(ring, x, width, [[-c - r for r in rlo] for c in clo]).scale(uinv.entry(0, 0))
+    else:
+        return _regular_inverse(m)
+    if not m.mul(out).sub(identity_matrix(ring, n)).is_zero():
         return None
     return out
 
@@ -525,9 +626,17 @@ def inverse(m: FormMatrix) -> FormMatrix:
 
 
 def is_unimodular(m: FormMatrix) -> bool:
-    """Invertibility over the ring, decided by a determinant without building an inverse."""
+    """Invertibility over the ring, decided by a determinant without building an inverse:
+    det R(m) = +-1 over Z, and over Z[Z/m] for the shapes the rule ``_packs_cyclic``
+    keeps there; det P = +-z^k over Z[z,z^-1]; otherwise over Z[Z/m], det P folded
+    mod g^m - 1 a unit, which det R of that 1 x 1 matrix = +-1 decides.  A matrix
+    whose packed elimination would exceed ``MAX_ELIMINATION_SIZE`` raises SchemaError."""
     if m.rows != m.cols:
         return False
     if m.ring.kind == "laurent":
         return _laurent_elimination(m, [[]] * m.rows) is not None
+    if m.ring.kind == "cyclic" and _packs_cyclic(m.rows, m.ring.m):
+        found = _cyclic_elimination(m, [[]] * m.rows)
+        # u is a unit iff its m x m circulant has determinant +-1
+        return found is not None and _intlat.is_unimodular(_regular_grid(found[3]))
     return _intlat.is_unimodular(_regular_grid(m))

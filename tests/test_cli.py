@@ -3,13 +3,14 @@
 import hashlib
 import json
 import linecache
+import random
 import sys
 import time
 
 import pytest
 
 import surgery_algebra
-from surgery_algebra import acceptance, cli, serialize
+from surgery_algebra import acceptance, cli, forms, matrices, rings, serialize
 
 # sha256 of the shipped E8 fixture; the fixtures regenerate byte for byte
 E8_SHA256 = "7f27ba30027e05a9f66f67d5f50171f41e1ee1e6065fc19f7fb851572a155ea9"
@@ -264,3 +265,47 @@ def test_a_laurent_form_beyond_the_grid_cap_is_a_schema_error(tmp_path, n):
     assert (status, report["kind"]) == (2, "schema")
     assert f"beyond {serialize.MAX_LAURENT_GRID_CELLS}" in report["error"]
     assert report["where"].startswith("surgery_algebra.serialize:matrix_from_obj:")
+
+
+def wide_window_hyperbolic_form(n, span, seed, step=1):
+    """H_+(n/2) over Z[z,z^-1] transported by a seeded unit P = L·U whose entries off the
+    diagonal are monomials +-z^(step e) with |e| <= span: lambda = P* H P is a unit."""
+    ring, rng = rings.laurent(), random.Random(seed)
+
+    def mono():
+        return rings.monomial(ring, step * rng.randint(-span, span), rng.choice((1, -1)))
+
+    lower = matrices.matrix(ring, [[mono() if j < i else int(i == j) for j in range(n)] for i in range(n)])
+    upper = matrices.matrix(ring, [[mono() if j > i else int(i == j) for j in range(n)] for i in range(n)])
+    p = lower.mul(upper)
+    half = n // 2
+    mu = [rings.zero(ring)] * n
+    for i in range(n):
+        for a in range(half):
+            mu[i] = rings.add(mu[i], rings.mul(rings.involute(p.entry(a, i)), p.entry(a + half, i)))
+    lam = p.star().mul(forms.hyperbolic_quadratic(ring, 1, half).lam).mul(p)
+    return serialize.form_to_obj(forms.quadratic_form(ring, 1, lam, mu))
+
+
+def test_form_info_on_a_wide_window_unit_is_refused_before_the_elimination(tmp_path):
+    # a 10 x 10 unit lambda of exponent window 4,551, under the window and grid caps: the
+    # packed elimination would hold integers of about 10 * 4,551 digits
+    obj = wide_window_hyperbolic_form(10, 130, 11, 5)
+    exponents = [e["origin"] + k for row in obj["lambda"] for e in row for k, c in enumerate(e["coeffs"]) if c]
+    window = max(exponents) - min(exponents) + 1
+    assert window == 4551 and window * 100 <= serialize.MAX_LAURENT_WINDOW_CELLS
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(obj), encoding="utf-8")
+    start = time.process_time()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.process_time() - start < 2.0
+    assert (status, report["kind"]) == (2, "schema")
+    assert f"beyond {matrices.MAX_ELIMINATION_SIZE}" in report["error"]
+    assert report["where"].startswith("surgery_algebra.matrices:_packed_elimination:")
+
+
+def test_form_info_on_a_laurent_unit_under_the_elimination_cap_answers(tmp_path):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(wide_window_hyperbolic_form(10, 20, 11)), encoding="utf-8")
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert status == 0 and report["result"]["nonsingular"] is True

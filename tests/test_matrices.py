@@ -5,6 +5,7 @@ import random
 import time
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.rings import AbelianGroup
 
-from conftest import random_matrix
+from conftest import random_matrix, random_unimodular
 
 Z = rings.integers()
 C2 = rings.cyclic(2, 1)
@@ -416,6 +417,130 @@ def test_laurent_unimodularity_agrees_with_the_inverse(n, seed, kind):
 def test_dense_laurent_inverse_at_rank_12():
     m = unit_lu(random.Random(12), L, 12)
     assert_two_sided_inverse(m, mx.inverse(m))
+
+
+# -- the two cyclic paths: the packed lift and the regular representation -------
+
+
+def on_both_cyclic_paths(f, m):
+    """(f(m) with every shape on the regular path, f(m) with every shape on the packed path)."""
+    out = []
+    for packs in (False, True):
+        with mock.patch.object(mx, "_packs_cyclic", lambda n, order, packs=packs: packs):
+            out.append(f(m))
+    return tuple(out)
+
+
+def cyclic_element(ring, terms):
+    """sum of c g^k over the (c, k) in terms."""
+    out = rings.zero(ring)
+    for c, k in terms:
+        out = rings.add(out, rings.monomial(ring, k, c))
+    return out
+
+
+def assert_paths_agree(m, invertible=None):
+    inverses = on_both_cyclic_paths(mx.try_inverse, m)
+    assert inverses[0] == inverses[1]
+    assert on_both_cyclic_paths(mx.is_unimodular, m) == ((inverses[0] is not None),) * 2
+    if invertible is not None:
+        assert (inverses[0] is not None) == invertible
+    if inverses[0] is not None:
+        assert_two_sided_inverse(m, inverses[0])
+
+
+def cyclic_draw(rng, ring, n, kind):
+    """A unit L·U, that unit with a row times a non-unit, a repeated row, or a dense draw."""
+    if kind == "dense":
+        return random_matrix(rng, ring, n, n, -1, 1)
+    rows = [list(r) for r in unit_lu(rng, ring, n).entries]
+    if kind == "non-unit":  # 2 - g^k passes z -> 1, but its norm is not +-1
+        c = cyclic_element(ring, [(2, 0), (-1, rng.randrange(1, ring.m))])
+        rows[0] = [rings.mul(c, x) for x in rows[0]]
+    elif kind == "singular":
+        rows[-1] = rows[0] if n > 1 else [rings.zero(ring)]
+    return mx.matrix(ring, rows)
+
+
+CYCLIC_RINGS = [rings.cyclic(m, w) for m in range(2, 10) for w in (1, -1) if w == 1 or m % 2 == 0]
+CYCLIC_KINDS = ["unit-lu", "non-unit", "singular", "dense"]
+
+
+@given(st.sampled_from(CYCLIC_RINGS), st.integers(1, 6), st.integers(0, 2**32), st.sampled_from(CYCLIC_KINDS))
+def test_the_packed_and_regular_cyclic_paths_agree(ring, n, seed, kind):
+    m = cyclic_draw(random.Random(seed), ring, n, kind)
+    assert_paths_agree(m, {"unit-lu": True, "dense": None}.get(kind, False))
+
+
+# shapes the rule sends to the packed path, then to the regular one
+@pytest.mark.parametrize("n, order", [(2, 16), (3, 8), (4, 8), (6, 4), (8, 4), (5, 6),
+                                      (1, 8), (2, 8), (4, 4), (8, 3), (12, 2)])
+@given(seed=st.integers(0, 2**32), w=st.sampled_from([1, -1]), kind=st.sampled_from(CYCLIC_KINDS))
+@settings(max_examples=4)
+def test_the_cyclic_paths_agree_on_each_side_of_the_shape_rule(n, order, seed, w, kind):
+    ring = rings.cyclic(order, w if order % 2 == 0 else 1)
+    m = cyclic_draw(random.Random(seed), ring, n, kind)
+    assert_paths_agree(m, {"unit-lu": True, "dense": None}.get(kind, False))
+
+
+C5 = rings.cyclic(5, 1)
+
+
+def test_a_nontrivial_unit_of_the_cyclic_group_ring_of_order_5():
+    # (g + g^4 - 1)(g^2 + g^3 - 1) = 1 in Z[Z/5]: a unit that is no +-g^k
+    u, v = cyclic_element(C5, [(1, 1), (1, 4), (-1, 0)]), cyclic_element(C5, [(1, 2), (1, 3), (-1, 0)])
+    assert on_both_cyclic_paths(mx.try_inverse, mx.matrix(C5, [[u]])) == (mx.matrix(C5, [[v]]),) * 2
+    rng = random.Random(5)
+    a, b = random_unimodular(rng, C5, 3), random_unimodular(rng, C5, 3)
+    m = a.mul(mx.matrix(C5, [[u, 0, 0], [0, 1, 0], [0, 0, 1]])).mul(b)
+    assert_paths_agree(m, True)
+    assert mx.try_inverse(m) == mx.inverse(b).mul(mx.matrix(C5, [[v, 0, 0], [0, 1, 0], [0, 0, 1]])).mul(mx.inverse(a))
+
+
+def test_cyclic_non_units_that_pass_the_augmentation():
+    # 1 + g over Z[Z/2] is a zero divisor: (1 + g)(1 - g) = 0
+    assert_paths_agree(mx.matrix(C2, [[cyclic_element(C2, [(1, 0), (1, 1)])]]), False)
+    assert_paths_agree(mx.matrix(C2, [[1, 0], [0, cyclic_element(C2, [(1, 0), (1, 1)])]]), False)
+    for order in (2, 3, 5, 8):
+        # 2 - g has augmentation 1 and norm 2^m - 1, so it is no unit
+        ring = rings.cyclic(order)
+        two_minus_g = cyclic_element(ring, [(2, 0), (-1, 1)])
+        assert_paths_agree(mx.matrix(ring, [[two_minus_g]]), False)
+        assert_paths_agree(mx.matrix(ring, [[1, 0, 0], [0, two_minus_g, 0], [0, 0, 1]]), False)
+
+
+def test_a_cyclic_matrix_whose_lift_is_singular_has_no_inverse():
+    # [[1, g], [g, g^2]] lifts to a matrix of determinant 0 over Z[z]
+    ring = rings.cyclic(8)
+    g = rings.monomial(ring, 1)
+    assert_paths_agree(mx.matrix(ring, [[1, g], [g, rings.mul(g, g)]]), False)
+
+
+@pytest.mark.parametrize("ring", [L, rings.cyclic(16, -1)], ids=["laurent", "cyclic"])
+def test_a_packed_elimination_with_wide_coefficients(ring):
+    # [[1 + ab, a], [b, 1]] = [[1, a], [0, 1]] [[1, 0], [b, 1]] has inverse [[1, -a], [-b, 1 + ab]]:
+    # coefficients of about 80 bits, which a packing digit must hold whole
+    c = 2 ** 40
+    a = cyclic_element(ring, [(c, k) for k in range(5)])
+    b = cyclic_element(ring, [(c, 0), (-c, 1)])
+    one = rings.one(ring)
+    m = mx.matrix(ring, [[rings.add(one, rings.mul(a, b)), a], [b, one]])
+    want = mx.matrix(ring, [[one, rings.neg(a)], [rings.neg(b), rings.add(one, rings.mul(a, b))]])
+    if ring == L:
+        assert mx.try_inverse(m) == want and mx.is_unimodular(m)
+    else:
+        assert on_both_cyclic_paths(mx.try_inverse, m) == (want, want)
+        assert on_both_cyclic_paths(mx.is_unimodular, m) == (True, True)
+
+
+def test_cyclic_unimodularity_at_8_by_8_over_the_group_of_order_32_is_quick():
+    # the packed path; the 256 x 256 regular representation took about 0.3 s
+    ring = rings.cyclic(32)
+    m = unit_lu(random.Random(32), ring, 8)
+    assert mx._packs_cyclic(8, 32)
+    start = time.process_time()
+    assert mx.is_unimodular(m)
+    assert time.process_time() - start < 0.15
 
 
 # -- grid storage against the entrywise ring definitions ----------------------
