@@ -11,6 +11,15 @@ Hermite routines produce the canonical basis with positive pivots and
 earlier-column entries reduced into ``[0, pivot)``, so equal lattices give
 equal grids.
 
+Both eliminations work on a live block only.  When the Smith form reaches
+step t, rows and columns before t are zero outside the diagonal, so a row
+operation touches columns >= t, and once column t is clear below the pivot
+a column operation changes A in row t alone; V is kept transposed, so a
+column operation on it is one row update.  A pivot of absolute value 1
+ends the search and divides everything.  When the Hermite form reaches row
+r, the unsettled columns are zero above r, so its column operations touch
+rows >= r.
+
 Determinants and inverses come from one fraction-free elimination on
 [a | b] (Bareiss 1968).  After the step with pivot p_k every live entry is a
 minor of [a | b], so each update (p_k·a_ij − a_ik·a_kj) / p_(k−1) divides
@@ -66,13 +75,20 @@ def transpose(a: list[list[int]]) -> list[list[int]]:
 
 
 def _find_pivot(a, m, n, t):
-    best = None
+    """(i, j) of a least nonzero |a_ij| with i, j >= t, first in row-major order."""
+    best, at = 0, None
     for i in range(t, m):
+        row = a[i]
         for j in range(t, n):
-            x = a[i][j]
-            if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
+            x = row[j]
+            if x:
+                if x < 0:
+                    x = -x
+                if at is None or x < best:
+                    if x == 1:
+                        return i, j
+                    best, at = x, (i, j)
+    return at
 
 
 def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = True):
@@ -85,7 +101,7 @@ def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = Tr
     m, n = dims(a)
     A = copy_grid(a)
     U = identity(m) if want_u else None
-    V = identity(n) if want_v else None
+    W = identity(n) if want_v else None  # V transposed: its columns are rows here
     t = 0
     while t < min(m, n):
         piv = _find_pivot(A, m, n, t)
@@ -97,59 +113,51 @@ def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = Tr
             if U:
                 U[t], U[i0] = U[i0], U[t]
         if j0 != t:
-            for row in A:
+            for i in range(t, m):
+                row = A[i]
                 row[t], row[j0] = row[j0], row[t]
-            if V:
-                for row in V:
-                    row[t], row[j0] = row[j0], row[t]
-        d = A[t][t]
+            if W:
+                W[t], W[j0] = W[j0], W[t]
+        At = A[t]
+        d = At[t]
         dirty = False
         for i in range(t + 1, m):
-            if A[i][t]:
-                q = A[i][t] // d
+            Ai = A[i]
+            if Ai[t]:
+                q = Ai[t] // d
                 if q:
-                    for j in range(n):
-                        A[i][j] -= q * A[t][j]
+                    Ai[t:] = [x - q * y for x, y in zip(Ai[t:], At[t:])]
                     if U:
                         U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-                if A[i][t]:
+                if Ai[t]:
                     dirty = True
         if dirty:
             continue
+        # column t is clear below the pivot, so a column operation changes row t only
         for j in range(t + 1, n):
-            if A[t][j]:
-                q = A[t][j] // d
+            if At[j]:
+                q = At[j] // d
                 if q:
-                    for i in range(m):
-                        A[i][j] -= q * A[i][t]
-                    if V:
-                        for i in range(n):
-                            V[i][j] -= q * V[i][t]
-                if A[t][j]:
+                    At[j] -= q * d
+                    if W:
+                        W[j] = [x - q * y for x, y in zip(W[j], W[t])]
+                if At[j]:
                     dirty = True
         if dirty:
             continue
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % d:
-                    bad = i
-                    break
+        if d not in (1, -1):
+            bad = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1:])), None)
             if bad is not None:
-                break
-        if bad is not None:
-            for j in range(n):
-                A[t][j] += A[bad][j]
-            if U:
-                U[t] = [x + y for x, y in zip(U[t], U[bad])]
-            continue
-        if A[t][t] < 0:
-            for j in range(n):
-                A[t][j] = -A[t][j]
+                At[t:] = [x + y for x, y in zip(At[t:], A[bad][t:])]
+                if U:
+                    U[t] = [x + y for x, y in zip(U[t], U[bad])]
+                continue
+        if d < 0:
+            At[t] = -d
             if U:
                 U[t] = [-x for x in U[t]]
         t += 1
-    return U, A, V
+    return U, A, None if W is None else transpose(W)
 
 
 def diagonal_of(d: list[list[int]]) -> list[int]:
@@ -161,18 +169,6 @@ def elementary_divisors(a: list[list[int]]) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in the divisibility chain."""
     _, d, _ = smith_normal_form(a, False, False)
     return [x for x in diagonal_of(d) if x]
-
-
-def rank(a: list[list[int]]) -> int:
-    return len(elementary_divisors(a))
-
-
-def cokernel_invariants(a: list[list[int]]) -> list[int]:
-    """Invariant factors of Z^m / col-span(a): torsion orders > 1, then a 0 per free rank."""
-    m, _ = dims(a)
-    divs = elementary_divisors(a)
-    tors = [x for x in divs if x != 1]
-    return tors + [0] * (m - len(divs))
 
 
 def is_split_injection(a: list[list[int]]) -> bool:
@@ -240,21 +236,21 @@ def hermite_column_basis(a: list[list[int]]):
                 break
             nz.sort(key=lambda k: (abs(cols[k][r]), k))
             k0, k1 = nz[0], nz[1]
-            q = cols[k1][r] // cols[k0][r]
-            for i in range(m):
-                cols[k1][i] -= q * cols[k0][i]
+            c0, c1 = cols[k0], cols[k1]
+            q = c1[r] // c0[r]
+            c1[r:] = [x - q * y for x, y in zip(c1[r:], c0[r:])]
         if not nz:
             continue
         j = nz[0]
         cols[settled], cols[j] = cols[j], cols[settled]
         if cols[settled][r] < 0:
             cols[settled] = [-x for x in cols[settled]]
-        g = cols[settled][r]
-        for k in range(settled):
-            q = cols[k][r] // g
+        cs = cols[settled]
+        g = cs[r]
+        for ck in cols[:settled]:
+            q = ck[r] // g
             if q:
-                for i in range(m):
-                    cols[k][i] -= q * cols[settled][i]
+                ck[r:] = [x - q * y for x, y in zip(ck[r:], cs[r:])]
         pivots.append(r)
         settled += 1
     h = [[cols[j][i] for j in range(settled)] for i in range(m)]
@@ -350,9 +346,9 @@ def complement_of_primitive(b: list[list[int]]):
     """For a primitive m×r sublattice basis b, return (c, p): c an m×(m-r)
     complement basis and p the (m-r)×m projection with p·c = I, p·b = 0."""
     m, r = dims(b)
-    if not is_split_injection(b):
-        return None
     u, d, _ = smith_normal_form(b, want_v=False)
+    if r > m or any(d[i][i] != 1 for i in range(r)):  # not a split injection
+        return None
     uinv = inverse(u)
     comp = [[uinv[i][j] for j in range(r, m)] for i in range(m)]
     proj = [u[i][:] for i in range(r, m)]

@@ -125,7 +125,8 @@ def complex_homology(c: OddComplex) -> tuple[AbelianGroup, int]:
     """(H_n as cokernel of d, rank of H_(n+1) as kernel of d)."""
     if c.ring.kind != "Z":
         raise WrongRingError("homology is only computed over the integers")
-    return matrices.cokernel_presentation(c.d), c.rank_top - matrices.rank(c.d)
+    coker, rank = matrices.cokernel(c.d)
+    return coker, c.rank_top - rank
 
 
 def is_contractible(c: OddComplex) -> bool:

@@ -54,9 +54,9 @@ def formation_violations(phi: Formation) -> tuple[str, ...]:
     if not forms.is_nonsingular(phi.q):
         out.append("underlying form is singular")
         return tuple(out)
-    if not lagrangians.is_lagrangian(phi.q, phi.f):
+    if not lagrangians._is_lagrangian(phi.q, phi.f):
         out.append("F is not a lagrangian")
-    if not lagrangians.is_lagrangian(phi.q, phi.g):
+    if not lagrangians._is_lagrangian(phi.q, phi.g):
         out.append("G is not a lagrangian")
     return tuple(out)
 
@@ -146,10 +146,8 @@ def formation_homology(phi: Formation) -> tuple[AbelianGroup, int]:
     """(Q/(F+G) as an abelian group, rank of F cap G)."""
     if phi.ring.kind != "Z":
         raise DomainError("formation homology is computed over the integers")
-    joint = matrices.hstack(phi.f, phi.g)
-    cat = matrices.cokernel_presentation(joint)
-    intersection = phi.f.cols + phi.g.cols - matrices.rank(joint)
-    return cat, intersection
+    coker, rank = matrices.cokernel(matrices.hstack(phi.f, phi.g))
+    return coker, phi.f.cols + phi.g.cols - rank
 
 
 def complex_to_formation(c: complexes.OddComplex) -> Formation:
@@ -248,7 +246,7 @@ def boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, Form
     bad = formation_violations(phi)
     if bad:
         raise DomainError("; ".join(bad))
-    if not lagrangians.is_lagrangian(phi.q, h):
+    if not lagrangians._is_lagrangian(phi.q, h):  # phi.q is nonsingular
         raise PreconditionError("witness is not a lagrangian of the form")
     if not matrices.is_unimodular(matrices.hstack(phi.f, h)):
         raise PreconditionError("witness is not complementary to F")

@@ -45,17 +45,34 @@ def orthogonal(form, L: FormMatrix) -> FormMatrix:
     return matrices.kernel_basis(L.star().mul(q.lam))
 
 
+def _sublagrangian_pairing(q: QuadraticForm, basis: FormMatrix, pairing=None):
+    """basis*·lambda when basis is a sublagrangian of q, else None.
+
+    Each fact is tested once: rank, split injectivity, then the one product
+    basis*·lambda, which a caller that holds it already passes in.
+    """
+    if basis.rows != q.rank or not matrices.is_split_injection(basis):
+        return None
+    if pairing is None:
+        pairing = basis.star().mul(q.lam)
+    if not pairing.mul(basis).is_zero():
+        return None
+    if not all(rings.class_is_zero(m) for m in forms.mu_values(q, basis)):
+        return None
+    return pairing
+
+
+def _is_lagrangian(q: QuadraticForm, basis: FormMatrix, pairing=None) -> bool:
+    """is_lagrangian for a q already known to be nonsingular."""
+    pairing = _sublagrangian_pairing(q, basis, pairing)
+    return (pairing is not None and 2 * basis.cols == q.rank
+            and matrices.same_span(matrices.kernel_basis(pairing), basis))
+
+
 def is_sublagrangian(form, L) -> bool:
     """Primitive, lambda-isotropic, mu-isotropic."""
     basis, _ = _as_basis(L)
-    q = _as_quadratic(form)
-    if basis.rows != q.rank:
-        return False
-    if not matrices.is_split_injection(basis):
-        return False
-    if not basis.star().mul(q.lam).mul(basis).is_zero():
-        return False
-    return all(rings.class_is_zero(m) for m in forms.mu_values(q, basis))
+    return _sublagrangian_pairing(_as_quadratic(form), basis) is not None
 
 
 def is_lagrangian(form, L) -> bool:
@@ -64,11 +81,7 @@ def is_lagrangian(form, L) -> bool:
     q = _as_quadratic(form)
     if not forms.is_nonsingular(q):
         raise DomainError("the lagrangian test needs a nonsingular form")
-    if not is_sublagrangian(q, L):
-        return False
-    if 2 * basis.cols != q.rank:
-        return False
-    return matrices.same_span(orthogonal(q, basis), basis)
+    return _is_lagrangian(q, basis)
 
 
 def _check_theta(s: SplitForm, basis: FormMatrix, theta: FormMatrix):
@@ -100,13 +113,13 @@ def extend_lagrangian(s: SplitForm, L, jprime: FormMatrix | None = None) -> Form
             raise DomainError(
                 "splitting not found: supply a jprime witness over this ring"
             )
-        if not is_lagrangian(s, basis):
+        if not _is_lagrangian(forms.split_to_quadratic(s), basis, pairing):
             raise DomainError("basis is not a lagrangian of the split form")
         jprime = matrices.solve_right(pairing, ident)
         if jprime is None:
             raise SingularMatrixError("lagrangian pairing admits no integral splitting")
     else:
-        if not basis.star().mul(lam).mul(basis).is_zero():
+        if not pairing.mul(basis).is_zero():
             raise PreconditionError("basis is not lambda-isotropic")
         if not pairing.mul(jprime).sub(ident).is_zero():
             raise PreconditionError("jprime is not a splitting: i'·lambda·jprime != 1")
@@ -129,13 +142,13 @@ def sublagrangian_reduction(s: SplitForm, L) -> tuple[SplitForm, FormIsometry]:
     q = forms.split_to_quadratic(s)
     if not forms.is_nonsingular(q):
         raise SingularMatrixError("sublagrangian reduction needs a nonsingular form")
-    if not is_sublagrangian(q, basis):
+    pairing = _sublagrangian_pairing(q, basis)
+    if pairing is None:
         raise DomainError("basis is not a sublagrangian")
     lam = q.lam
     ell = basis.cols
-    perp = orthogonal(q, basis)
-    comp, _ = matrices.complement_of_primitive(perp)
-    e = basis.star().mul(lam).mul(comp)
+    comp, _ = matrices.complement_of_primitive(matrices.kernel_basis(pairing))
+    e = pairing.mul(comp)
     einv = matrices.try_inverse(e)
     if einv is None:
         raise SingularMatrixError("orthogonal complement does not pair invertibly with L")
@@ -188,7 +201,7 @@ def surgery_on_form(form: QuadraticForm, x) -> QuadraticForm:
         raise DomainError("vector is not primitive and cannot be killed")
     if not rings.class_is_zero(forms.mu_value(form, x)):
         raise DomainError("vector has nonzero self-intersection class mu(x)")
-    perp = orthogonal(form, x)
+    perp = matrices.kernel_basis(x.star().mul(form.lam))  # orthogonal(form, x); x is primitive
     coords = matrices.solve_right(perp, x)
     if coords is None:
         raise DomainError("vector does not lie in its own orthogonal")

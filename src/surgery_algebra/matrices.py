@@ -371,13 +371,6 @@ def smith_normal_form(m: FormMatrix):
     return _z(u, m.rows, m.rows), _z(d, m.rows, m.cols), _z(v, m.cols, m.cols)
 
 
-def rank(m: FormMatrix) -> int:
-    grid = _z_grid(m, "rank")
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _intlat.rank(grid)
-
-
 def kernel_basis(m: FormMatrix) -> FormMatrix:
     """Columns form a primitive basis of the integer kernel."""
     grid = _z_grid(m, "the kernel")
@@ -387,8 +380,10 @@ def kernel_basis(m: FormMatrix) -> FormMatrix:
     return _z(k, m.cols, len(k[0]) if k else 0)
 
 
-def cokernel_presentation(m: FormMatrix) -> AbelianGroup:
-    return rings._group_from_invariants(_intlat.cokernel_invariants(_z_grid(m, "the cokernel")))
+def cokernel(m: FormMatrix) -> tuple[AbelianGroup, int]:
+    """(Z^rows / column span of m, rank of m), read off one Smith diagonal."""
+    divs = _intlat.elementary_divisors(_z_grid(m, "the cokernel"))
+    return AbelianGroup(m.rows - len(divs), tuple(x for x in divs if x != 1)), len(divs)
 
 
 def is_split_injection(m: FormMatrix) -> bool:

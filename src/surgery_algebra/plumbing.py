@@ -70,8 +70,8 @@ def boundary_homology(q: QuadraticForm) -> tuple[AbelianGroup, int]:
     """(middle cokernel, kernel rank) of the intersection matrix."""
     if q.ring.kind != "Z":
         raise DomainError("boundary homology is only computed over the integers")
-    coker = matrices.cokernel_presentation(q.lam)
-    return coker, q.rank - matrices.rank(q.lam)
+    coker, rank = matrices.cokernel(q.lam)
+    return coker, q.rank - rank
 
 
 def is_homotopy_sphere_boundary(q: QuadraticForm) -> bool:

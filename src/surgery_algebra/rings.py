@@ -353,12 +353,6 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _group_from_invariants(inv: list[int]) -> AbelianGroup:
-    tors = tuple(x for x in inv if x > 1)
-    free = sum(1 for x in inv if x == 0)
-    return AbelianGroup(free, tors)
-
-
 def q_eps_group(ring: RingSpec, epsilon: int, window: int | None = None) -> AbelianGroup:
     """Q_eps(Lambda) as an abelian group, read off the fold.
 

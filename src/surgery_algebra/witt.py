@@ -66,31 +66,30 @@ def signature(form) -> int:
     return sig
 
 
-def _symplectic_pairs(g: list[list[int]]):
-    """Pair columns (u_i, v_i) with u'gv = 1 in original coordinates."""
+def _symplectic_pairs(g: list[list[int]]) -> list[list[int]]:
+    """Grid B with columns u_1..u_m, v_1..v_m and B'·g·B = [[0, I], [-I, 0]].
+
+    Each level pairs u = e_1 with a v solving row 1 of g against 1.  The rows
+    u'g and v'g cut out the orthogonal complement of the pair, with primitive
+    kernel basis comp, and the next level's live block is its Gram matrix
+    comp'·g·comp, two ranks smaller.  The deeper pairs come back as the
+    columns of S in comp's coordinates, so one product comp·S lifts them all
+    to the original coordinates.
+    """
     k = len(g)
     if k == 0:
         return []
     if k % 2 == 1:
         raise SingularMatrixError("an odd-rank antisymmetric form is singular")
-    row = [g[0][c] for c in range(k)]
-    sol = _intlat.solve([row], [[1]])
+    sol = _intlat.solve([g[0]], [[1]])
     if sol is None:
         raise SingularMatrixError("no vector pairs to a unit: the form is not unimodular")
-    u = [1 if r == 0 else 0 for r in range(k)]
-    v = [sol[r][0] for r in range(k)]
-    vg = [sum(v[r] * g[r][c] for r in range(k)) for c in range(k)]
-    # rows u'g and v'g cut out the orthogonal complement of the pair
-    comp = _intlat.kernel_basis([row, vg])
+    v = [x for (x,) in sol]
+    comp = _intlat.kernel_basis([g[0], _intlat.matmul([v], g)[0]])
     sub = _intlat.matmul(_intlat.transpose(comp), _intlat.matmul(g, comp))
-
-    def lift(x):
-        return [sum(comp[r][i] * x[i] for i in range(len(x))) for r in range(k)]
-
-    pairs = [(u, v)]
-    for su, sv in _symplectic_pairs(sub):
-        pairs.append((lift(su), lift(sv)))
-    return pairs
+    lifted = _intlat.matmul(comp, _symplectic_pairs(sub))
+    h = k // 2 - 1
+    return [[int(r == 0)] + lifted[r][:h] + [v[r]] + lifted[r][h:] for r in range(k)]
 
 
 def symplectic_basis(form) -> FormMatrix:
@@ -103,12 +102,9 @@ def symplectic_basis(form) -> FormMatrix:
     lam = form.lam if hasattr(form, "lam") else form
     if not matrices.is_unimodular(lam):
         raise SingularMatrixError("the symplectic basis needs a unimodular form")
-    pairs = _symplectic_pairs(grid)
-    cols = [u for u, _ in pairs] + [v for _, v in pairs]
-    k = len(grid)
-    if k == 0:
+    if not grid:
         return matrices.zero_matrix(lam.ring, 0, 0)
-    return matrices.int_matrix([[c[i] for c in cols] for i in range(k)])
+    return matrices.int_matrix(_symplectic_pairs(grid))
 
 
 def arf(q: QuadraticForm) -> int:

@@ -159,4 +159,180 @@ def test_smith_without_transforms_keeps_the_diagonal(rows, cols, seed):
             assert v2 == (v if want_v else None)
     divs = [x for x in _intlat.diagonal_of(d) if x]
     assert _intlat.elementary_divisors(a) == divs
-    assert _intlat.rank(a) == len(divs)
+    assert mx.cokernel(mx.matrix(Z, a) if rows else mx.zero_matrix(Z, 0, cols))[1] == len(divs)
+
+
+# -- live-block Smith and Hermite forms against the full-width ones they replace ----
+
+
+def frozen_find_pivot(a, m, n, t):
+    best = None
+    for i in range(t, m):
+        for j in range(t, n):
+            x = a[i][j]
+            if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def frozen_smith_normal_form(a, want_u=True, want_v=True):
+    """The Smith form whose row and column operations ran over whole rows and
+    columns of A, U and V, frozen here."""
+    m, n = _intlat.dims(a)
+    A = _intlat.copy_grid(a)
+    U = _intlat.identity(m) if want_u else None
+    V = _intlat.identity(n) if want_v else None
+    t = 0
+    while t < min(m, n):
+        piv = frozen_find_pivot(A, m, n, t)
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != t:
+            A[t], A[i0] = A[i0], A[t]
+            if U:
+                U[t], U[i0] = U[i0], U[t]
+        if j0 != t:
+            for row in A:
+                row[t], row[j0] = row[j0], row[t]
+            if V:
+                for row in V:
+                    row[t], row[j0] = row[j0], row[t]
+        d = A[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            if A[i][t]:
+                q = A[i][t] // d
+                if q:
+                    for j in range(n):
+                        A[i][j] -= q * A[t][j]
+                    if U:
+                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                if A[i][t]:
+                    dirty = True
+        if dirty:
+            continue
+        for j in range(t + 1, n):
+            if A[t][j]:
+                q = A[t][j] // d
+                if q:
+                    for i in range(m):
+                        A[i][j] -= q * A[i][t]
+                    if V:
+                        for i in range(n):
+                            V[i][j] -= q * V[i][t]
+                if A[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % d:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            for j in range(n):
+                A[t][j] += A[bad][j]
+            if U:
+                U[t] = [x + y for x, y in zip(U[t], U[bad])]
+            continue
+        if A[t][t] < 0:
+            for j in range(n):
+                A[t][j] = -A[t][j]
+            if U:
+                U[t] = [-x for x in U[t]]
+        t += 1
+    return U, A, V
+
+
+def frozen_hermite_column_basis(a):
+    """The Hermite form whose column operations ran over every row, frozen here."""
+    m, n = _intlat.dims(a)
+    cols = [[a[i][j] for i in range(m)] for j in range(n)]
+    settled = 0
+    pivots = []
+    for r in range(m):
+        while True:
+            nz = [k for k in range(settled, len(cols)) if cols[k][r]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda k: (abs(cols[k][r]), k))
+            k0, k1 = nz[0], nz[1]
+            q = cols[k1][r] // cols[k0][r]
+            for i in range(m):
+                cols[k1][i] -= q * cols[k0][i]
+        if not nz:
+            continue
+        j = nz[0]
+        cols[settled], cols[j] = cols[j], cols[settled]
+        if cols[settled][r] < 0:
+            cols[settled] = [-x for x in cols[settled]]
+        g = cols[settled][r]
+        for k in range(settled):
+            q = cols[k][r] // g
+            if q:
+                for i in range(m):
+                    cols[k][i] -= q * cols[settled][i]
+        pivots.append(r)
+        settled += 1
+    h = [[cols[j][i] for j in range(settled)] for i in range(m)]
+    return h, pivots
+
+
+def frozen_complement_of_primitive(b):
+    """The complement that first ran a separate Smith form to test split
+    injectivity, frozen here on the frozen Smith form."""
+    m, r = _intlat.dims(b)
+    if r:
+        _, d, _ = frozen_smith_normal_form(b, False, False)
+        divs = [x for x in _intlat.diagonal_of(d) if x]
+        if len(divs) != r or any(x != 1 for x in divs):
+            return None
+    u, d, _ = frozen_smith_normal_form(b, want_v=False)
+    uinv = _intlat.inverse(u)
+    comp = [[uinv[i][j] for j in range(r, m)] for i in range(m)]
+    proj = [u[i][:] for i in range(r, m)]
+    return comp, proj
+
+
+GRID_KINDS = st.sampled_from(["sparse", "dense", "wide", "primitive"])
+
+
+def lattice_grid(rng, kind, rows, cols):
+    """A rows x cols grid: mostly zero, dense small, wide-entried, or the first
+    columns of a unimodular matrix (a split injection when cols <= rows)."""
+    if kind == "primitive" and rows:
+        p = random_unimodular(rng, Z, max(rows, cols)).to_int_grid()
+        return [row[:cols] for row in p[:rows]]
+    if kind == "sparse":
+        return [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rows)]
+    if kind == "wide":
+        return [[rng.choice((0, rng.randint(-2**70, 2**70))) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+@given(GRID_KINDS, st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32))
+def test_live_block_smith_form_matches_the_full_width_one(kind, rows, cols, seed):
+    a = lattice_grid(random.Random(seed), kind, rows, cols)
+    for want_u in (True, False):
+        for want_v in (True, False):
+            assert _intlat.smith_normal_form(a, want_u, want_v) == \
+                frozen_smith_normal_form(a, want_u, want_v)
+
+
+@given(GRID_KINDS, st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32))
+def test_live_block_hermite_form_matches_the_full_width_one(kind, rows, cols, seed):
+    a = lattice_grid(random.Random(seed), kind, rows, cols)
+    assert _intlat.hermite_column_basis(a) == frozen_hermite_column_basis(a)
+
+
+@given(GRID_KINDS, st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32))
+def test_complement_reads_split_injectivity_off_its_own_smith_form(kind, rows, cols, seed):
+    b = lattice_grid(random.Random(seed), kind, rows, cols)
+    got = _intlat.complement_of_primitive(b)
+    assert got == frozen_complement_of_primitive(b)
+    if kind == "primitive" and cols <= rows:
+        assert got is not None

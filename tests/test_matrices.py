@@ -144,9 +144,9 @@ def test_kernel_basis_is_primitive():
 
 
 def test_cokernel_presentation_values():
-    assert mx.cokernel_presentation(mx.int_matrix([[2]])) == AbelianGroup(0, (2,))
-    assert mx.cokernel_presentation(mx.int_matrix(E8_ROWS)) == AbelianGroup(0, ())
-    assert mx.cokernel_presentation(mx.int_matrix([[0]])) == AbelianGroup(1, ())
+    assert mx.cokernel(mx.int_matrix([[2]])) == (AbelianGroup(0, (2,)), 1)
+    assert mx.cokernel(mx.int_matrix(E8_ROWS)) == (AbelianGroup(0, ()), 8)
+    assert mx.cokernel(mx.int_matrix([[0]])) == (AbelianGroup(1, ()), 0)
 
 
 def test_unimodularity_and_inverse():
@@ -186,7 +186,7 @@ def test_rank_agrees_with_the_normal_form():
         m = mx.int_matrix(grid)
         _, d, _ = mx.smith_normal_form(m)
         nonzero = sum(1 for i in range(3) if d.entry(i, i).coeffs[0] != 0)
-        assert mx.rank(m) == nonzero
+        assert mx.cokernel(m)[1] == nonzero
 
 
 def test_empty_shapes_survive_the_basic_operations():

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surgery_algebra import _intlat, rings
+from surgery_algebra import _intlat, matrices, rings
 from surgery_algebra.errors import DomainError
 from surgery_algebra.rings import (
     AbelianGroup,
@@ -238,13 +238,13 @@ def lattice_q_eps_group(ring, epsilon, window=None):
             e = monomial(ring, k)
             gens.append(list(sub(e, RingElement(ring, tuple(epsilon * c for c in involute(e).coeffs))).coeffs))
         grid = [[gens[j][i] for j in range(m)] for i in range(m)]
-        return rings._group_from_invariants(_intlat.cokernel_invariants(grid))
+        return matrices.cokernel(matrices.int_matrix(grid))[0]
     n = 2 * window + 1
     grid = _intlat.zeros(n, n)
     for k in range(window + 1):
         grid[window + k][k] += 1
         grid[window - k][k] -= epsilon
-    return rings._group_from_invariants(_intlat.cokernel_invariants(grid))
+    return matrices.cokernel(matrices.int_matrix(grid))[0]
 
 
 ALL_CYCLIC = [cyclic(m, w) for m in range(1, 17) for w in (1, -1) if w == 1 or m % 2 == 0]

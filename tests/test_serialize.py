@@ -1,5 +1,6 @@
 """The JSON wire formats: every object survives a round trip through canonical text."""
 
+import os
 import random
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surgery_algebra import complexes as cx
-from surgery_algebra import formations, forms, rings, unitary
+from surgery_algebra import formations, forms, plumbing, rings, unitary
 from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError
 from surgery_algebra.matrices import FormMatrix
@@ -118,6 +119,29 @@ def test_unitary_automorphisms_round_trip(ring, eps, k, seed):
     back = sz.unitary_from_obj(obj)
     assert back == u
     assert sz.dumps_canonical(sz.unitary_to_obj(back)) == text
+
+
+@given(st.sampled_from([0, 1]), st.integers(0, 6), seeds)
+def test_plumbing_graphs_round_trip(parity, k, seed):
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 2 * k))] if k else []
+    g = plumbing.plumbing_graph(parity, [rng.randint(-3, 3) for _ in range(k)],
+                                [(i, j) for i, j in pairs if i != j])
+    obj, text = through_text(sz.graph_to_obj(g))
+    back = sz.graph_from_obj(obj)
+    assert back == g
+    assert sz.dumps_canonical(sz.graph_to_obj(back)) == text
+
+
+@pytest.mark.parametrize("name", ["e8-graph", "empty-graph", "i-graph-twisted", "i-graph-untwisted"])
+def test_shipped_plumbing_graphs_round_trip(name):
+    path = os.path.join(os.path.dirname(sz.__file__), "fixtures", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    g = sz.graph_from_obj(sz.loads(text))
+    assert sz.dumps_canonical(sz.graph_to_obj(g)) == text
+    if name == "e8-graph":
+        assert g == plumbing.e8_graph()
 
 
 @given(ring_strategy, sizes, sizes, seeds)

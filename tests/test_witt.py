@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surgery_algebra import formations, forms, lagrangians, matrices as mx, rings, witt
+from surgery_algebra import _intlat, formations, forms, lagrangians, matrices as mx, rings, witt
 from surgery_algebra.errors import SingularMatrixError
 from surgery_algebra.forms import (
     FormIsometry,
@@ -266,3 +266,37 @@ def test_antisymmetric_witt_invariants_on_drawn_forms(seed):
     assert arf(negate(a)) == arf(a)
     assert_hyperbolic_with_the_diagonal(a)
     assert_boundary_is_trivial(a)
+
+
+def frozen_symplectic_pairs(g):
+    """The recursion that lifted each deeper vector by its own sum, frozen here."""
+    k = len(g)
+    if k == 0:
+        return []
+    row = [g[0][c] for c in range(k)]
+    sol = _intlat.solve([row], [[1]])
+    u = [1 if r == 0 else 0 for r in range(k)]
+    v = [sol[r][0] for r in range(k)]
+    vg = [sum(v[r] * g[r][c] for r in range(k)) for c in range(k)]
+    comp = _intlat.kernel_basis([row, vg])
+    sub = _intlat.matmul(_intlat.transpose(comp), _intlat.matmul(g, comp))
+
+    def lift(x):
+        return [sum(comp[r][i] * x[i] for i in range(len(x))) for r in range(k)]
+
+    pairs = [(u, v)]
+    for su, sv in frozen_symplectic_pairs(sub):
+        pairs.append((lift(su), lift(sv)))
+    return pairs
+
+
+@pytest.mark.parametrize("half", range(1, 17))
+def test_one_product_per_level_lifts_the_symplectic_pairs_as_before(half):
+    rng = random.Random(500 + half)
+    hyp = hyperbolic_quadratic(Z, -1, half)
+    q = transported(hyp, random_unimodular(rng, Z, 2 * half))
+    pairs = frozen_symplectic_pairs(q.lam.to_int_grid())
+    cols = [u for u, _ in pairs] + [v for _, v in pairs]
+    b = symplectic_basis(q)
+    assert b.to_int_grid() == [[c[i] for c in cols] for i in range(2 * half)]
+    assert b.star().mul(q.lam).mul(b) == hyp.lam
