@@ -28,9 +28,20 @@ p_k / p_(k−1).  The last pivot is ±det a; reducing every row (Gauss–Jordan)
 leaves ±det a times a^-1·b on the right.  Only ring operations and exact
 divisions occur, so ``matrices`` runs the same elimination on Laurent
 matrices packed into ints by z ↦ 2^B.
+
+A wide product a·b packs each row of b into one int of base-2^(8·size) digits
+(Kronecker substitution), each biased by 2^(8·size − 1) so that none is
+negative; row i of a·b is then one sum of n products, and its digits come back
+by one cast when they are 1, 2, 4 or 8 bytes.  The one rule ``_packs_wide``
+picks that path; ``matrices`` reads its packed products with the same reader.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from itertools import chain
+from operator import mul
 
 
 def zeros(m: int, n: int) -> list[list[int]]:
@@ -56,6 +67,8 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n2, k = dims(b)
     if n != n2 and m and k:
         raise ValueError("shape mismatch in integer matmul")
+    if size := _packs_wide(a, b):
+        return _packed_matmul(a, b, size)
     out = zeros(m, k)
     for i in range(m):
         ai = a[i]
@@ -67,6 +80,56 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 for j in range(k):
                     oi[j] += x * bt[j]
     return out
+
+
+def _packs_wide(a: list[list[int]], b: list[list[int]]) -> int:
+    """The digit size in bytes if ``matmul`` packs a·b, else 0: the one shape rule,
+    read off the ladder of both paths in CHANGES.md.  Packing pays from 16 rows,
+    16 inner and 8 outer columns on, with at least half of a nonzero; its digits
+    are twice as wide as the entries, so beyond 32 bytes the loop wins."""
+    m, n = dims(a)
+    if m < 16 or n < 16 or dims(b)[1] < 8 or 2 * sum(row.count(0) for row in a) > m * n:
+        return 0
+    size = _digit_size(a, b)
+    return size if size <= 32 else 0
+
+
+def _digit_size(a: list[list[int]], b: list[list[int]]) -> int:
+    """Bytes per signed digit that hold every entry of b and of a·b; 1, 2, 4 or 8 if that suffices."""
+    top_b = max(map(abs, chain.from_iterable(b)), default=0)
+    size = (max(top_b, len(b) * max(map(abs, chain.from_iterable(a)), default=0) * top_b).bit_length() + 8) // 8
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def _packed_matmul(a: list[list[int]], b: list[list[int]], size: int) -> list[list[int]]:
+    """a·b: with row t of b packed as B_t + bias, row i of a·b plus bias is
+    sum_t a_it (B_t + bias) - (sum_t a_it - 1) bias."""
+    k = dims(b)[1]
+    bias, fmt = _bias(size, k), _CASTS.get(size)
+    packed = [int.from_bytes(array(fmt, row).tobytes() if fmt else
+                             b"".join([x.to_bytes(size, "little", signed=True) for x in row]), "little") ^ bias
+              for row in b]
+    flat = _signed_digits(b"".join([((sum(map(mul, row, packed)) - (sum(row) - 1) * bias) ^ bias)
+                                    .to_bytes(size * k, "little") for row in a]), size)
+    return [flat[i * k:(i + 1) * k] for i in range(len(a))]
+
+
+def _bias(size: int, count: int) -> int:
+    """count digits 2^(8 size - 1) of size bytes: added to signed digits it leaves each
+    non-negative with no carry, and xor with it then gives each in two's complement."""
+    return int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * count, "little")
+
+
+# digits of 1, 2, 4 or 8 bytes are written and read by one cast, in native byte order
+_CASTS = {array(c).itemsize: c for c in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def _signed_digits(buf: bytes, size: int, first: int = 0, step: int = 1) -> list[int]:
+    """Every step-th two's-complement little-endian digit of size bytes in buf, from digit first on."""
+    if size in _CASTS:
+        return memoryview(buf).cast(_CASTS[size])[first::step].tolist()
+    return [int.from_bytes(buf[at:at + size], "little", signed=True)
+            for at in range(first * size, len(buf), step * size)]
 
 
 def transpose(a: list[list[int]]) -> list[list[int]]:

@@ -179,13 +179,13 @@ def verb_formation(args):
         grp, inter = fm.formation_homology(phi)
         out["quotient"] = _group_obj(grp)
         out["intersection_rank"] = inter
-        triv = fm.is_trivial_formation(phi)
+        triv = fm._trivializer(phi)  # phi was validated above
         out["trivial"] = triv is not None
         if triv is not None:
             out["trivializer"] = sz.matrix_to_obj(triv.f)
         if args.witness:
             h = sz.matrix_from_obj(phi.ring, _load(args.witness), rows=phi.rank)
-            kform, iso = fm.boundary_witness(phi, h)
+            kform, iso = fm._boundary_witness(phi, h)
             out["kernel_form"] = sz.form_to_obj(kform)
             out["isometry"] = sz.matrix_to_obj(iso.f)
     return out

@@ -197,7 +197,7 @@ def verify_map(f, chi0, chi1, source: OddComplex, target: OddComplex, weak: bool
     m = n1.add(target.d.mul(chi0).mul(target.d.star()))
     if chi1 is not None:
         return m.sub(chi1.add(chi1.star().scale_int(eps))).is_zero()
-    if not m.sub(m.star().scale_int(eps)).is_zero():
+    if not m.is_eps_symmetric(eps):
         return False
     return all(rings.in_symmetrize_image(m.entry(i, i), eps) for i in range(m.rows))
 

@@ -65,6 +65,13 @@ def validate_formation(phi: Formation) -> bool:
     return not formation_violations(phi)
 
 
+def _validated(phi: Formation) -> Formation:
+    bad = formation_violations(phi)
+    if bad:
+        raise DomainError("; ".join(bad))
+    return phi
+
+
 def _standard_f(ring: RingSpec, k: int) -> FormMatrix:
     return matrices.vstack(
         matrices.identity_matrix(ring, k), matrices.zero_matrix(ring, k, k)
@@ -202,9 +209,7 @@ def normalize_formation(phi: Formation) -> tuple[Formation, FormIsometry]:
     its matrix sends the standard first summand to F and the transported
     second lagrangian to G.
     """
-    bad = formation_violations(phi)
-    if bad:
-        raise DomainError("; ".join(bad))
+    _validated(phi)
     s = forms.quadratic_to_split(phi.q)
     ext = lagrangians.extend_lagrangian(s, phi.f)
     inv = matrices.try_inverse(ext.f)
@@ -222,9 +227,11 @@ def is_trivial_formation(phi: Formation):
     The isometry maps (H_eps(F); F, F*) onto (Q, phi; F, G): the F summand by
     the basis of F, the dual summand by G·(F*·lambda·G)^{-1}.
     """
-    bad = formation_violations(phi)
-    if bad:
-        raise DomainError("; ".join(bad))
+    return _trivializer(_validated(phi))
+
+
+def _trivializer(phi: Formation):
+    """``is_trivial_formation`` of a formation already known to be valid."""
     if not matrices.is_unimodular(matrices.hstack(phi.f, phi.g)):
         return None
     pairing = phi.f.star().mul(phi.q.lam).mul(phi.g)
@@ -243,9 +250,11 @@ def boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, Form
     carrying the boundary formation onto phi (identity on F; the graph of
     lambda lands on G).
     """
-    bad = formation_violations(phi)
-    if bad:
-        raise DomainError("; ".join(bad))
+    return _boundary_witness(_validated(phi), h)
+
+
+def _boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, FormIsometry]:
+    """``boundary_witness`` of a formation already known to be valid."""
     if not lagrangians._is_lagrangian(phi.q, h):  # phi.q is nonsingular
         raise PreconditionError("witness is not a lagrangian of the form")
     if not matrices.is_unimodular(matrices.hstack(phi.f, h)):

@@ -30,7 +30,7 @@ def _check_square(lam: FormMatrix):
 
 
 def _check_eps_symmetric(lam: FormMatrix, epsilon: int):
-    if not lam.sub(lam.star().scale_int(epsilon)).is_zero():
+    if not lam.is_eps_symmetric(epsilon):
         raise PreconditionError("matrix is not eps-symmetric: lambda != eps * conj_transpose(lambda)")
 
 
@@ -153,15 +153,7 @@ def split_to_quadratic(s: SplitForm) -> QuadraticForm:
 
 def quadratic_to_split(q: QuadraticForm) -> SplitForm:
     """Canonical lift: strict upper triangle of lambda, mu representatives on the diagonal."""
-    return SplitForm(q.ring, q.epsilon, _upper_triangle(q.lam, [m.rep for m in q.mu]))
-
-
-def _upper_triangle(m: FormMatrix, diagonal) -> FormMatrix:
-    """The strict upper triangle of the square matrix m, with the given diagonal."""
-    k, z = m.rows, rings.zero(m.ring)
-    rows = [[m.entry(i, j) if i < j else diagonal[i] if i == j else z for j in range(k)]
-            for i in range(k)]
-    return FormMatrix(m.ring, k, k, rows)
+    return SplitForm(q.ring, q.epsilon, matrices.upper_triangle(q.lam, [m.rep for m in q.mu]))
 
 
 def is_even(s: SymmetricForm) -> bool:
@@ -229,12 +221,12 @@ def split_hessian_witness(n: FormMatrix, epsilon: int):
     """
     if n.rows != n.cols:
         return None
-    if not n.add(n.star().scale_int(epsilon)).is_zero():
+    if not n.is_eps_symmetric(-epsilon):
         return None
     diagonal = [rings.desymmetrize(n.entry(i, i), epsilon) for i in range(n.rows)]
     if any(d is None for d in diagonal):
         return None
-    return _upper_triangle(n, diagonal)
+    return matrices.upper_triangle(n, diagonal)
 
 
 def is_split_morphism(iso: FormIsometry, source: SplitForm, target: SplitForm) -> bool:

@@ -156,8 +156,7 @@ class FormMatrix:
         return _grid_matrix(self.ring, self.rows, self.cols, grids)
 
     def neg(self) -> "FormMatrix":
-        grids = {k: [list(map(operator.neg, row)) for row in g] for k, g in self._grids.items()}
-        return _grid_matrix(self.ring, self.rows, self.cols, grids)
+        return self.scale_int(-1)
 
     def mul(self, other: "FormMatrix") -> "FormMatrix":
         if self.ring != other.ring:
@@ -189,7 +188,10 @@ class FormMatrix:
         return _collect(self.ring, self.rows, self.cols, terms)
 
     def scale_int(self, n: int) -> "FormMatrix":
-        return self.scale(rings.from_int(self.ring, n))
+        if n == 1:
+            return self
+        grids = {k: [[n * x for x in row] for row in g] for k, g in self._grids.items() if n}
+        return _grid_matrix(self.ring, self.rows, self.cols, grids)
 
     def star(self) -> "FormMatrix":
         """Conjugate transpose; the dual of the morphism."""
@@ -199,6 +201,15 @@ class FormMatrix:
             t = [list(c) for c in zip(*g)] if self.rows else [[] for _ in range(self.cols)]
             out[_exponent(ring, -k)] = t if ring.w == 1 or k % 2 == 0 else [[-x for x in r] for r in t]
         return _grid_matrix(ring, self.cols, self.rows, out)
+
+    def is_eps_symmetric(self, sign: int) -> bool:
+        """Whether M = sign·M*, grid by grid: grid -k against sign·w^k times the transpose of grid k."""
+        ring = self.ring
+        for k, g in self._grids.items():
+            t = zip(*g) if sign * ring.w ** (k % 2) == 1 else zip(*([-x for x in row] for row in g))
+            if not all(map(operator.eq, _grid(self, _exponent(ring, -k)), map(list, t))):
+                return False
+        return self.rows == self.cols
 
 
 _set = object.__setattr__
@@ -216,10 +227,10 @@ def _grid_matrix(ring: RingSpec, rows: int, cols: int, grids: dict) -> FormMatri
         if k and (k != _exponent(ring, k) or ring.kind == "Z"):
             raise SchemaError(f"no grid at exponent {k} over {ring}")
         if len(g) != rows:
-            raise SchemaError("matrix grids do not match declared shape")
+            raise SchemaError("matrix entry grid does not match declared shape")
         for r in g:
             if len(r) != cols:
-                raise SchemaError("matrix grids do not match declared shape")
+                raise SchemaError("matrix entry grid does not match declared shape")
     m = object.__new__(FormMatrix)
     _set(m, "ring", ring)
     _set(m, "rows", rows)
@@ -275,13 +286,11 @@ def _pack(grids: dict, lows, width: int, cols: int) -> list[list[int]]:
 def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
     """{k: M_k} from a packed grid whose signed base-2^width digits, each of absolute value
     under 2^(width-1), are the coefficients of z^lo, z^(lo+1), ...; only nonzero grids."""
-    size, half = width // 8, 1 << (width - 1)
+    size = width // 8
     rows, cols = _intlat.dims(grid)
     digits = _max_abs((grid,)).bit_length() // width + 1
     nbytes = size * digits
-    # adding half to every signed digit c makes it a plain base-2^width digit c + half,
-    # with no carry between digits, and xor with half then leaves c in two's complement
-    bias = int.from_bytes(half.to_bytes(size, "little") * digits, "little")
+    bias = _intlat._bias(size, digits)
     flat = [(x + bias) ^ bias for row in grid for x in row]
     # the entries lie nbytes apart in buf, in row-major order, and digit t of each
     # starts t * size bytes in
@@ -291,16 +300,28 @@ def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
     out = {}
     for run in re.finditer(rb"[^\0]+", used):
         for t in range(run.start() // size, (run.end() - 1) // size + 1):
-            vals = [int.from_bytes(buf[at:at + size], "little", signed=True) for at in range(t * size, len(buf), nbytes)]
+            vals = _intlat._signed_digits(buf, size, t, digits)
             out[lo + t] = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
     return out
 
 
 def matrix(ring: RingSpec, data) -> FormMatrix:
     """Build a matrix from rows of RingElements or plain ints."""
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    if RingElement not in set(map(type, chain.from_iterable(data))):  # plain ints are grid 0
+        return _grid_matrix(ring, rows, cols, {0: [list(r) for r in data]})
     ents = [[e if isinstance(e, RingElement) else rings.from_int(ring, e) for e in row] for row in data]
-    rows = len(ents)
-    return FormMatrix(ring, rows, len(ents[0]) if rows else 0, ents)
+    return FormMatrix(ring, rows, cols, ents)
+
+
+def upper_triangle(m: FormMatrix, diagonal) -> FormMatrix:
+    """The strict upper triangle of the square m, copied grid by grid, with the ring
+    elements diagonal on its diagonal."""
+    d = FormMatrix(m.ring, 1, m.rows, [diagonal])._grids
+    grids = {k: [[0] * i + [d[k][0][i] if k in d else 0] + row[i + 1:] for i, row in enumerate(_grid(m, k))]
+             for k in m._grids.keys() | d.keys()}
+    return _grid_matrix(m.ring, m.rows, m.rows, grids)
 
 
 def int_matrix(data) -> FormMatrix:

@@ -113,6 +113,8 @@ def element_from_obj(ring: RingSpec, obj) -> RingElement:
 
 
 def matrix_to_obj(m: FormMatrix):
+    if m.ring.kind == "Z":
+        return m.to_int_grid()
     return [[element_to_obj(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
@@ -133,6 +135,8 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
                           f"representation, beyond {MAX_CYCLIC_WIDTH}")
     if r == 0:
         return matrices.zero_matrix(ring, 0, c)
+    if ring.kind == "Z":
+        return matrices.matrix(ring, [[_require_int(v, "integer element") for v in row] for row in obj])
     data = [[element_from_obj(ring, v) for v in row] for row in obj]
     if ring.kind == "laurent":
         exponents = {k for row in data for e in row for k, x in enumerate(e.coeffs, e.shift) if x}

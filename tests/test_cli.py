@@ -309,3 +309,28 @@ def test_form_info_on_a_laurent_unit_under_the_elimination_cap_answers(tmp_path)
     src.write_text(json.dumps(wide_window_hyperbolic_form(10, 20, 11)), encoding="utf-8")
     status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
     assert status == 0 and report["result"]["nonsingular"] is True
+
+
+def test_the_formation_verb_validates_once_and_reads_a_witness(tmp_path, monkeypatch):
+    from surgery_algebra import formations
+    z = rings.integers()
+    kform = forms.quadratic_form(z, -1, [[0, 1], [-1, 0]], [1, 1])
+    phi = formations.boundary_formation(kform)
+    src, good, bad = tmp_path / "phi.json", tmp_path / "good.json", tmp_path / "bad.json"
+    src.write_text(json.dumps(serialize.formation_to_obj(phi)), encoding="utf-8")
+    dual = matrices.vstack(matrices.zero_matrix(z, 2, 2), matrices.identity_matrix(z, 2))
+    good.write_text(json.dumps(serialize.matrix_to_obj(dual)), encoding="utf-8")
+    bad.write_text(json.dumps(serialize.matrix_to_obj(phi.f)), encoding="utf-8")
+    calls = []
+    check = formations.formation_violations
+    monkeypatch.setattr(formations, "formation_violations", lambda p: calls.append(p) or check(p))
+    status, report = run(["formation", "--in", str(src), "--witness", str(good),
+                          "--out", str(tmp_path / "report.json")])
+    assert status == 0 and len(calls) == 1
+    result = report["result"]
+    assert result["valid"] and result["kernel_form"]["lambda"] == [[0, 1], [-1, 0]]
+    # the witness checks still run, with the errors of formations.boundary_witness
+    status, report = run(["formation", "--in", str(src), "--witness", str(bad),
+                          "--out", str(tmp_path / "report.json")])
+    assert (status, report["kind"], report["error"]) == (1, "domain", "witness is not complementary to F")
+    assert len(calls) == 2

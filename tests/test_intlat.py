@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import _intlat
 from surgery_algebra import matrices as mx
@@ -336,3 +336,95 @@ def test_complement_reads_split_injectivity_off_its_own_smith_form(kind, rows, c
     assert got == frozen_complement_of_primitive(b)
     if kind == "primitive" and cols <= rows:
         assert got is not None
+
+
+# -- the packed product against the loop it replaces on wide shapes -------------
+
+
+def frozen_loop_matmul(a, b):
+    """The triple loop that was the only integer product, frozen here."""
+    m, n = _intlat.dims(a)
+    n2, k = _intlat.dims(b)
+    if n != n2 and m and k:
+        raise ValueError("shape mismatch in integer matmul")
+    out = _intlat.zeros(m, k)
+    for i in range(m):
+        ai = a[i]
+        oi = out[i]
+        for t in range(n):
+            x = ai[t]
+            if x:
+                bt = b[t]
+                for j in range(k):
+                    oi[j] += x * bt[j]
+    return out
+
+
+def product_grid(rng, rows, cols, bits, density):
+    """Entries of up to bits bits, each nonzero with the given probability, and
+    some all-zero rows."""
+    top = (1 << bits) - 1
+    grid = [[rng.randint(-top, top) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.1:
+            grid[i] = [0] * cols
+    return grid
+
+
+WIDTHS = st.sampled_from([1, 2, 7, 8, 20, 43, 63, 64, 100, 200])
+DENSITIES = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20), WIDTHS, WIDTHS, DENSITIES,
+       st.integers(0, 2**32))
+def test_the_packed_product_equals_the_loop(m, n, k, bits_a, bits_b, density, seed):
+    rng = random.Random(seed)
+    a = product_grid(rng, m, n, bits_a, density)
+    b = product_grid(rng, n, k, bits_b, density)
+    want = frozen_loop_matmul(a, b)
+    assert _intlat._packed_matmul(a, b, _intlat._digit_size(a, b)) == want
+    assert _intlat.matmul(a, b) == want
+
+
+@given(st.sampled_from([(16, 16, 8), (15, 16, 8), (16, 15, 8), (16, 16, 7), (24, 17, 9)]),
+       st.sampled_from([1, 43, 100, 124, 140, 400]), DENSITIES, st.integers(0, 2**32))
+@settings(max_examples=40)
+def test_both_sides_of_the_wide_product_rule_give_the_loop_product(shape, bits, density, seed):
+    m, n, k = shape
+    rng = random.Random(seed)
+    a, b = product_grid(rng, m, n, bits, density), product_grid(rng, n, k, bits, density)
+    assert _intlat.matmul(a, b) == frozen_loop_matmul(a, b)
+    assert _intlat._packed_matmul(a, b, _intlat._digit_size(a, b)) == frozen_loop_matmul(a, b)
+
+
+def test_the_wide_product_rule_reads_shape_density_and_entry_width():
+    ones = lambda m, n: [[1] * n for _ in range(m)]
+    assert _intlat._packs_wide(ones(16, 16), ones(16, 8)) == 1
+    for a, b in [(ones(15, 16), ones(16, 8)), (ones(16, 15), ones(15, 8)), (ones(16, 16), ones(16, 7))]:
+        assert not _intlat._packs_wide(a, b)
+    # fewer than half of a nonzero
+    sparse = [[1 if (i + j) % 2 else 0 for j in range(16)] for i in range(16)]
+    sparse[0][0] = 1
+    assert _intlat._packs_wide(sparse, ones(16, 8))
+    sparse[0][0] = 0
+    sparse[0][1] = 0
+    assert not _intlat._packs_wide(sparse, ones(16, 8))
+    # digits of more than 32 bytes: entries of about 125 bits at n = 32
+    wide = [[1 << 124] * 32 for _ in range(32)]
+    wider = [[1 << 125] * 32 for _ in range(32)]
+    assert _intlat._packs_wide(wide, wide) == 32
+    assert not _intlat._packs_wide(wider, wider)
+
+
+def test_digits_of_every_size_read_back_signed():
+    for size in (1, 2, 3, 4, 5, 8, 9, 16):
+        half = 1 << 8 * size - 1
+        values = [0, 1, -1, half - 1, -half, 5, -7]
+        buf = b"".join(v.to_bytes(size, "little", signed=True) for v in values)
+        assert len(buf) == size * len(values)
+        assert _intlat._signed_digits(buf, size) == values
+        assert _intlat._signed_digits(buf, size, 1, 3) == values[1::3]
+        # the bias makes every digit non-negative without carries
+        biased = int.from_bytes(buf, "little") ^ _intlat._bias(size, len(values))
+        assert biased == sum((v + half) << 8 * size * i for i, v in enumerate(values))

@@ -748,3 +748,77 @@ def test_a_sparse_product_at_the_window_cap_is_quick():
     assert time.monotonic() - start < 2.0
     assert square == grid_by_grid_product(m, m)
     assert sorted(square._grids) == [-2 * h, -h, 0, h, 2 * h]
+
+
+# -- form identities on the grids against the RingElement versions -------------
+
+
+def frozen_upper_triangle(m, diagonal):
+    """The strict upper triangle built entry by entry through RingElements, frozen here."""
+    k, z = m.rows, rings.zero(m.ring)
+    rows = [[m.entry(i, j) if i < j else diagonal[i] if i == j else z for j in range(k)]
+            for i in range(k)]
+    return mx.FormMatrix(m.ring, k, k, rows)
+
+
+def frozen_is_eps_symmetric(m, sign):
+    """M - sign·M* = 0 through a dual, a scaled copy and a difference, frozen here."""
+    return m.sub(m.star().scale(rings.from_int(m.ring, sign))).is_zero()
+
+
+# both signs of w, m = 2 and odd m
+IDENTITY_RINGS = [Z, rings.cyclic(1), C2, rings.cyclic(2, -1), C3, C4, rings.cyclic(5),
+                  rings.cyclic(6, -1), L]
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from(IDENTITY_RINGS), SIZES, st.sampled_from([1, -1]),
+       st.sampled_from(["symmetric", "perturbed", "drawn"]))
+def test_grid_symmetry_test_and_upper_triangle_match_the_ring_elements(data, ring, n, sign, kind):
+    t = draw_matrix(data, ring, n, n)
+    m = t.add(t.star().scale_int(sign)) if kind != "drawn" else t
+    if kind == "perturbed" and n:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        e = rings.monomial(ring, data.draw(exponents(ring)))
+        bump = mx.FormMatrix(ring, n, n, tuple(tuple(e if (r, c) == (i, j) else rings.zero(ring)
+                                                     for c in range(n)) for r in range(n)))
+        m = m.add(bump)
+    for s in (1, -1):
+        assert m.is_eps_symmetric(s) == frozen_is_eps_symmetric(m, s)
+    if kind == "symmetric":
+        assert m.is_eps_symmetric(sign)
+    diagonal = [draw_element(data, ring, data.draw(st.sets(exponents(ring), max_size=3)))
+                for _ in range(n)]
+    got = mx.upper_triangle(m, diagonal)
+    assert got == frozen_upper_triangle(m, diagonal)
+    assert got.entries == frozen_upper_triangle(m, diagonal).entries
+
+
+def test_symmetry_of_non_square_and_empty_matrices():
+    assert not mx.zero_matrix(Z, 1, 2).is_eps_symmetric(1)
+    for ring in (Z, C4, L):
+        assert mx.zero_matrix(ring, 0, 0).is_eps_symmetric(-1)
+        assert mx.upper_triangle(mx.zero_matrix(ring, 0, 0), []).rows == 0
+
+
+@given(st.data(), GRID_RING_DRAWS, SIZES, SIZES, st.integers(-3, 3))
+def test_integer_scaling_scales_the_grids(data, ring, rows, cols, n):
+    a = draw_matrix(data, ring, rows, cols)
+    got = a.scale_int(n)
+    assert got == a.scale(rings.from_int(ring, n))
+    assert (got.rows, got.cols, got.ring) == (rows, cols, ring)
+    if n == 1:
+        assert got is a
+    if n == 0:
+        assert got.is_zero() and got == mx.zero_matrix(ring, rows, cols)
+
+
+def test_int_rows_build_grid_zero_directly():
+    for ring in (Z, C4, L):
+        m = mx.matrix(ring, [[1, -2], [0, 3]])
+        assert m == mx.matrix(ring, [[rings.from_int(ring, x) for x in row] for row in [[1, -2], [0, 3]]])
+    assert mx.matrix(Z, []).rows == 0
+    with pytest.raises(SchemaError, match="matrix entry grid does not match declared shape"):
+        mx.matrix(Z, [[1, 2], [3]])
+    with pytest.raises(SchemaError, match="matrix entry grid does not match declared shape"):
+        mx.matrix(C4, [[1], [2, 3]])
