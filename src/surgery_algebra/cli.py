@@ -31,8 +31,9 @@ def _group_obj(g):
     return sz.group_to_obj(g)
 
 
-def _load(path: str):
-    return sz.read_json(path)
+def _load(args, name: str = "input"):
+    path = getattr(args, name)
+    return sz.read_json(path, args.raw[path])
 
 
 def _require(obj, key, what):
@@ -45,7 +46,7 @@ def _require(obj, key, what):
 
 
 def verb_form_info(args):
-    q = sz.form_from_obj(_load(args.input))
+    q = sz.form_from_obj(_load(args))
     return {
         "ring": sz.ring_to_obj(q.ring),
         "epsilon": q.epsilon,
@@ -56,7 +57,7 @@ def verb_form_info(args):
 
 
 def verb_witt(args):
-    q = sz.form_from_obj(_load(args.input))
+    q = sz.form_from_obj(_load(args))
     cls = witt.witt_class(q)
     out = {"epsilon": q.epsilon, "class": cls.value}
     if q.epsilon == 1:
@@ -65,12 +66,12 @@ def verb_witt(args):
 
 
 def verb_arf(args):
-    q = sz.form_from_obj(_load(args.input))
+    q = sz.form_from_obj(_load(args))
     return {"arf": witt.arf(q)}
 
 
 def verb_signature(args):
-    q = sz.form_from_obj(_load(args.input))
+    q = sz.form_from_obj(_load(args))
     return {"signature": witt.signature(q)}
 
 
@@ -82,12 +83,12 @@ def verb_hyperbolic(args):
 
 
 def verb_split(args):
-    q = sz.form_from_obj(_load(args.input))
+    q = sz.form_from_obj(_load(args))
     return {"split": sz.split_to_obj(forms.quadratic_to_split(q))}
 
 
 def verb_surgery_form(args):
-    obj = _load(args.input)
+    obj = _load(args)
     q = sz.form_from_obj(_require(obj, "form", "surgery input"))
     xdata = _require(obj, "x", "surgery input")
     if not isinstance(xdata, list):
@@ -98,7 +99,7 @@ def verb_surgery_form(args):
 
 
 def verb_lagrangian_extend(args):
-    q, inc = sz.inclusion_from_obj(_load(args.input))
+    q, inc = sz.inclusion_from_obj(_load(args))
     s = forms.quadratic_to_split(q)
     ext = lagrangians.extend_lagrangian(s, inc)
     verified = forms.is_split_morphism(
@@ -108,7 +109,7 @@ def verb_lagrangian_extend(args):
 
 
 def verb_reduce(args):
-    q, inc = sz.inclusion_from_obj(_load(args.input))
+    q, inc = sz.inclusion_from_obj(_load(args))
     s = forms.quadratic_to_split(q)
     residual, iso = lagrangians.sublagrangian_reduction(s, inc)
     return {
@@ -118,13 +119,13 @@ def verb_reduce(args):
 
 
 def verb_plumb(args):
-    g = sz.graph_from_obj(_load(args.input))
+    g = sz.graph_from_obj(_load(args))
     q = plumbing.graph_to_form(g)
     return {"form": sz.form_to_obj(q), "rank": q.rank, "epsilon": q.epsilon}
 
 
 def verb_boundary(args):
-    q = sz.form_from_obj(_load(args.input))
+    q = sz.form_from_obj(_load(args))
     hn, hn1 = plumbing.boundary_homology(q)
     return {
         "h_n": _group_obj(hn),
@@ -134,7 +135,7 @@ def verb_boundary(args):
 
 
 def verb_sphere(args):
-    q = sz.form_from_obj(_load(args.input))
+    q = sz.form_from_obj(_load(args))
     out = {"is_sphere": plumbing.is_homotopy_sphere_boundary(q)}
     if q.epsilon == 1 and out["is_sphere"]:
         out["class_mod_28"] = plumbing.exotic7_class(q)
@@ -147,19 +148,19 @@ def verb_milnor(args):
 
 
 def verb_complex_validate(args):
-    c = sz.complex_from_obj(_load(args.input))
+    c = sz.complex_from_obj(_load(args))
     bad = cx.complex_violations(c)
     return {"valid": not bad, "violations": list(bad)}
 
 
 def verb_complex_homology(args):
-    c = sz.complex_from_obj(_load(args.input))
+    c = sz.complex_from_obj(_load(args))
     hn, hn1 = cx.complex_homology(c)
     return {"h_n": _group_obj(hn), "h_n_plus_1_rank": hn1}
 
 
 def verb_formation(args):
-    obj = _load(args.input)
+    obj = _load(args)
     if "psi0" in obj:
         phi = fm.complex_to_formation(sz.complex_from_obj(obj))
         return {"formation": sz.formation_to_obj(phi)}
@@ -184,7 +185,7 @@ def verb_formation(args):
         if triv is not None:
             out["trivializer"] = sz.matrix_to_obj(triv.f)
         if args.witness:
-            h = sz.matrix_from_obj(phi.ring, _load(args.witness), rows=phi.rank)
+            h = sz.matrix_from_obj(phi.ring, _load(args, "witness"), rows=phi.rank)
             kform, iso = fm._boundary_witness(phi, h)
             out["kernel_form"] = sz.form_to_obj(kform)
             out["isometry"] = sz.matrix_to_obj(iso.f)
@@ -192,13 +193,13 @@ def verb_formation(args):
 
 
 def verb_formation_from_aut(args):
-    u = sz.unitary_from_obj(_load(args.input))
+    u = sz.unitary_from_obj(_load(args))
     phi = fm.formation_from_automorphism(u)
     return {"formation": sz.formation_to_obj(phi)}
 
 
 def verb_surgery_complex(args):
-    obj = _load(args.input)
+    obj = _load(args)
     c = sz.complex_from_obj(_require(obj, "complex", "surgery input"))
     steps = _require(obj, "surgeries", "surgery input")
     if not isinstance(steps, list):
@@ -218,7 +219,7 @@ def verb_surgery_complex(args):
 
 
 def verb_cobordism_validate(args):
-    obj = _load(args.input)
+    obj = _load(args)
     c = sz.complex_from_obj(_require(obj, "source", "cobordism input"))
     cprime = sz.complex_from_obj(_require(obj, "target", "cobordism input"))
     cob = sz.cobordism_from_obj(c.ring, _require(obj, "cobordism", "cobordism input"),
@@ -227,7 +228,7 @@ def verb_cobordism_validate(args):
 
 
 def verb_union(args):
-    obj = _load(args.input)
+    obj = _load(args)
     left = sz.complex_from_obj(_require(obj, "left", "union input"))
     middle = sz.complex_from_obj(_require(obj, "middle", "union input"))
     right = sz.complex_from_obj(_require(obj, "right", "union input"))
@@ -309,11 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sha256(path: str):
-    """Hex digest of the file's bytes, or None when it cannot be read."""
+def _read(path: str):
+    """The file's bytes, or None when it cannot be read."""
     try:
         with open(path, "rb") as fh:
-            return sha256(fh.read()).hexdigest()
+            return fh.read()
     except OSError:
         return None
 
@@ -322,7 +323,8 @@ def main(argv=None) -> int:
     # the parser is built once and holds no verb functions; look each up here
     args = build_parser().parse_args(argv)
     inputs = [p for p in (getattr(args, "input", None), getattr(args, "witness", None)) if p]
-    digests = [_sha256(p) for p in inputs]
+    args.raw = {p: _read(p) for p in inputs}  # each input is opened once: verbs parse the bytes hashed here
+    digests = [None if args.raw[p] is None else sha256(args.raw[p]).hexdigest() for p in inputs]
     report = {"verb": args.verb}
     start = time.monotonic()
     try:

@@ -72,16 +72,12 @@ def _validated(phi: Formation) -> Formation:
     return phi
 
 
-def _standard_f(ring: RingSpec, k: int) -> FormMatrix:
-    return matrices.vstack(
-        matrices.identity_matrix(ring, k), matrices.zero_matrix(ring, k, k)
-    )
+def _standard_f(ring: RingSpec, k: int) -> FormMatrix:  # L and L* in H(L): columns of I_2k
+    return matrices.identity_matrix(ring, 2 * k).submatrix(range(2 * k), range(k))
 
 
 def _standard_dual(ring: RingSpec, k: int) -> FormMatrix:
-    return matrices.vstack(
-        matrices.zero_matrix(ring, k, k), matrices.identity_matrix(ring, k)
-    )
+    return matrices.identity_matrix(ring, 2 * k).submatrix(range(2 * k), range(k, 2 * k))
 
 
 def trivial_formation(ring: RingSpec, epsilon: int, k: int) -> Formation:
@@ -141,10 +137,7 @@ def negate_formation(phi: Formation) -> Formation:
 
 def _is_standard_hyperbolic(q: QuadraticForm) -> bool:
     k = q.rank // 2
-    if q.rank != 2 * k:
-        return False
-    model = forms.hyperbolic_quadratic(q.ring, q.epsilon, k)
-    if not q.lam.sub(model.lam).is_zero():
+    if q.rank != 2 * k or q.lam != forms.hyperbolic_quadratic(q.ring, q.epsilon, k).lam:
         return False
     return all(rings.class_is_zero(m) for m in q.mu)
 

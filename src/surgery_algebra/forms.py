@@ -130,19 +130,22 @@ def split_form(ring: RingSpec, epsilon: int, psi_rows) -> SplitForm:
     return SplitForm(ring, epsilon, psi)
 
 
+def _hyperbolic(ring: RingSpec, k: int, c: int) -> FormMatrix:
+    """[[0, I], [c*I, 0]] on Lambda^k + its dual, written as one int grid."""
+    grid = [[0] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        grid[i][k + i], grid[k + i][i] = 1, c
+    return matrices.matrix(ring, grid)
+
+
 def hyperbolic_quadratic(ring: RingSpec, epsilon: int, k: int) -> QuadraticForm:
     """The hyperbolic form on Lambda^k + its dual: lambda = [[0,I],[eps*I,0]], mu = 0."""
-    i = matrices.identity_matrix(ring, k)
-    z = matrices.zero_matrix(ring, k, k)
-    lam = matrices.block_matrix([[z, i], [i.scale_int(epsilon), z]])
     zero_class = rings.q_eps_reduce(rings.zero(ring), epsilon)
-    return QuadraticForm(ring, epsilon, lam, tuple(zero_class for _ in range(2 * k)))
+    return QuadraticForm(ring, epsilon, _hyperbolic(ring, k, epsilon), (zero_class,) * (2 * k))
 
 
 def hyperbolic_split(ring: RingSpec, epsilon: int, k: int) -> SplitForm:
-    i = matrices.identity_matrix(ring, k)
-    z = matrices.zero_matrix(ring, k, k)
-    return SplitForm(ring, epsilon, matrices.block_matrix([[z, i], [z, z]]))
+    return SplitForm(ring, epsilon, _hyperbolic(ring, k, 0))
 
 
 def split_to_quadratic(s: SplitForm) -> QuadraticForm:

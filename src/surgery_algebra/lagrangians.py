@@ -136,7 +136,12 @@ def sublagrangian_reduction(s: SplitForm, L) -> tuple[SplitForm, FormIsometry]:
     """Split off a hyperbolic block below a sublagrangian.
 
     Returns the residual form on the subquotient (orthogonal of L over L) and
-    an isometry from hyperbolic + residual onto s.
+    an isometry from hyperbolic + residual onto s.  With j pairing to the
+    identity with L, g = (basis | j) pulls psi back to phi = [[0, I], [0, J]],
+    J = j'·psi·j, and lambda_phi = [[0, I], [eps*I, J + eps*J']].  Its
+    lagrangian [I; 0] pairs by [0, I], with reduced solution j' = [0; I], so
+    k = -eps*J and extend_lagrangian would return [[I, -eps*J], [0, I]], with no
+    test that can fail on a phi built here: g times it is (basis | j - eps·basis·J).
     """
     basis, _ = _as_basis(L)
     q = forms.split_to_quadratic(s)
@@ -145,25 +150,16 @@ def sublagrangian_reduction(s: SplitForm, L) -> tuple[SplitForm, FormIsometry]:
     pairing = _sublagrangian_pairing(q, basis)
     if pairing is None:
         raise DomainError("basis is not a sublagrangian")
-    lam = q.lam
-    ell = basis.cols
     comp, _ = matrices.complement_of_primitive(matrices.kernel_basis(pairing))
-    e = pairing.mul(comp)
-    einv = matrices.try_inverse(e)
+    einv = matrices.try_inverse(pairing.mul(comp))
     if einv is None:
         raise SingularMatrixError("orthogonal complement does not pair invertibly with L")
     j = comp.mul(einv)
-    zero = matrices.zero_matrix(s.ring, ell, ell)
-    ident = matrices.identity_matrix(s.ring, ell)
-    phi = matrices.block_matrix([[zero, ident], [zero, j.star().mul(s.psi).mul(j)]])
-    phi_form = SplitForm(s.ring, s.epsilon, phi)
-    g = matrices.hstack(basis, j)
-    first = matrices.vstack(ident, matrices.zero_matrix(s.ring, ell, ell))
-    inner = extend_lagrangian(phi_form, first)
-    perp_of_image = matrices.kernel_basis(g.star().mul(lam))
+    jpsij = j.star().mul(s.psi).mul(j)
+    perp_of_image = matrices.kernel_basis(matrices.hstack(basis, j).star().mul(q.lam))
     residual = SplitForm(s.ring, s.epsilon, perp_of_image.star().mul(s.psi).mul(perp_of_image))
-    f = matrices.hstack(g.mul(inner.f), perp_of_image)
-    source = forms.direct_sum_split(forms.hyperbolic_split(s.ring, s.epsilon, ell), residual)
+    f = matrices.hstack(basis, j.sub(basis.mul(jpsij).scale_int(s.epsilon)), perp_of_image)
+    source = forms.direct_sum_split(forms.hyperbolic_split(s.ring, s.epsilon, basis.cols), residual)
     iso = forms.split_morphism_witness(f, source, s)
     if not matrices.is_unimodular(f):
         raise SingularMatrixError("reduction isometry is not invertible; inputs were inconsistent")

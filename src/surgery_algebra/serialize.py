@@ -10,6 +10,7 @@ ring, and {"origin": o, "coeffs": [...]} over the Laurent ring.
 
 from __future__ import annotations
 
+import io
 import json
 
 from . import complexes, formations, forms, lagrangians, matrices, plumbing, rings, unitary
@@ -344,11 +345,14 @@ def write_json(path: str, obj) -> None:
         fh.write(dumps_canonical(obj))
 
 
-def read_json(path: str):
+def read_json(path: str, data: bytes | None = None):
+    """The JSON value of the file at path, parsed from data, its bytes, when the caller has read them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
+        if data is None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))  # as text mode reads it
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, an over-long int, nesting too deep
         raise SchemaError(f"{path}: not valid JSON ({e})") from None
     except OSError as e:
         raise SchemaError(f"{path}: {e}") from None

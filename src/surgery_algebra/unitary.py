@@ -8,6 +8,8 @@ beta'delta must vanish as eps-quadratic forms, i.e. be hessian
 differences chi - eps*chi'.  Membership already forces invertibility;
 the inverse is the explicit matrix [[delta', eps*beta'], [eps*gamma',
 alpha']], conjugate of the adjoint by the hyperbolic pairing.
+The generators are closed forms; the upper elementary [[1, n], [0, 1]] is
+the flip-conjugate sigma·[[1, 0], [eps*n, 1]]·sigma^-1 of a lower one.
 """
 
 from __future__ import annotations
@@ -130,15 +132,10 @@ def inverse(u: UnitaryAutomorphism) -> UnitaryAutomorphism:
 
 
 def elementary_upper(n: FormMatrix, epsilon: int) -> UnitaryAutomorphism:
-    """[[1, n], [0, 1]] as the sigma-conjugate of a lower elementary.
-
-    The corner must again be a hessian difference; conjugating
-    [[1, 0], [eps*n, 1]] by the flip lands the corner upstairs.
-    """
+    """[[1, n], [0, 1]] in closed form; the corner must again be a hessian difference."""
     if forms.split_hessian_witness(n, epsilon) is None:
         raise DomainError(
             "corner matrix is not of the form theta - eps*conj_transpose(theta)"
         )
-    sig = sigma_eps(n.ring, epsilon, n.rows)
-    lower = elementary_lower(n.scale_int(epsilon), epsilon)
-    return compose(compose(sig, lower), inverse(sig))
+    i = matrices.identity_matrix(n.ring, n.rows)
+    return UnitaryAutomorphism(n.ring, epsilon, i, n, matrices.zero_matrix(n.ring, n.rows, n.rows), i)

@@ -102,8 +102,6 @@ def symplectic_basis(form) -> FormMatrix:
     lam = form.lam if hasattr(form, "lam") else form
     if not matrices.is_unimodular(lam):
         raise SingularMatrixError("the symplectic basis needs a unimodular form")
-    if not grid:
-        return matrices.zero_matrix(lam.ring, 0, 0)
     return matrices.int_matrix(_symplectic_pairs(grid))
 
 
@@ -111,7 +109,11 @@ def arf(q: QuadraticForm) -> int:
     """Sum of mu(u_i)·mu(v_i) over a symplectic basis, in Z/2."""
     if not isinstance(q, QuadraticForm):
         raise SchemaError("arf expects a quadratic form")
-    b = symplectic_basis(q)
+    return _arf(q, symplectic_basis(q))
+
+
+def _arf(q: QuadraticForm, b: FormMatrix) -> int:
+    """arf of q, read off a symplectic basis b of its (already tested) form."""
     m = b.cols // 2
     bits = [0 if rings.class_is_zero(v) else 1 for v in forms.mu_values(q, b)]
     return sum(bits[i] * bits[i + m] for i in range(m)) % 2
@@ -136,8 +138,8 @@ def witt_class(q: QuadraticForm) -> WittClass:
         raise WrongRingError("witt classes are only computed over the integers")
     if not forms.is_nonsingular(q):
         raise SingularMatrixError("witt class needs a nonsingular form")
-    if q.epsilon == -1:
-        return WittClass(-1, arf(q))
+    if q.epsilon == -1:  # nonsingular is tested: symplectic_basis would test it again
+        return WittClass(-1, _arf(q, matrices.int_matrix(_symplectic_pairs(q.lam.to_int_grid()))))
     sig = signature(q)
     if sig % 8 != 0:
         raise DomainError(

@@ -1,5 +1,6 @@
 """The command-line front end: exit codes and reports, run in process."""
 
+import builtins
 import hashlib
 import json
 import linecache
@@ -10,7 +11,7 @@ import time
 import pytest
 
 import surgery_algebra
-from surgery_algebra import acceptance, cli, forms, matrices, rings, serialize
+from surgery_algebra import acceptance, cli, formations, forms, matrices, rings, serialize
 
 # sha256 of the shipped E8 fixture; the fixtures regenerate byte for byte
 E8_SHA256 = "7f27ba30027e05a9f66f67d5f50171f41e1ee1e6065fc19f7fb851572a155ea9"
@@ -108,6 +109,43 @@ def test_provenance_carries_input_digests_and_the_package_version(tmp_path):
     status, report = run(["milnor", "--ell", "3", "--out", str(tmp_path / "milnor.json")])
     assert status == 0
     assert report["provenance"]["sha256"] == [] and report["provenance"]["version"] == "0.1.0"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"epsilon": 1, "lambda": [[2]], "mu": ["\xff"]}', "not valid JSON ('utf-8' codec can't decode"),
+    (b"[" * 400_000, "not valid JSON (maximum recursion depth exceeded"),
+    pytest.param(b'{"epsilon": 1, "lambda": [[' + b"7" * 5000 + b']], "mu": [1]}', "not valid JSON (Exceeds the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python converts ints of any length")),
+    (b'\xef\xbb\xbf{"epsilon": 1, "lambda": [[2]], "mu": [1]}',
+     "not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))"),
+], ids=["not-utf-8", "nested-brackets", "over-long-int", "byte-order-mark"])
+def test_bad_input_bytes_are_schema_errors(tmp_path, content, message):
+    src = tmp_path / "input.json"
+    src.write_bytes(content)
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert (status, report["kind"]) == (2, "schema")
+    assert report["error"].startswith(f"{src}: {message}")
+    assert report["where"].startswith("surgery_algebra.serialize:read_json:")
+    assert report["provenance"]["sha256"] == [hashlib.sha256(content).hexdigest()]
+
+
+def test_each_input_is_opened_once_and_the_parsed_bytes_are_hashed(tmp_path, monkeypatch):
+    z = rings.integers()
+    phi = formations.boundary_formation(forms.quadratic_form(z, -1, [[0, 1], [-1, 0]], [1, 1]))
+    src, witness = tmp_path / "phi.json", tmp_path / "witness.json"
+    src.write_text(json.dumps(serialize.formation_to_obj(phi)), encoding="utf-8")
+    dual = matrices.vstack(matrices.zero_matrix(z, 2, 2), matrices.identity_matrix(z, 2))
+    witness.write_text(json.dumps(serialize.matrix_to_obj(dual)), encoding="utf-8")
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda f, *a, **k: opened.append(str(f)) or real_open(f, *a, **k))
+    status, report = run(["formation", "--in", str(src), "--witness", str(witness),
+                          "--out", str(tmp_path / "report.json")])
+    assert status == 0 and report["result"]["valid"]
+    assert opened.count(str(src)) == 1 and opened.count(str(witness)) == 1
+    assert report["provenance"]["sha256"] == [hashlib.sha256(p.read_bytes()).hexdigest()
+                                              for p in (src, witness)]
 
 
 @pytest.mark.parametrize("verb, form, status, kind, module, function, raised", [

@@ -121,6 +121,20 @@ def test_witt_class_values():
         assert witt_class(direct_sum(q, negate(q))).value == 0
 
 
+@pytest.mark.parametrize("half", [0, 1, 3, 8])
+def test_the_antisymmetric_witt_class_eliminates_once(half, monkeypatch):
+    rng = random.Random(40 + half)
+    base = direct_sum(arf_form(), hyperbolic_quadratic(Z, -1, half))
+    q = transported(base, random_unimodular(rng, Z, base.rank))
+    calls = []
+    bareiss = _intlat.bareiss
+    monkeypatch.setattr(_intlat, "bareiss", lambda a, b: calls.append(len(a)) or bareiss(a, b))
+    assert witt_class(q) == WittClass(-1, 1)
+    assert calls == [q.rank]
+    # the public arf keeps its own nonsingularity test
+    assert arf(q) == 1 and calls == [q.rank, q.rank]
+
+
 def test_stable_hyperbolicity():
     assert not is_stably_hyperbolic(e8_quadratic())
     assert is_stably_hyperbolic(hyperbolic_quadratic(Z, 1, 2))
