@@ -87,13 +87,18 @@ def random_word(rng: random.Random, eps, k, length, ring=Z):
     return u
 
 
-def random_split(rng: random.Random, ring, eps, half):
-    """Nonsingular split form: a transported hyperbolic plus a coboundary."""
+def random_split_and_transport(rng: random.Random, ring, eps, half):
+    """(s, P): s = P'·H·P plus a coboundary, so the lagrangian L of H sits in s as columns of P^-1."""
     k = 2 * half
     p = random_unimodular(rng, ring, k)
     psi = p.star().mul(forms.hyperbolic_split(ring, eps, half).psi).mul(p)
     chi = random_matrix(rng, ring, k, k, -1, 1)
-    return forms.split_form(ring, eps, psi.add(chi.sub(chi.star().scale_int(eps))))
+    return forms.split_form(ring, eps, psi.add(chi.sub(chi.star().scale_int(eps)))), p
+
+
+def random_split(rng: random.Random, ring, eps, half):
+    """Nonsingular split form: a transported hyperbolic plus a coboundary."""
+    return random_split_and_transport(rng, ring, eps, half)[0]
 
 
 def random_complex(rng: random.Random, parity, k, length):

@@ -10,10 +10,10 @@ from surgery_algebra import forms, formations, lagrangians, matrices as mx, ring
 from surgery_algebra.errors import DomainError, SingularMatrixError, SurgeryAlgebraError
 from surgery_algebra.forms import SplitForm
 
-from conftest import hessian_corner, random_matrix, random_unimodular
+from conftest import hessian_corner, random_matrix, random_split_and_transport, random_unimodular
 
 Z = rings.integers()
-RINGS = st.sampled_from([Z, rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()])
+ALL_RINGS = [Z, rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()]
 EPS = st.sampled_from([1, -1])
 seeds = st.integers(0, 2**32)
 
@@ -91,7 +91,7 @@ def outcome(fn, *args):
 
 # -- the hyperbolic forms and the standard lagrangians ------------------------
 
-@pytest.mark.parametrize("ring", [Z, rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()], ids=str)
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
 @pytest.mark.parametrize("eps", [1, -1])
 def test_hyperbolic_forms_and_standard_lagrangians_match_the_block_builds(ring, eps):
     for k in range(7):
@@ -108,7 +108,7 @@ def test_hyperbolic_forms_and_standard_lagrangians_match_the_block_builds(ring, 
 
 # -- the upper elementary generator -------------------------------------------
 
-@given(RINGS, EPS, st.integers(0, 6), st.booleans(), seeds)
+@given(st.sampled_from(ALL_RINGS), EPS, st.integers(0, 6), st.booleans(), seeds)
 def test_upper_generator_matches_the_flip_conjugate(ring, eps, k, corner, seed):
     rng = random.Random(seed)
     # a hessian difference, or a corner that fails: odd, non-square or of the wrong symmetry
@@ -123,19 +123,11 @@ def test_upper_generator_matches_the_flip_conjugate(ring, eps, k, corner, seed):
 
 # -- the inner extension of sublagrangian reduction ---------------------------
 
-def transported(rng, ring, eps, half):
-    """(s, P) with s = P'·H·P plus a coboundary: L of H sits in s as columns of P^-1."""
-    p = random_unimodular(rng, ring, 2 * half)
-    chi = random_matrix(rng, ring, 2 * half, 2 * half, -1, 1)
-    psi = p.star().mul(forms.hyperbolic_split(ring, eps, half).psi).mul(p)
-    return forms.split_form(ring, eps, psi.add(chi.sub(chi.star().scale_int(eps)))), p
-
-
 @settings(max_examples=80)
 @given(EPS, st.integers(0, 3), st.integers(0, 3), st.sampled_from(["sub", "random", "twice"]), seeds)
 def test_reduction_matches_the_inner_extension(eps, half, ell, kind, seed):
     rng = random.Random(seed)
-    s, p = transported(rng, Z, eps, half)
+    s, p = random_split_and_transport(rng, Z, eps, half)
     ell = min(ell, half)
     pinv = mx.inverse(p)
     if kind == "sub":  # a sublagrangian: ell columns of L, mixed by a unimodular ell x ell
@@ -154,12 +146,12 @@ def test_reduction_matches_the_inner_extension(eps, half, ell, kind, seed):
         assert iso.f == want_iso.f and iso.chi == want_iso.chi
 
 
-@pytest.mark.parametrize("ring", [rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()], ids=str)
+@pytest.mark.parametrize("ring", ALL_RINGS[1:], ids=str)
 @pytest.mark.parametrize("eps", [1, -1])
 def test_reduction_refuses_the_group_rings_as_before(ring, eps):
     rng = random.Random(17)
     for half in range(3):
-        s, p = transported(rng, ring, eps, half)
+        s, p = random_split_and_transport(rng, ring, eps, half)
         basis = mx.inverse(p).submatrix(range(2 * half), range(half))
         got = outcome(lagrangians.sublagrangian_reduction, s, basis)
         assert isinstance(got, tuple)
@@ -174,7 +166,7 @@ def test_an_isotropic_half_rank_basis_spans_its_orthogonal(eps, half, seed):
     basis of half rank spans its own orthogonal; a proper sublagrangian lies
     strictly inside it, by rank count."""
     rng = random.Random(seed)
-    s, p = transported(rng, Z, eps, half)
+    s, p = random_split_and_transport(rng, Z, eps, half)
     q = forms.split_to_quadratic(s)
     pinv = mx.inverse(p)
     # one of e_i, f_i for each i (a lagrangian of H), or any half of the columns
