@@ -14,7 +14,7 @@ from importlib import resources
 
 from . import complexes as cx
 from . import formations as fm
-from . import forms, lagrangians, matrices, plumbing, rings, serialize, unitary, witt
+from . import forms, generators as gen, lagrangians, matrices, plumbing, rings, serialize, unitary, witt
 
 Z = rings.integers()
 
@@ -32,56 +32,6 @@ def fixture_names(prefix: str) -> list[str]:
     base = resources.files("surgery_algebra").joinpath("fixtures")
     out = [e.name for e in base.iterdir() if e.name.startswith(prefix) and e.name.endswith(".json")]
     return sorted(out)
-
-
-def _random_unimodular(rng: random.Random, ring, k: int, steps: int = 4):
-    p = matrices.identity_matrix(ring, k)
-    for _ in range(steps):
-        i, j = rng.randrange(k), rng.randrange(k)
-        if i == j:
-            continue
-        rows = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-        rows[i][j] = rng.randint(-2, 2)
-        p = p.mul(matrices.matrix(ring, rows))
-    return p
-
-
-def _random_ring_element(rng: random.Random, ring, bound: int = 2):
-    if ring.kind == "Z":
-        return rings.from_int(ring, rng.randint(-bound, bound))
-    out = rings.zero(ring)
-    for k in range(ring.m):
-        out = rings.add(out, rings.monomial(ring, k, rng.randint(-1, 1)))
-    return out
-
-
-def _random_matrix(rng: random.Random, ring, rows: int, cols: int, bound: int = 2):
-    return matrices.matrix(
-        ring, [[_random_ring_element(rng, ring, bound) for _ in range(cols)] for _ in range(rows)]
-    )
-
-
-def _random_word(rng: random.Random, eps: int, k: int, length: int,
-                 kinds=(0, 1, 2, 3)) -> unitary.UnitaryAutomorphism:
-    u = unitary.identity_unitary(Z, eps, k)
-    for _ in range(length):
-        kind = rng.choice(kinds)
-        if kind == 0:
-            g = unitary.elementary_diag(_random_unimodular(rng, Z, k), eps)
-        elif kind == 1:
-            t = _random_matrix(rng, Z, k, k)
-            g = unitary.elementary_lower(t.sub(t.star().scale_int(eps)), eps)
-        elif kind == 2:
-            t = _random_matrix(rng, Z, k, k)
-            g = unitary.elementary_upper(t.sub(t.star().scale_int(eps)), eps)
-        else:
-            g = unitary.sigma_eps(Z, eps, k)
-        u = unitary.compose(u, g)
-    return u
-
-
-def _dual_summand(k: int):
-    return matrices.vstack(matrices.zero_matrix(Z, k, k), matrices.identity_matrix(Z, k))
 
 
 def _random_minus_eps_form(rng: random.Random, eps: int, k: int,
@@ -157,7 +107,7 @@ def criterion_3():
     checked = 0
     for trial in range(100):
         q = bases[trial % 2]
-        p = _random_unimodular(rng, Z, q.rank, steps=6)
+        p = gen.shears(rng, Z, q.rank, 6)
         lam2 = p.star().mul(q.lam).mul(p)
         q2 = forms.QuadraticForm(Z, -1, lam2, forms.mu_values(q, p))
         if not forms.is_isometry(forms.FormIsometry(p), q2, q):
@@ -179,10 +129,7 @@ def criterion_4():
                 half = rng.choice([1, 2])
                 base = forms.hyperbolic_split(ring, eps, half)
                 k = base.rank
-                p = _random_unimodular(rng, ring, k, steps=5)
-                chi = _random_matrix(rng, ring, k, k, bound=1)
-                psi = p.star().mul(base.psi).mul(p).add(chi.sub(chi.star().scale_int(eps)))
-                s = forms.SplitForm(ring, eps, psi)
+                s = gen.transport(rng, base, gen.shears(rng, ring, k, 5))
                 iso = lagrangians.diagonal_splitting(s)
                 target = forms.direct_sum_split(s, forms.negate_split(s))
                 source = forms.hyperbolic_split(ring, eps, k)
@@ -203,10 +150,8 @@ def criterion_5():
         ell = rng.randint(1, 3)
         base = forms.hyperbolic_split(Z, eps, ell)
         k = base.rank
-        p = _random_unimodular(rng, Z, k, steps=5)
-        chi = _random_matrix(rng, Z, k, k, bound=1)
-        psi = p.star().mul(base.psi).mul(p).add(chi.sub(chi.star().scale_int(eps)))
-        s = forms.SplitForm(Z, eps, psi)
+        p = gen.shears(rng, Z, k, 5)
+        s = gen.transport(rng, base, p)
         pinv = matrices.inverse(p)
         lagr = pinv.submatrix(range(k), range(ell))
         ext = lagrangians.extend_lagrangian(s, lagr)
@@ -289,7 +234,7 @@ def criterion_9():
     for trial in range(200):
         eps = rng.choice([1, -1])
         k = rng.randint(1, 3)
-        u = _random_word(rng, eps, k, rng.randint(1, 6))
+        u = gen.word(rng, eps, k, rng.randint(1, 6))
         phi = fm.formation_from_automorphism(u)
         grp, inter = fm.formation_homology(phi)
         c = fm.formation_to_complex(phi)
@@ -306,9 +251,9 @@ def criterion_10():
         for trial in range(20):
             eps = rng.choice([1, -1])
             k = rng.randint(1, 3)
-            u = _random_word(rng, eps, k, 1, kinds=(kind,))
+            u = gen.word(rng, eps, k, 1, kinds=(kind,))
             phi = fm.formation_from_automorphism(u)
-            witness = _dual_summand(k)
+            witness = fm._standard_dual(Z, k)
             try:
                 kform, iso = fm.boundary_witness(phi, witness)
             except Exception as e:
@@ -346,13 +291,13 @@ def criterion_11():
     for trial in range(50):
         eps = rng.choice([1, -1])
         k = rng.randint(1, 3)
-        u = _random_word(rng, eps, k, rng.randint(1, 5))
+        u = gen.word(rng, eps, k, rng.randint(1, 5))
         c = fm.formation_to_complex(fm.formation_from_automorphism(u))
         s = None
         for attempt in range(200):
             m = rng.choice([1, k])
-            j = _random_matrix(rng, Z, m, k, bound=1)
-            delta = _random_matrix(rng, Z, m, m, bound=1)
+            j = gen.matrix(rng, Z, m, k, -1, 1)
+            delta = gen.matrix(rng, Z, m, m, -1, 1)
             cand = cx.SurgeryData(j, delta)
             if cx.surgery_admissible(c, cand):
                 s = cand

@@ -23,12 +23,11 @@ except ImportError:  # not built in, or renamed (Python 3.12 has _sha2)
     from hashlib import sha256
 
 from . import __version__, acceptance, complexes as cx, formations as fm, forms, lagrangians
-from . import matrices, plumbing, serialize as sz, witt
+from . import matrices, plumbing, rings, serialize as sz, witt
 from .errors import DomainError, SchemaError, SurgeryAlgebraError
 
-
-def _group_obj(g):
-    return sz.group_to_obj(g)
+# the largest hyperbolic form the CLI writes: rank 2048, about 8 MB of JSON
+MAX_HYPERBOLIC_ELL = 1024
 
 
 def _load(args, name: str = "input"):
@@ -76,8 +75,8 @@ def verb_signature(args):
 
 
 def verb_hyperbolic(args):
-    from . import rings
-
+    if not 0 <= args.ell <= MAX_HYPERBOLIC_ELL:
+        raise SchemaError(f"--ell must lie in [0, {MAX_HYPERBOLIC_ELL}], got {args.ell}")
     q = forms.hyperbolic_quadratic(rings.integers(), args.epsilon, args.ell)
     return {"form": sz.form_to_obj(q)}
 
@@ -128,7 +127,7 @@ def verb_boundary(args):
     q = sz.form_from_obj(_load(args))
     hn, hn1 = plumbing.boundary_homology(q)
     return {
-        "h_n": _group_obj(hn),
+        "h_n": sz.group_to_obj(hn),
         "h_n_plus_1_rank": hn1,
         "is_sphere": plumbing.is_homotopy_sphere_boundary(q),
     }
@@ -156,10 +155,12 @@ def verb_complex_validate(args):
 def verb_complex_homology(args):
     c = sz.complex_from_obj(_load(args))
     hn, hn1 = cx.complex_homology(c)
-    return {"h_n": _group_obj(hn), "h_n_plus_1_rank": hn1}
+    return {"h_n": sz.group_to_obj(hn), "h_n_plus_1_rank": hn1}
 
 
 def verb_formation(args):
+    if args.stabilize < 0:
+        raise SchemaError(f"--stabilize must be at least 0, got {args.stabilize}")
     obj = _load(args)
     if "psi0" in obj:
         phi = fm.complex_to_formation(sz.complex_from_obj(obj))
@@ -167,18 +168,17 @@ def verb_formation(args):
     if "first" in obj or "second" in obj:
         a = sz.formation_from_obj(_require(obj, "first", "stable comparison"))
         b = sz.formation_from_obj(_require(obj, "second", "stable comparison"))
-        pad = args.stabilize or 0
         iso = sz.matrix_from_obj(a.ring, _require(obj, "isometry", "stable comparison"))
         return {
-            "stably_isomorphic": fm.verify_stable_isomorphism(a, b, iso, pad, pad),
-            "pad": pad,
+            "stably_isomorphic": fm.verify_stable_isomorphism(a, b, iso, args.stabilize, args.stabilize),
+            "pad": args.stabilize,
         }
     phi = sz.formation_from_obj(obj)
     out = {"violations": list(fm.formation_violations(phi))}
     out["valid"] = not out["violations"]
     if out["valid"]:
         grp, inter = fm.formation_homology(phi)
-        out["quotient"] = _group_obj(grp)
+        out["quotient"] = sz.group_to_obj(grp)
         out["intersection_rank"] = inter
         triv = fm._trivializer(phi)  # phi was validated above
         out["trivial"] = triv is not None
@@ -278,12 +278,7 @@ VERBS = {
     "suite": (verb_suite, "run the full acceptance suite"),
 }
 
-NEEDS_INPUT = {
-    "form-info", "witt", "arf", "signature", "split", "surgery-form",
-    "lagrangian-extend", "reduce", "plumb", "boundary", "sphere",
-    "complex-validate", "complex-homology", "formation", "formation-from-aut",
-    "surgery-complex", "cobordism-validate", "union",
-}
+NEEDS_INPUT = VERBS.keys() - {"hyperbolic", "milnor", "suite"}
 
 
 @functools.cache
@@ -300,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output", help="write the report here instead of stdout")
         if verb == "hyperbolic":
             p.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
-            p.add_argument("--ell", type=int, required=True, help="rank of the lagrangian summand")
+            p.add_argument("--ell", type=int, required=True, help=f"rank of the lagrangian summand, 0 to {MAX_HYPERBOLIC_ELL}")
         if verb == "milnor":
             p.add_argument("--ell", type=int, required=True, help="odd twisting parameter")
         if verb == "formation":
             p.add_argument("--witness", help="JSON matrix file: a lagrangian to test as a common complement")
             p.add_argument("--stabilize", type=int, default=0,
-                           help="pad both sides with this many trivial ranks before comparing")
+                           help="pad both sides with this many trivial ranks (at least 0) before comparing")
     return parser
 
 

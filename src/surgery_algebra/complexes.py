@@ -250,10 +250,7 @@ def surgery_effect(c: OddComplex, s: SurgeryData) -> OddComplex:
         [c.d, pj],
         [s.j.scale_int(-eps), s.delta_psi0.add(s.delta_psi0.star().scale_int(-eps))],
     ])
-    psi0_new = matrices.block_matrix([
-        [c.psi0, matrices.zero_matrix(c.ring, c.rank_top, dim_d)],
-        [matrices.zero_matrix(c.ring, dim_d, c.rank_bottom), matrices.identity_matrix(c.ring, dim_d)],
-    ])
+    psi0_new = matrices.block_diagonal(c.psi0, matrices.identity_matrix(c.ring, dim_d))
     psi1_new = matrices.block_matrix([
         [c.psi1, pj.neg()],
         [matrices.zero_matrix(c.ring, dim_d, c.rank_bottom), s.delta_psi0.neg()],

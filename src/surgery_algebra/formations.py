@@ -105,24 +105,16 @@ def direct_sum_formation(a: Formation, b: Formation) -> Formation:
     kb = b.rank // 2
     # interleave so the result is again based on the standard hyperbolic
     def stack(ma, mb):
-        za = matrices.zero_matrix(a.ring, ka, mb.cols)
-        zb = matrices.zero_matrix(a.ring, kb, ma.cols)
-        top = matrices.hstack(ma.submatrix(range(ka), range(ma.cols)), za)
-        second = matrices.hstack(zb, mb.submatrix(range(kb), range(mb.cols)))
-        third = matrices.hstack(ma.submatrix(range(ka, 2 * ka), range(ma.cols)), za)
-        fourth = matrices.hstack(zb, mb.submatrix(range(kb, 2 * kb), range(mb.cols)))
-        return matrices.vstack(matrices.vstack(top, second), matrices.vstack(third, fourth))
+        ca, cb = range(ma.cols), range(mb.cols)
+        top = matrices.block_diagonal(ma.submatrix(range(ka), ca), mb.submatrix(range(kb), cb))
+        bottom = matrices.block_diagonal(ma.submatrix(range(ka, 2 * ka), ca), mb.submatrix(range(kb, 2 * kb), cb))
+        return matrices.vstack(top, bottom)
 
     if a.rank == 2 * ka and b.rank == 2 * kb and _is_standard_hyperbolic(a.q) and _is_standard_hyperbolic(b.q):
         q = forms.hyperbolic_quadratic(a.ring, a.epsilon, ka + kb)
         return Formation(a.ring, a.epsilon, q, stack(a.f, b.f), stack(a.g, b.g))
     q = forms.direct_sum(a.q, b.q)
-    def plain(ma, mb):
-        return matrices.block_matrix([
-            [ma, matrices.zero_matrix(a.ring, ma.rows, mb.cols)],
-            [matrices.zero_matrix(a.ring, mb.rows, ma.cols), mb],
-        ])
-    return Formation(a.ring, a.epsilon, q, plain(a.f, b.f), plain(a.g, b.g))
+    return Formation(a.ring, a.epsilon, q, matrices.block_diagonal(a.f, b.f), matrices.block_diagonal(a.g, b.g))
 
 
 def negate_formation(phi: Formation) -> Formation:
@@ -325,6 +317,9 @@ def verify_formation_isomorphism(a: Formation, b: Formation, f: FormMatrix) -> b
 def verify_stable_isomorphism(a: Formation, b: Formation, f: FormMatrix,
                               pad_a: int = 0, pad_b: int = 0) -> bool:
     """f realizes a + trivial(pad_a) ~ b + trivial(pad_b) as an isomorphism."""
+    # the shape of f bounds the work: no padded formation is built for a pad it cannot match
+    if f.rows != b.rank + 2 * pad_b or f.cols != a.rank + 2 * pad_a:
+        return False
     sa = direct_sum_formation(a, trivial_formation(a.ring, a.epsilon, pad_a)) if pad_a else a
     sb = direct_sum_formation(b, trivial_formation(b.ring, b.epsilon, pad_b)) if pad_b else b
     return verify_formation_isomorphism(sa, sb, f)

@@ -171,12 +171,6 @@ def is_nonsingular(form) -> bool:
     return matrices.is_unimodular(lam)
 
 
-def lambda_value(form, x: FormMatrix, y: FormMatrix) -> rings.RingElement:
-    """The pairing conj(x)^T lambda y of two columns."""
-    lam = form.lam if hasattr(form, "lam") else form.bilinear()
-    return x.star().mul(lam).mul(y).entry(0, 0)
-
-
 def mu_values(q: QuadraticForm, f: FormMatrix) -> tuple[QEpsilonClass, ...]:
     """mu of every column of f, read off the diagonal of f'·psi·f.
 
@@ -257,25 +251,13 @@ def split_morphism_witness(f: FormMatrix, source: SplitForm, target: SplitForm) 
 def direct_sum(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
     if a.ring != b.ring or a.epsilon != b.epsilon:
         raise WrongRingError("direct sum needs one ring and one epsilon")
-    lam = matrices.block_matrix(
-        [
-            [a.lam, matrices.zero_matrix(a.ring, a.rank, b.rank)],
-            [matrices.zero_matrix(a.ring, b.rank, a.rank), b.lam],
-        ]
-    )
-    return QuadraticForm(a.ring, a.epsilon, lam, a.mu + b.mu)
+    return QuadraticForm(a.ring, a.epsilon, matrices.block_diagonal(a.lam, b.lam), a.mu + b.mu)
 
 
 def direct_sum_split(a: SplitForm, b: SplitForm) -> SplitForm:
     if a.ring != b.ring or a.epsilon != b.epsilon:
         raise WrongRingError("direct sum needs one ring and one epsilon")
-    psi = matrices.block_matrix(
-        [
-            [a.psi, matrices.zero_matrix(a.ring, a.rank, b.rank)],
-            [matrices.zero_matrix(a.ring, b.rank, a.rank), b.psi],
-        ]
-    )
-    return SplitForm(a.ring, a.epsilon, psi)
+    return SplitForm(a.ring, a.epsilon, matrices.block_diagonal(a.psi, b.psi))
 
 
 def negate(a: QuadraticForm) -> QuadraticForm:

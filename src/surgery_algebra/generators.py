@@ -1,0 +1,84 @@
+"""Seeded random builders, shared by the acceptance suite, the fixture tool and the tests.
+
+Each builder draws from the ``random.Random`` it is given in a fixed order.  That
+order is a contract: the shipped fixtures (``tools/make_fixtures.py --check``) and
+the acceptance instances and detail strings depend on it, and
+``tests/test_acceptance.py`` pins the draws of every criterion.  A builder that
+must draw differently is a new builder, not an edit of one of these.
+"""
+
+from __future__ import annotations
+
+from . import matrices, rings, unitary
+from .forms import SplitForm
+from .matrices import FormMatrix
+
+
+def element(rng, ring, lo=-2, hi=2) -> rings.RingElement:
+    """Coefficients in [lo, hi]: of 1 over Z, of each g^k over Z[Z/m], of z^-1, 1, z over Z[z, z^-1]."""
+    if ring.kind == "Z":
+        return rings.from_int(ring, rng.randint(lo, hi))
+    out = rings.zero(ring)
+    for k in range(ring.m) if ring.kind == "cyclic" else (-1, 0, 1):
+        out = rings.add(out, rings.monomial(ring, k, rng.randint(lo, hi)))
+    return out
+
+
+def matrix(rng, ring, rows, cols, lo=-2, hi=2) -> FormMatrix:
+    """A rows x cols matrix of ``element`` draws, row by row."""
+    return FormMatrix(ring, rows, cols, [[element(rng, ring, lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def shears(rng, ring, k, steps) -> FormMatrix:
+    """A product of ``steps`` shears I + c·e_ij, c in [-2, 2]; a step that draws i = j draws no c."""
+    p = matrices.identity_matrix(ring, k)
+    for _ in range(steps):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i != j:
+            rows = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
+            rows[i][j] = rng.randint(-2, 2)
+            p = p.mul(matrices.matrix(ring, rows))
+    return p
+
+
+def hessian_corner(rng, ring, k, eps) -> FormMatrix:
+    """Random t - eps*t* for a k x k matrix t.
+
+    The result is (-eps)-symmetric with diagonal entries t_ii - eps*conj(t_ii),
+    which over Z is (1 - eps)*t_ii.  A (-eps)-quadratic form built on it takes
+    mu_i = rings.symmetrize_preimage(lam_ii, -eps), so that
+    mu_i - eps*conj(mu_i) = lam_ii.  It does not take q_eps_reduce(lam_ii, -eps):
+    for eps = -1 that class is represented by lam_ii itself, and lam_ii + lam_ii
+    is not lam_ii unless lam_ii = 0.
+    """
+    t = matrix(rng, ring, k, k)
+    return t.sub(t.star().scale_int(eps))
+
+
+def word(rng, eps, k, length, kinds=(0, 1, 2, 3), steps=4) -> unitary.UnitaryAutomorphism:
+    """A word of ``length`` generators of the hyperbolic automorphism group over Z.
+
+    Each letter draws its kind by ``rng.choice(kinds)``, which draws as ``rng.randrange(4)``
+    for the default kinds: 0 is diag(A, A*^-1) for A from ``shears(..., steps)``, 1 and 2
+    the lower and upper elementary generators on a ``hessian_corner``, and 3 the flip.
+    """
+    u = unitary.identity_unitary(rings.Z, eps, k)
+    for _ in range(length):
+        kind = rng.choice(kinds)
+        if kind == 0:
+            g = unitary.elementary_diag(shears(rng, rings.Z, k, steps), eps)
+        elif kind == 3:
+            g = unitary.sigma_eps(rings.Z, eps, k)
+        else:
+            g = (unitary.elementary_lower if kind == 1 else unitary.elementary_upper)(
+                hessian_corner(rng, rings.Z, k, eps), eps)
+        u = unitary.compose(u, g)
+    return u
+
+
+def transport(rng, s: SplitForm, p: FormMatrix) -> SplitForm:
+    """p*·psi·p + chi - eps*chi*: s carried along p, which the caller has drawn,
+    plus the coboundary of a chi with entries in [-1, 1]."""
+    chi = matrix(rng, s.ring, p.cols, p.cols, -1, 1)
+    psi = p.star().mul(s.psi).mul(p).add(chi.sub(chi.star().scale_int(s.epsilon)))
+    return SplitForm(s.ring, s.epsilon, psi)

@@ -367,6 +367,12 @@ def block_matrix(blocks) -> FormMatrix:
     return vstack(*[hstack(*row) for row in blocks])
 
 
+def block_diagonal(*ms: FormMatrix) -> FormMatrix:
+    """The blocks ms on the diagonal, zero elsewhere."""
+    return block_matrix([[m if i == j else zero_matrix(m.ring, m.rows, n.cols) for j, n in enumerate(ms)]
+                         for i, m in enumerate(ms)])
+
+
 # -- integer lattice layer ------------------------------------------------
 
 

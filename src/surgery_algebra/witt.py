@@ -146,7 +146,3 @@ def witt_class(q: QuadraticForm) -> WittClass:
             f"signature {sig} is not divisible by 8; the input is not an even nonsingular form"
         )
     return WittClass(1, sig // 8)
-
-
-def is_stably_hyperbolic(q: QuadraticForm) -> bool:
-    return witt_class(q).value == 0

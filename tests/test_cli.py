@@ -372,3 +372,30 @@ def test_the_formation_verb_validates_once_and_reads_a_witness(tmp_path, monkeyp
                           "--out", str(tmp_path / "report.json")])
     assert (status, report["kind"], report["error"]) == (1, "domain", "witness is not complementary to F")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ell", [-1, cli.MAX_HYPERBOLIC_ELL + 1])
+def test_a_hyperbolic_rank_outside_the_bound_is_a_schema_error(tmp_path, ell):
+    status, report = run(["hyperbolic", "--epsilon", "1", "--ell", str(ell), "--out", str(tmp_path / "report.json")])
+    assert (status, report["kind"], report["error"]) == (2, "schema", f"--ell must lie in [0, 1024], got {ell}")
+
+
+def test_the_rank_zero_hyperbolic_form_is_answered(tmp_path):
+    status, report = run(["hyperbolic", "--epsilon", "-1", "--ell", "0", "--out", str(tmp_path / "report.json")])
+    assert (status, report["result"]["form"]) == (0, {"epsilon": -1, "lambda": [], "mu": [], "ring": {"ring": "Z"}})
+
+
+@pytest.mark.parametrize("pad, same", [(-1, None), (0, True), (10**6, False)])
+def test_the_stabilization_is_refused_below_0_and_bounded_by_the_isometry(tmp_path, pad, same):
+    z = rings.integers()
+    phi = serialize.formation_to_obj(formations.trivial_formation(z, 1, 1))
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps({"first": phi, "second": phi,
+                               "isometry": serialize.matrix_to_obj(matrices.identity_matrix(z, 2))}), encoding="utf-8")
+    start = time.process_time()
+    status, report = run(["formation", "--in", str(src), "--stabilize", str(pad), "--out", str(tmp_path / "report.json")])
+    assert time.process_time() - start < 1.0
+    if same is None:
+        assert (status, report["kind"], report["error"]) == (2, "schema", "--stabilize must be at least 0, got -1")
+    else:
+        assert (status, report["result"]) == (0, {"stably_isomorphic": same, "pad": pad})

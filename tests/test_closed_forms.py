@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from surgery_algebra import forms, formations, lagrangians, matrices as mx, rings, unitary
 from surgery_algebra.errors import DomainError, SingularMatrixError, SurgeryAlgebraError
 from surgery_algebra.forms import SplitForm
+from surgery_algebra.generators import hessian_corner, matrix as random_matrix
 
-from conftest import hessian_corner, random_matrix, random_split_and_transport, random_unimodular
+from conftest import random_split_and_transport, random_unimodular
 
 Z = rings.integers()
 ALL_RINGS = [Z, rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()]

@@ -25,8 +25,9 @@ from surgery_algebra.complexes import (
 )
 from surgery_algebra.errors import DomainError
 from surgery_algebra.rings import AbelianGroup
+from surgery_algebra.generators import hessian_corner, matrix as random_matrix
 
-from conftest import hessian_corner, random_complex, random_matrix
+from conftest import random_complex
 
 Z = rings.integers()
 

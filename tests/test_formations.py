@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from surgery_algebra import complexes as cx, forms, matrices as mx, rings, unitary
+from surgery_algebra import complexes as cx, formations, forms, matrices as mx, rings, unitary
 from surgery_algebra.errors import DomainError, PreconditionError
 from surgery_algebra.formations import (
     boundary_formation,
@@ -27,15 +27,12 @@ from surgery_algebra.formations import (
 )
 from surgery_algebra.forms import hyperbolic_quadratic, mu_value, quadratic_form
 from surgery_algebra.rings import AbelianGroup
+from surgery_algebra.generators import hessian_corner, word as random_word
 
-from conftest import hessian_corner, random_unimodular, random_word
+from conftest import random_unimodular
 from test_forms import arf_form
 
 Z = rings.integers()
-
-
-def dual_summand(ring, k):
-    return mx.vstack(mx.zero_matrix(ring, k, k), mx.identity_matrix(ring, k))
 
 
 def test_trivial_formation_is_detected_with_the_identity():
@@ -97,7 +94,7 @@ def test_boundary_witness_recovers_the_form():
         mu = [rings.symmetrize_preimage(lam.entry(i, i), -eps) for i in range(k)]
         form_in = quadratic_form(Z, -eps, lam, mu)
         phi = boundary_formation(form_in)
-        recovered, iso = boundary_witness(phi, dual_summand(Z, k))
+        recovered, iso = boundary_witness(phi, formations._standard_dual(Z, k))
         assert recovered.lam == form_in.lam
         assert verify_formation_isomorphism(boundary_formation(recovered), phi, iso.f)
 

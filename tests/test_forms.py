@@ -16,7 +16,6 @@ from surgery_algebra.forms import (
     is_even,
     is_isometry,
     is_split_morphism,
-    lambda_value,
     mu_value,
     negate,
     negate_split,
@@ -28,8 +27,9 @@ from surgery_algebra.forms import (
     split_to_quadratic,
     symmetric_form,
 )
+from surgery_algebra.generators import hessian_corner, matrix as random_matrix
 
-from conftest import random_matrix, random_split, random_unimodular
+from conftest import random_split, random_unimodular
 from test_matrices import E8_ROWS
 
 Z = rings.integers()
@@ -161,7 +161,7 @@ def test_mu_polarization():
         y = random_matrix(rng, Z, 3, 1)
         lhs = mu_value(q, x.add(y))
         rhs = rings.class_add(rings.class_add(mu_value(q, x), mu_value(q, y)),
-                              rings.q_eps_reduce(lambda_value(q, x, y), eps))
+                              rings.q_eps_reduce(x.star().mul(q.lam).mul(y).entry(0, 0), eps))
         assert lhs == rhs
 
 
@@ -177,8 +177,7 @@ def test_hessian_witness_exists_exactly_on_differences():
     rng = random.Random(11)
     for _ in range(25):
         eps = rng.choice((1, -1))
-        t = random_matrix(rng, Z, 3, 3)
-        n = t.sub(t.star().scale_int(eps))
+        n = hessian_corner(rng, Z, 3, eps)
         w = split_hessian_witness(n, eps)
         assert w is not None and w.sub(w.star().scale_int(eps)) == n
     assert split_hessian_witness(mx.int_matrix([[1]]), -1) is None

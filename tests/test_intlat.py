@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from surgery_algebra import _intlat
 from surgery_algebra import matrices as mx
 from surgery_algebra import rings
+from surgery_algebra.generators import matrix as random_matrix
 
-from conftest import random_matrix, random_unimodular
+from conftest import random_unimodular
 from test_matrices import det_int
 
 Z = rings.integers()

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from surgery_algebra import forms, matrices as mx, rings
-from surgery_algebra.errors import DomainError, SingularMatrixError
+from surgery_algebra.errors import DomainError, PreconditionError, SingularMatrixError
 from surgery_algebra.forms import (
     FormIsometry,
     direct_sum,
@@ -32,7 +32,7 @@ from surgery_algebra.lagrangians import (
     surgery_on_form,
 )
 
-from conftest import random_split, random_unimodular
+from conftest import random_split_and_transport, random_unimodular
 from test_forms import arf_form
 from test_matrices import E8_ROWS
 
@@ -182,3 +182,25 @@ def test_extension_verifies_for_transported_lagrangians():
         ext = extend_lagrangian(s, inc)
         assert is_split_morphism(ext, hyperbolic_split(Z, eps, half), s)
         assert mx.is_unimodular(ext.f)
+
+
+@pytest.mark.parametrize("ring", [rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()], ids=str)
+@pytest.mark.parametrize("eps", [1, -1])
+def test_extension_off_the_integers_takes_a_splitting_witness(ring, eps):
+    rng = random.Random(56)
+    for half in (1, 2):
+        # L and its dual in H, carried back through the transport: P^-1 pairs them to the identity
+        s, p = random_split_and_transport(rng, ring, eps, half)
+        pinv, rows = mx.inverse(p), range(2 * half)
+        basis = pinv.submatrix(rows, range(half))
+        jprime = pinv.submatrix(rows, range(half, 2 * half))
+        ext = extend_lagrangian(s, basis, jprime)
+        assert is_split_morphism(ext, hyperbolic_split(ring, eps, half), s)
+        assert mx.is_unimodular(ext.f)
+        with pytest.raises(PreconditionError, match="^basis is not lambda-isotropic$"):
+            extend_lagrangian(s, pinv.submatrix(rows, [0, half]), jprime)
+        with pytest.raises(PreconditionError, match="^jprime is not a splitting"):
+            extend_lagrangian(s, basis, jprime.scale_int(2))
+        with pytest.raises(DomainError, match="supply a jprime witness") as exc:
+            extend_lagrangian(s, basis)
+        assert exc.type is DomainError

@@ -16,8 +16,9 @@ from surgery_algebra import rings
 from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.rings import AbelianGroup
+from surgery_algebra.generators import matrix as random_matrix
 
-from conftest import random_matrix, random_unimodular
+from conftest import random_unimodular
 
 Z = rings.integers()
 C2 = rings.cyclic(2, 1)

@@ -12,20 +12,13 @@ from surgery_algebra import formations, forms, plumbing, rings, unitary
 from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError
 from surgery_algebra.matrices import FormMatrix
-
-from conftest import ring_element
+from surgery_algebra.generators import element as ring_element, matrix as random_matrix
 
 RINGS = [rings.integers(), rings.cyclic(1), rings.cyclic(3), rings.cyclic(4, -1),
          rings.cyclic(6, 1), rings.laurent()]
 ring_strategy = st.sampled_from(RINGS)
 seeds = st.integers(0, 2**32)
 sizes = st.integers(0, 3)
-
-
-def random_matrix(rng, ring, rows, cols):
-    """Built with its declared shape, which a list of rows loses when it has none."""
-    return FormMatrix(ring, rows, cols, tuple(tuple(ring_element(rng, ring) for _ in range(cols))
-                                              for _ in range(rows)))
 
 
 def through_text(obj):

@@ -18,8 +18,7 @@ from surgery_algebra.unitary import (
     unitary_from_matrix,
     unitary_membership,
 )
-
-from conftest import hessian_corner, random_unimodular, random_word
+from surgery_algebra.generators import hessian_corner, word as random_word
 
 Z = rings.integers()
 

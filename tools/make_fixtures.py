@@ -1,8 +1,10 @@
 """Regenerate the JSON fixtures shipped inside the package.
 
-Everything is seeded and deterministic.  The curated null-surgery sequences
-are found by a bounded search at generation time; the shipped artifact only
-ever verifies them.  Run from the repository root:
+Everything is seeded and deterministic.  The random automorphism words and
+surgery matrices are drawn by ``surgery_algebra.generators``, whose draw
+order is fixed, so the fixtures regenerate byte for byte.  The curated
+null-surgery sequences are found by a bounded search at generation time;
+the shipped artifact only ever verifies them.  Run from the repository root:
 
     python3 tools/make_fixtures.py           # rewrite the shipped fixtures
     python3 tools/make_fixtures.py --check   # regenerate into a temporary
@@ -26,11 +28,11 @@ from surgery_algebra import (  # noqa: E402
     complexes as cx,
     formations as fm,
     forms,
+    generators as gen,
     matrices as mx,
     plumbing as pl,
     rings,
     serialize as sz,
-    unitary as un,
 )
 
 Z = rings.integers()
@@ -54,61 +56,18 @@ def write(outdir: str, name: str, obj) -> None:
     print("wrote", os.path.relpath(path))
 
 
-def random_word(rng: random.Random, eps: int, k: int, length: int) -> un.UnitaryAutomorphism:
-    u = un.identity_unitary(Z, eps, k)
-    for _ in range(length):
-        kind = rng.randrange(4)
-        if kind == 0:
-            a = mx.identity_matrix(Z, k)
-            for _ in range(2):
-                i, j = rng.randrange(k), rng.randrange(k)
-                if i != j:
-                    rows = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-                    rows[i][j] = rng.randint(-2, 2)
-                    a = a.mul(mx.matrix(Z, rows))
-            g = un.elementary_diag(a, eps)
-        elif kind == 1:
-            t = mx.matrix(Z, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
-            g = un.elementary_lower(t.sub(t.star().scale_int(eps)), eps)
-        elif kind == 2:
-            t = mx.matrix(Z, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
-            g = un.elementary_upper(t.sub(t.star().scale_int(eps)), eps)
-        else:
-            g = un.sigma_eps(Z, eps, k)
-        u = un.compose(u, g)
-    return u
-
-
-def find_null_surgery(rng: random.Random, c: cx.OddComplex, budget: int = 6000):
-    """Bounded search for surgery data whose effect is contractible."""
+def search_surgery(rng: random.Random, c: cx.OddComplex, contractible: bool, budget: int):
+    """Bounded search for admissible surgery data whose trace validates and whose effect is
+    contractible or not, as asked; contractible effects are searched with wider data."""
     k = c.rank_top
-    for trial in range(budget):
-        m = rng.choice([max(1, k - 1), k, k, k + 1, k + 2])
-        j = mx.matrix(Z, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)])
-        delta = mx.matrix(Z, [[rng.randint(-1, 1) for _ in range(m)] for _ in range(m)])
-        s = cx.SurgeryData(j, delta)
-        if not cx.surgery_admissible(c, s):
-            continue
-        effect, cob = cx.surgery_on_complex(c, s)
-        if not cx.validate_cobordism(c, effect, cob):
-            continue
-        if cx.is_contractible(effect):
-            return s
-    return None
-
-
-def random_valid_surgery(rng: random.Random, c: cx.OddComplex, budget: int = 2000):
-    k = c.rank_top
-    for trial in range(budget):
-        m = rng.choice([1, k])
-        j = mx.matrix(Z, [[rng.randint(-1, 1) for _ in range(k)] for _ in range(m)])
-        delta = mx.matrix(Z, [[rng.randint(-1, 1) for _ in range(m)] for _ in range(m)])
-        s = cx.SurgeryData(j, delta)
-        if not cx.surgery_admissible(c, s):
-            continue
-        effect, cob = cx.surgery_on_complex(c, s)
-        if cx.validate_cobordism(c, effect, cob) and not cx.is_contractible(effect):
-            return s
+    sizes, bound = ([max(1, k - 1), k, k, k + 1, k + 2], 2) if contractible else ([1, k], 1)
+    for _ in range(budget):
+        m = rng.choice(sizes)
+        s = cx.SurgeryData(gen.matrix(rng, Z, m, k, -bound, bound), gen.matrix(rng, Z, m, m, -1, 1))
+        if cx.surgery_admissible(c, s):
+            effect, cob = cx.surgery_on_complex(c, s)
+            if cx.validate_cobordism(c, effect, cob) and cx.is_contractible(effect) == contractible:
+                return s
     return None
 
 
@@ -121,18 +80,18 @@ def make_null_sequences(outdir: str, count: int = 20):
         parity = made % 2
         eps = 1 if parity == 0 else -1
         k = 1 + made % 3
-        u = random_word(rng, eps, k, rng.randint(3, 7))
+        u = gen.word(rng, eps, k, rng.randint(3, 7), steps=2)
         phi = fm.formation_from_automorphism(u)
         c = fm.formation_to_complex(phi)
         steps = []
         current = c
         if made % 5 == 4:
-            pre = random_valid_surgery(rng, current)
+            pre = search_surgery(rng, current, False, 2000)
             if pre is None:
                 continue
             steps.append(pre)
             current, _ = cx.surgery_on_complex(current, pre)
-        s = find_null_surgery(rng, current)
+        s = search_surgery(rng, current, True, 6000)
         if s is None:
             continue
         steps.append(s)
