@@ -154,17 +154,21 @@ def _find_pivot(a, m, n, t):
     return at
 
 
-def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = True):
+def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = True,
+                      want_u_inverse: bool = False):
     """Return (U, D, V) with U·a·V = D diagonal, d1 | d2 | ..., di >= 0.
 
     U and V are unimodular (built from row and column operations only).  A
     transform the caller does not want is neither built nor updated and
-    comes back as None; the pivots and D are the same either way.
+    comes back as None; the pivots and D are the same either way.  With
+    want_u_inverse, U^-1 comes back as a fourth item, built by the inverse
+    column operations of U's row operations, kept transposed as V is.
     """
     m, n = dims(a)
     A = copy_grid(a)
     U = identity(m) if want_u else None
     W = identity(n) if want_v else None  # V transposed: its columns are rows here
+    Y = identity(m) if want_u_inverse else None  # U^-1 transposed
     t = 0
     while t < min(m, n):
         piv = _find_pivot(A, m, n, t)
@@ -175,6 +179,8 @@ def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = Tr
             A[t], A[i0] = A[i0], A[t]
             if U:
                 U[t], U[i0] = U[i0], U[t]
+            if Y:
+                Y[t], Y[i0] = Y[i0], Y[t]
         if j0 != t:
             for i in range(t, m):
                 row = A[i]
@@ -192,6 +198,8 @@ def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = Tr
                     Ai[t:] = [x - q * y for x, y in zip(Ai[t:], At[t:])]
                     if U:
                         U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                    if Y:
+                        Y[t] = [x + q * y for x, y in zip(Y[t], Y[i])]
                 if Ai[t]:
                     dirty = True
         if dirty:
@@ -214,13 +222,18 @@ def smith_normal_form(a: list[list[int]], want_u: bool = True, want_v: bool = Tr
                 At[t:] = [x + y for x, y in zip(At[t:], A[bad][t:])]
                 if U:
                     U[t] = [x + y for x, y in zip(U[t], U[bad])]
+                if Y:
+                    Y[bad] = [x - y for x, y in zip(Y[bad], Y[t])]
                 continue
         if d < 0:
             At[t] = -d
             if U:
                 U[t] = [-x for x in U[t]]
+            if Y:
+                Y[t] = [-x for x in Y[t]]
         t += 1
-    return U, A, None if W is None else transpose(W)
+    out = U, A, None if W is None else transpose(W)
+    return out + (transpose(Y),) if want_u_inverse else out
 
 
 def diagonal_of(d: list[list[int]]) -> list[int]:
@@ -259,6 +272,12 @@ def kernel_basis(a: list[list[int]]) -> list[list[int]]:
 
 def solve(a: list[list[int]], b: list[list[int]]):
     """Any integer X with a·X = b, or None when no integer solution exists."""
+    return _smith_solve(a, b)[0]
+
+
+def _smith_solve(a: list[list[int]], b: list[list[int]]):
+    """(X or None, V, r) from one Smith form U·a·V = D of rank r: the solution
+    ``solve`` returns, and V, whose columns r.. are a primitive basis of ker a."""
     m, n = dims(a)
     mb, k = dims(b)
     if m != mb:
@@ -266,18 +285,19 @@ def solve(a: list[list[int]], b: list[list[int]]):
     u, d, v = smith_normal_form(a)
     ub = matmul(u, b)
     diag = diagonal_of(d)
+    r = sum(1 for x in diag if x)
     y = zeros(n, k)
     for i in range(m):
         di = diag[i] if i < len(diag) else 0
         for c in range(k):
             if di:
                 if ub[i][c] % di:
-                    return None
+                    return None, v, r
                 if i < n:
                     y[i][c] = ub[i][c] // di
             elif ub[i][c]:
-                return None
-    return matmul(v, y)
+                return None, v, r
+    return matmul(v, y), v, r
 
 
 def hermite_column_basis(a: list[list[int]]):
@@ -345,11 +365,11 @@ def reduce_mod_lattice(v: list[int], h: list[list[int]], pivots: list[int]) -> l
 def solve_reduced(a: list[list[int]], b: list[list[int]]):
     """Like solve, but the result is canonical: each column of X is reduced
     modulo the kernel lattice of a."""
-    x = solve(a, b)
+    x, v, r = _smith_solve(a, b)
     if x is None:
         return None
     n, k = dims(x)
-    ker = kernel_basis(a)
+    ker = [row[r:] for row in v]
     if not ker or not ker[0]:
         return x
     h, pivots = hermite_column_basis(ker)
@@ -409,23 +429,18 @@ def complement_of_primitive(b: list[list[int]]):
     """For a primitive m×r sublattice basis b, return (c, p): c an m×(m-r)
     complement basis and p the (m-r)×m projection with p·c = I, p·b = 0."""
     m, r = dims(b)
-    u, d, _ = smith_normal_form(b, want_v=False)
+    u, d, _, uinv = smith_normal_form(b, want_v=False, want_u_inverse=True)
     if r > m or any(d[i][i] != 1 for i in range(r)):  # not a split injection
         return None
-    uinv = inverse(u)
-    comp = [[uinv[i][j] for j in range(r, m)] for i in range(m)]
+    comp = [row[r:] for row in uinv]
     proj = [u[i][:] for i in range(r, m)]
     return comp, proj
 
 
 def completion_of_primitive_vector(v: list[int]):
-    """A unimodular matrix whose first column is the primitive vector v, or None."""
-    m = len(v)
-    col = [[x] for x in v]
-    u, d, _ = smith_normal_form(col, want_v=False)
-    if not (d and d[0][0] == 1):
-        return None
-    w = inverse(u)
-    if matmul(w, [[1]] + [[0]] * (m - 1)) != col:
-        w = [[-w[i][0]] + w[i][1:] for i in range(m)]
-    return w
+    """A unimodular matrix whose first column is the primitive vector v, or None.
+
+    That is U^-1 for the Smith form U·v = (1, 0, ..., 0)': its V is 1 x 1 and
+    only ever the identity, so U^-1 maps e_1 to v itself."""
+    _, d, _, uinv = smith_normal_form([[x] for x in v], False, False, True)
+    return uinv if d and d[0][0] == 1 else None

@@ -59,8 +59,8 @@ def verb_witt(args):
     q = sz.form_from_obj(_load(args))
     cls = witt.witt_class(q)
     out = {"epsilon": q.epsilon, "class": cls.value}
-    if q.epsilon == 1:
-        out["signature"] = witt.signature(q)
+    if q.epsilon == 1:  # the class is signature / 8, and 8 divides the signature
+        out["signature"] = 8 * cls.value
     return out
 
 
@@ -129,7 +129,7 @@ def verb_boundary(args):
     return {
         "h_n": sz.group_to_obj(hn),
         "h_n_plus_1_rank": hn1,
-        "is_sphere": plumbing.is_homotopy_sphere_boundary(q),
+        "is_sphere": hn == rings.AbelianGroup(0, ()),
     }
 
 

@@ -317,6 +317,9 @@ def verify_formation_isomorphism(a: Formation, b: Formation, f: FormMatrix) -> b
 def verify_stable_isomorphism(a: Formation, b: Formation, f: FormMatrix,
                               pad_a: int = 0, pad_b: int = 0) -> bool:
     """f realizes a + trivial(pad_a) ~ b + trivial(pad_b) as an isomorphism."""
+    for name, pad in (("pad_a", pad_a), ("pad_b", pad_b)):
+        if pad < 0:
+            raise SchemaError(f"{name} must be at least 0, got {pad}")
     # the shape of f bounds the work: no padded formation is built for a pad it cannot match
     if f.rows != b.rank + 2 * pad_b or f.cols != a.rank + 2 * pad_a:
         return False

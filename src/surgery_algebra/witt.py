@@ -5,6 +5,16 @@ invariant; both are constant on stable isomorphism classes, where two forms
 are identified when they agree after adding hyperbolics.  Signature divided
 by eight and Arf are complete invariants for that classification, one value
 in the integers and one bit.
+
+Each invariant comes from one exact elimination in the cheapest ring that is
+still exact.  The signature and det lambda come from one fraction-free
+congruence pass over the integers (Bareiss 1968), so the symmetric class
+tests |det| = 1 from the pass that gives it the signature.  The Arf
+invariant depends only on (lambda, mu) mod 2 (Arf 1941): after one integer
+determinant has shown lambda unimodular, it is read off a symplectic
+reduction over F_2 on int bitmask rows, O(k^2) word operations with no
+integer growth.  The integer symplectic basis is built only when a caller
+asks for it.
 """
 
 from __future__ import annotations
@@ -30,40 +40,53 @@ def _int_symmetric(form, epsilon: int, what: str) -> list[list[int]]:
 def signature(form) -> int:
     """Positive minus negative diagonal count after exact diagonalisation.
 
-    Accepts a symmetric or quadratic form over the integers.  Congruence
-    steps run fraction-free (Bareiss): the live block holds prev times the
-    rational Schur complement, where prev is the last pivot, so the update
-    (d * g_rc - g_rp * g_pc) / prev divides exactly and the rational pivot
-    d / prev has the sign of d * prev.  A zero diagonal entry is first
-    repaired by adding a row and column that pair with it nontrivially, so
-    every pivot is 1x1 and contributes its sign.
+    Accepts a symmetric or quadratic form over the integers; raises
+    SingularMatrixError on a singular one.
+    """
+    sig, det = signature_and_det(form)
+    if not det:
+        raise SingularMatrixError("signature needs a nonsingular form")
+    return sig
+
+
+def signature_and_det(form) -> tuple[int, int]:
+    """(signature, det lambda) of a symmetric or quadratic form over the integers,
+    from one fraction-free congruence diagonalisation; det is 0, and the
+    signature meaningless, when lambda is singular.
+
+    Congruence steps run fraction-free (Bareiss): the live block holds prev
+    times the rational Schur complement, where prev is the last pivot, so the
+    update (d * g_rc - g_rp * g_pc) / prev divides exactly and the rational
+    pivot d / prev has the sign of d * prev.  A zero diagonal entry is first
+    repaired by adding a row and column that pair with it nontrivially, a
+    congruence of determinant 1, so every pivot is 1x1 and contributes its
+    sign, and the last pivot is det lambda.  A zero pivot row in the live
+    block means lambda is singular.  Every step keeps the block symmetric, so
+    only its upper triangle is read and updated, half the work of a Bareiss
+    determinant.
     """
     g = _int_symmetric(form, 1, "signature")
-    live = list(range(len(g)))
+    n = len(g)
     sig, prev = 0, 1
-    while live:
-        p = live[0]
-        if g[p][p] == 0:
-            j = next((c for c in live[1:] if g[p][c] != 0), None)
-            if j is None:
-                raise SingularMatrixError("signature needs a nonsingular form")
-            for t in (1, -1):
-                if g[p][p] + 2 * t * g[p][j] + g[j][j] != 0:
-                    break
-            for r in live:
-                g[r][p] += t * g[r][j]
-            for c in live:
-                g[p][c] += t * g[j][c]
-        d = g[p][p]
-        sig += 1 if (d > 0) == (prev > 0) else -1
-        live = live[1:]
+    for p in range(n):
         gp = g[p]
-        for r in live:
-            gr, grp = g[r], g[r][p]
-            for c in live:
-                gr[c] = (d * gr[c] - grp * gp[c]) // prev
+        if gp[p] == 0:
+            j = next((c for c in range(p + 1, n) if gp[c]), None)
+            if j is None:
+                return sig, 0
+            gj = g[j]
+            t = 1 if 2 * gp[j] + gj[j] else -1
+            gp[p] = 2 * t * gp[j] + gj[j]
+            for k in range(p + 1, n):  # row p gains t times row j, read off the upper triangle
+                gp[k] += t * (g[k][j] if k < j else gj[k])
+        d = gp[p]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        for r in range(p + 1, n):
+            gr, c = g[r], gp[r]
+            for k in range(r, n):
+                gr[k] = (d * gr[k] - c * gp[k]) // prev
         prev = d
-    return sig
+    return sig, prev
 
 
 def _symplectic_pairs(g: list[list[int]]) -> list[list[int]]:
@@ -92,31 +115,66 @@ def _symplectic_pairs(g: list[list[int]]) -> list[list[int]]:
     return [[int(r == 0)] + lifted[r][:h] + [v[r]] + lifted[r][h:] for r in range(k)]
 
 
-def symplectic_basis(form) -> FormMatrix:
-    """Change of basis B with B'·lambda·B = [[0, I], [-I, 0]].
-
-    Column i pairs with column i+m to the value 1.  Requires a unimodular
-    antisymmetric form over the integers.
-    """
+def _unimodular_antisymmetric(form) -> list[list[int]]:
+    """The int grid of a unimodular antisymmetric form over the integers, checked
+    with the errors of the symplectic basis."""
     grid = _int_symmetric(form, -1, "the symplectic basis")
     lam = form.lam if hasattr(form, "lam") else form
     if not matrices.is_unimodular(lam):
         raise SingularMatrixError("the symplectic basis needs a unimodular form")
-    return matrices.int_matrix(_symplectic_pairs(grid))
+    return grid
+
+
+def symplectic_basis(form) -> FormMatrix:
+    """Change of basis B with B'·lambda·B = [[0, I], [-I, 0]].
+
+    Column i pairs with column i+m to the value 1.  Requires a unimodular
+    antisymmetric form over the integers.  This is the O(k^4) integer basis,
+    one Smith form and k x k products per pair, whose entries grow with the
+    rank; it is kept for callers that need the basis itself, and the Arf
+    invariant does not use it.
+    """
+    return matrices.int_matrix(_symplectic_pairs(_unimodular_antisymmetric(form)))
 
 
 def arf(q: QuadraticForm) -> int:
     """Sum of mu(u_i)·mu(v_i) over a symplectic basis, in Z/2."""
     if not isinstance(q, QuadraticForm):
         raise SchemaError("arf expects a quadratic form")
-    return _arf(q, symplectic_basis(q))
+    return _arf_mod2(_unimodular_antisymmetric(q), q.mu)
 
 
-def _arf(q: QuadraticForm, b: FormMatrix) -> int:
-    """arf of q, read off a symplectic basis b of its (already tested) form."""
-    m = b.cols // 2
-    bits = [0 if rings.class_is_zero(v) else 1 for v in forms.mu_values(q, b)]
-    return sum(bits[i] * bits[i + m] for i in range(m)) % 2
+def _arf_mod2(g: list[list[int]], mu) -> int:
+    """arf of (g, mu) for a unimodular antisymmetric grid g, by symplectic reduction mod 2.
+
+    Row x of g mod 2 is the int ``rows[x]``, whose bit j is g_xj mod 2, and bit x
+    of ``bits`` is mu_x mod 2.  Each step pairs the first live e with the
+    first f that has lambda(e, f) = 1 and moves every live x to
+    x + lambda(x, f)·e + lambda(x, e)·f, which is orthogonal to both.  Mod 2
+    lambda is symmetric, so the x with lambda(x, e) = 1 are the bits of row
+    e: row x gains row f for those x and row e for the bits of row f, and
+    mu(x) gains lambda(x, f)·mu(e) + lambda(x, e)·mu(f) + lambda(x, f)·lambda(x, e).
+    The rows of e and f then vanish, and mu(e)·mu(f) adds to the invariant.
+    g mod 2 is nonsingular, so the rows that vanish are those of the pairs.
+    """
+    rows = [sum(1 << j for j, x in enumerate(row) if x & 1) for row in g]
+    bits = sum((not rings.class_is_zero(c)) << x for x, c in enumerate(mu))
+    out = 0
+    for e in range(len(rows)):
+        re = rows[e]
+        if not re:
+            continue
+        f = (re & -re).bit_length() - 1
+        rf = rows[f]
+        qe, qf = bits >> e & 1, bits >> f & 1
+        out ^= qe & qf
+        bits ^= (rf if qe else 0) ^ (re if qf else 0) ^ (re & rf)
+        for m, r in ((re, rf), (rf, re)):
+            while m:
+                low = m & -m
+                rows[low.bit_length() - 1] ^= r
+                m ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -136,11 +194,13 @@ class WittClass:
 def witt_class(q: QuadraticForm) -> WittClass:
     if q.ring.kind != "Z":
         raise WrongRingError("witt classes are only computed over the integers")
-    if not forms.is_nonsingular(q):
+    if q.epsilon == -1:
+        if not forms.is_nonsingular(q):
+            raise SingularMatrixError("witt class needs a nonsingular form")
+        return WittClass(-1, _arf_mod2(q.lam.to_int_grid(), q.mu))
+    sig, det = signature_and_det(q)
+    if det not in (1, -1):
         raise SingularMatrixError("witt class needs a nonsingular form")
-    if q.epsilon == -1:  # nonsingular is tested: symplectic_basis would test it again
-        return WittClass(-1, _arf(q, matrices.int_matrix(_symplectic_pairs(q.lam.to_int_grid()))))
-    sig = signature(q)
     if sig % 8 != 0:
         raise DomainError(
             f"signature {sig} is not divisible by 8; the input is not an even nonsingular form"

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import surgery_algebra
-from surgery_algebra import acceptance, cli, formations, forms, matrices, rings, serialize
+from surgery_algebra import _intlat, acceptance, cli, formations, forms, matrices, rings, serialize, witt
 
 # sha256 of the shipped E8 fixture; the fixtures regenerate byte for byte
 E8_SHA256 = "7f27ba30027e05a9f66f67d5f50171f41e1ee1e6065fc19f7fb851572a155ea9"
@@ -52,6 +52,34 @@ def test_unreadable_input_exits_with_status_2(tmp_path, content):
     assert status == 2
     assert report["kind"] == "schema"
     assert "result" not in report
+
+
+def test_boundary_of_a_unimodular_form_is_one_determinant(tmp_path, monkeypatch):
+    calls = []
+    for name in ("bareiss", "smith_normal_form"):
+        real = getattr(_intlat, name)
+        monkeypatch.setattr(_intlat, name, lambda a, *rest, name=name, real=real:
+                            calls.append(name) or real(a, *rest))
+    status, report = run(["boundary", "--in", e8_path(), "--out", str(tmp_path / "report.json")])
+    assert status == 0 and calls == ["bareiss"]
+    assert report["result"] == {"h_n": {"free_rank": 0, "torsion": [], "name": "0"}, "h_n_plus_1_rank": 0,
+                                "is_sphere": True}
+    src = tmp_path / "a2.json"
+    src.write_text(json.dumps({"ring": {"ring": "Z"}, "epsilon": 1, "mu": [1, 1],
+                               "lambda": [[2, 1], [1, 2]]}), encoding="utf-8")
+    status, report = run(["boundary", "--in", str(src), "--out", str(tmp_path / "a2-report.json")])
+    assert status == 0 and calls == ["bareiss", "bareiss", "smith_normal_form"]
+    assert report["result"] == {"h_n": {"free_rank": 0, "torsion": [3], "name": "Z/3"}, "h_n_plus_1_rank": 0,
+                                "is_sphere": False}
+
+
+def test_the_symmetric_witt_verb_runs_one_signature_pass(tmp_path, monkeypatch):
+    calls = []
+    real = witt.signature_and_det
+    monkeypatch.setattr(witt, "signature_and_det", lambda q: calls.append(q.rank) or real(q))
+    status, report = run(["witt", "--in", e8_path(), "--out", str(tmp_path / "report.json")])
+    assert status == 0 and calls == [8]
+    assert report["result"] == {"epsilon": 1, "class": 1, "signature": 8}
 
 
 def test_calls_in_one_process_give_independent_reports(tmp_path):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from surgery_algebra import complexes as cx, formations, forms, matrices as mx, rings, unitary
-from surgery_algebra.errors import DomainError, PreconditionError
+from surgery_algebra.errors import DomainError, PreconditionError, SchemaError
 from surgery_algebra.formations import (
     boundary_formation,
     boundary_witness,
@@ -203,3 +203,12 @@ def test_stable_isomorphism_with_padding():
     b = direct_sum_formation(a, trivial_formation(Z, a.epsilon, 1))
     assert verify_stable_isomorphism(a, b, mx.identity_matrix(Z, 4), pad_a=1, pad_b=0)
     assert not verify_stable_isomorphism(a, b, mx.identity_matrix(Z, 4), pad_a=0, pad_b=0)
+
+
+def test_stable_isomorphism_refuses_a_negative_pad():
+    # the shapes match (4 - 2 = 2), so only the pad test stands between the call and matrices
+    big, small, f = trivial_formation(Z, -1, 2), trivial_formation(Z, -1, 1), mx.identity_matrix(Z, 2)
+    with pytest.raises(SchemaError, match="^pad_a must be at least 0, got -1$"):
+        verify_stable_isomorphism(big, small, f, pad_a=-1)
+    with pytest.raises(SchemaError, match="^pad_b must be at least 0, got -1$"):
+        verify_stable_isomorphism(small, big, f, pad_b=-1)

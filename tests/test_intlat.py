@@ -429,3 +429,73 @@ def test_digits_of_every_size_read_back_signed():
         # the bias makes every digit non-negative without carries
         biased = int.from_bytes(buf, "little") ^ _intlat._bias(size, len(values))
         assert biased == sum((v + half) << 8 * size * i for i, v in enumerate(values))
+
+
+# -- one Smith form per lattice answer, against the bodies that ran more ----------
+
+
+def frozen_solve_reduced(a, b):
+    """solve_reduced that took its kernel from a second Smith form, frozen here."""
+    x = _intlat.solve(a, b)
+    if x is None:
+        return None
+    n, k = _intlat.dims(x)
+    ker = _intlat.kernel_basis(a)
+    if not ker or not ker[0]:
+        return x
+    h, pivots = _intlat.hermite_column_basis(ker)
+    cols = [_intlat.reduce_mod_lattice([x[i][c] for i in range(n)], h, pivots) for c in range(k)]
+    return [[cols[c][i] for c in range(k)] for i in range(n)]
+
+
+def frozen_completion_of_primitive_vector(v):
+    """The completion that inverted U by a Bareiss solve, frozen here."""
+    m = len(v)
+    col = [[x] for x in v]
+    u, d, _ = _intlat.smith_normal_form(col, want_v=False)
+    if not (d and d[0][0] == 1):
+        return None
+    w = _intlat.inverse(u)
+    if _intlat.matmul(w, [[1]] + [[0]] * (m - 1)) != col:
+        w = [[-w[i][0]] + w[i][1:] for i in range(m)]
+    return w
+
+
+def counting(monkeypatch, name):
+    """Record the row count of every call of _intlat.name from here on."""
+    calls, real = [], getattr(_intlat, name)
+    monkeypatch.setattr(_intlat, name, lambda a, *rest, **kw: calls.append(len(a)) or real(a, *rest, **kw))
+    return calls
+
+
+@given(GRID_KINDS, st.integers(1, 7), st.integers(0, 7), st.integers(0, 3), st.integers(0, 2**32))
+def test_solve_reduced_reads_the_kernel_off_its_own_smith_form(kind, rows, cols, width, seed):
+    rng = random.Random(seed)
+    a = lattice_grid(rng, kind, rows, cols)
+    # half the right-hand sides lie in the column span, so both outcomes occur
+    x0 = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(cols)]
+    b = _intlat.matmul(a, x0) if rng.random() < 0.5 and cols else \
+        [[rng.randint(-5, 5) for _ in range(width)] for _ in range(rows)]
+    assert _intlat.solve_reduced(a, b) == frozen_solve_reduced(a, b)
+
+
+@given(GRID_KINDS, st.integers(0, 8), st.integers(0, 2**32))
+def test_completion_is_the_inverse_of_the_smith_transform(kind, rows, seed):
+    v = [row[0] for row in lattice_grid(random.Random(seed), kind, rows, 1)] if rows else []
+    assert _intlat.completion_of_primitive_vector(v) == frozen_completion_of_primitive_vector(v)
+
+
+def test_each_lattice_answer_runs_only_the_eliminations_it_reads(monkeypatch):
+    rng = random.Random(43)
+    p = random_unimodular(rng, Z, 6).to_int_grid()
+    a = [row[:4] for row in p[:3]]
+    smith, bareiss = counting(monkeypatch, "smith_normal_form"), counting(monkeypatch, "bareiss")
+    assert _intlat.solve_reduced(a, [[1], [2], [3]]) is not None
+    assert smith == [3]
+    assert _intlat.complement_of_primitive([row[:2] for row in p]) is not None
+    assert _intlat.completion_of_primitive_vector([row[0] for row in p]) is not None
+    assert smith == [3, 6, 6] and bareiss == []
+    # a cokernel is one Smith form, unimodular or not
+    assert mx.cokernel(mx.int_matrix(p)) == (rings.AbelianGroup(0, ()), 6)
+    assert mx.cokernel(mx.int_matrix([[2, 0], [0, 3]])) == (rings.AbelianGroup(0, (6,)), 2)
+    assert smith == [3, 6, 6, 6, 2] and bareiss == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from surgery_algebra import rings
+from surgery_algebra import _intlat, rings
 from surgery_algebra.errors import DomainError, SchemaError
 from surgery_algebra.forms import direct_sum, hyperbolic_quadratic, is_even, negate, symmetric_form
 from surgery_algebra.plumbing import (
@@ -108,10 +108,20 @@ def test_exotic_class_values():
     for m in (2, 3):
         stack = direct_sum(stack, e8_quadratic())
         assert exotic7_class(stack) == m
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^the dimension-7 class needs a \\+1-quadratic form$"):
         exotic7_class(arf_form())
-    with pytest.raises(DomainError):
-        exotic7_class(graph_to_form(plumbing_graph(0, (1,), [])))
+    not_sphere = "^the boundary is not a homotopy sphere: form is not unimodular$"
+    for q in (graph_to_form(plumbing_graph(0, (0,), [])),  # singular
+              graph_to_form(plumbing_graph(0, (1,), [])),  # det 2
+              graph_to_form(plumbing_graph(0, (1, 1), [(0, 1)])),  # A2, det 3
+              hyperbolic_quadratic(rings.cyclic(2), 1, 1)):
+        with pytest.raises(DomainError, match=not_sphere):
+            exotic7_class(q)
+
+
+def test_the_exotic_class_is_one_signature_pass(monkeypatch):
+    monkeypatch.setattr(_intlat, "bareiss", lambda a, b: pytest.fail("bareiss was called"))
+    assert exotic7_class(direct_sum(e8_quadratic(), hyperbolic_quadratic(Z, 1, 2))) == 1
 
 
 def test_milnor_table():

@@ -314,3 +314,88 @@ def test_one_product_per_level_lifts_the_symplectic_pairs_as_before(half):
     b = symplectic_basis(q)
     assert b.to_int_grid() == [[c[i] for c in cols] for i in range(2 * half)]
     assert b.star().mul(q.lam).mul(b) == hyp.lam
+
+
+# -- each invariant from one elimination, against the code it replaced ----------
+
+
+def frozen_signature(grid):
+    """The fraction-free signature that ran its own pass beside a Bareiss determinant, frozen here."""
+    g = [row[:] for row in grid]
+    live = list(range(len(g)))
+    sig, prev = 0, 1
+    while live:
+        p = live[0]
+        if g[p][p] == 0:
+            j = next((c for c in live[1:] if g[p][c] != 0), None)
+            if j is None:
+                raise SingularMatrixError("signature needs a nonsingular form")
+            for t in (1, -1):
+                if g[p][p] + 2 * t * g[p][j] + g[j][j] != 0:
+                    break
+            for r in live:
+                g[r][p] += t * g[r][j]
+            for c in live:
+                g[p][c] += t * g[j][c]
+        d = g[p][p]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        live = live[1:]
+        gp = g[p]
+        for r in live:
+            gr, grp = g[r], g[r][p]
+            for c in live:
+                gr[c] = (d * gr[c] - grp * gp[c]) // prev
+        prev = d
+    return sig
+
+
+@settings(max_examples=300)
+@given(symmetric_grids())
+def test_one_pass_gives_the_old_signature_and_the_determinant(grid):
+    n = len(grid)
+    sig, det = witt.signature_and_det(mx.int_matrix(grid))
+    assert abs(det) == abs(_intlat.bareiss(grid, [[]] * n)[0])
+    try:
+        want = frozen_signature(grid)
+    except SingularMatrixError:
+        assert det == 0
+        with pytest.raises(SingularMatrixError, match="^signature needs a nonsingular form$"):
+            signature(mx.int_matrix(grid))
+        return
+    assert signature(mx.int_matrix(grid)) == sig == want
+    # the sign of det lambda is (-1)^(negative count)
+    assert det * (-1) ** ((n - sig) // 2) > 0
+
+
+def frozen_arf(q):
+    """The Arf invariant read off the integer symplectic basis, frozen here."""
+    b = symplectic_basis(q)
+    m = b.cols // 2
+    bits = [0 if rings.class_is_zero(v) else 1 for v in forms.mu_values(q, b)]
+    return sum(bits[i] * bits[i + m] for i in range(m)) % 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32))
+def test_the_mod_2_arf_matches_the_symplectic_basis(half, seed):
+    rng = random.Random(seed)
+    p = random_unimodular(rng, Z, 2 * half)
+    lam = p.star().mul(hyperbolic_quadratic(Z, -1, half).lam).mul(p)
+    q = quadratic_form(Z, -1, lam, [rng.randint(0, 1) for _ in range(2 * half)])
+    assert arf(q) == witt_class(q).value == frozen_arf(q)
+
+
+def test_the_symmetric_witt_class_reads_det_off_the_signature_pass(monkeypatch):
+    big = transported(e8_quadratic(), random_unimodular(random.Random(41), Z, 8))
+    monkeypatch.setattr(_intlat, "bareiss", lambda a, b: pytest.fail("bareiss was called"))
+    assert witt_class(big) == WittClass(1, 1)
+    with pytest.raises(SingularMatrixError, match="^witt class needs a nonsingular form$"):
+        witt_class(quadratic_form(Z, 1, [[2, 2], [2, 2]], [1, 1]))
+
+
+def test_witt_class_and_arf_never_build_the_symplectic_basis(monkeypatch):
+    q = transported(direct_sum(arf_form(), hyperbolic_quadratic(Z, -1, 3)),
+                    random_unimodular(random.Random(42), Z, 8))
+    monkeypatch.setattr(witt, "_symplectic_pairs", lambda g: pytest.fail("the basis was built"))
+    assert witt_class(q) == WittClass(-1, 1)
+    assert arf(q) == 1
