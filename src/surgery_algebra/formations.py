@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import complexes, forms, lagrangians, matrices, rings
-from .errors import DomainError, PreconditionError, SchemaError, SingularMatrixError
+from .errors import DomainError, PreconditionError, SchemaError
 from .forms import FormIsometry, QuadraticForm
 from .matrices import FormMatrix
 from .rings import AbelianGroup, RingSpec
@@ -143,17 +143,14 @@ def formation_homology(phi: Formation) -> tuple[AbelianGroup, int]:
 
 
 def complex_to_formation(c: complexes.OddComplex) -> Formation:
-    """(H_eps(C_{n+1}); C_{n+1}, im(psi0; d*)) for a valid complex."""
+    """(H_eps(C_{n+1}); C_{n+1}, im(psi0; d*)) for a valid complex, whose conditions make G a
+    lagrangian: pi·incl = 0 is lambda-isotropy, the chain condition mu-isotropy, the rest half rank."""
     bad = complexes.complex_violations(c)
     if bad:
         raise DomainError("complex is invalid: " + "; ".join(bad))
     k = c.rank_top
     q = forms.hyperbolic_quadratic(c.ring, c.epsilon, k)
-    g = complexes.duality_inclusion(c)
-    phi = Formation(c.ring, c.epsilon, q, _standard_f(c.ring, k), g)
-    if formation_violations(phi):
-        raise DomainError("complex does not produce lagrangian data; psi is inconsistent")
-    return phi
+    return Formation(c.ring, c.epsilon, q, _standard_f(c.ring, k), complexes.duality_inclusion(c))
 
 
 def formation_to_complex(phi: Formation) -> complexes.OddComplex:
@@ -187,6 +184,15 @@ def formation_to_complex(phi: Formation) -> complexes.OddComplex:
     return c
 
 
+def _inverse_from_hyperbolic(t: FormMatrix, q: QuadraticForm) -> FormMatrix:
+    """T^-1 = lambda_H^-1·T*·lambda for an isometry T from H_eps(k) onto (Q, lambda):
+    lambda_H^-1 = [[0, eps*I], [I, 0]] swaps the block rows of T*·lambda, scaling the new top by eps."""
+    t_lam = t.star().mul(q.lam)
+    k, cols = t.cols // 2, range(t_lam.cols)
+    return matrices.vstack(t_lam.submatrix(range(k, 2 * k), cols).scale_int(q.epsilon),
+                           t_lam.submatrix(range(k), cols))
+
+
 def normalize_formation(phi: Formation) -> tuple[Formation, FormIsometry]:
     """An isomorphic formation on the standard hyperbolic form, plus the isometry.
 
@@ -195,15 +201,11 @@ def normalize_formation(phi: Formation) -> tuple[Formation, FormIsometry]:
     second lagrangian to G.
     """
     _validated(phi)
-    s = forms.quadratic_to_split(phi.q)
-    ext = lagrangians.extend_lagrangian(s, phi.f)
-    inv = matrices.try_inverse(ext.f)
-    if inv is None:
-        raise SingularMatrixError("lagrangian extension failed to be invertible")
+    ext = lagrangians.extend_lagrangian(forms.quadratic_to_split(phi.q), phi.f)
     k = phi.f.cols
     q = forms.hyperbolic_quadratic(phi.ring, phi.epsilon, k)
-    norm = Formation(phi.ring, phi.epsilon, q, _standard_f(phi.ring, k), inv.mul(phi.g))
-    return norm, ext
+    g = _inverse_from_hyperbolic(ext.f, phi.q).mul(phi.g)
+    return Formation(phi.ring, phi.epsilon, q, _standard_f(phi.ring, k), g), ext
 
 
 def is_trivial_formation(phi: Formation):
@@ -216,15 +218,15 @@ def is_trivial_formation(phi: Formation):
 
 
 def _trivializer(phi: Formation):
-    """``is_trivial_formation`` of a formation already known to be valid."""
-    if not matrices.is_unimodular(matrices.hstack(phi.f, phi.g)):
-        return None
+    """``is_trivial_formation`` of a formation already known to be valid.
+
+    F and G are lagrangians, so (F | G)*·lambda·(F | G) = [[0, P], [eps*P*, 0]] for
+    P = F*·lambda·G: (F | G) is unimodular, F and G complementary, iff P is.
+    """
     pairing = phi.f.star().mul(phi.q.lam).mul(phi.g)
-    pinv = matrices.try_inverse(pairing)
-    if pinv is None:
+    if not matrices.is_unimodular(pairing):
         return None
-    iso = matrices.hstack(phi.f, phi.g.mul(pinv))
-    return FormIsometry(iso)
+    return FormIsometry(matrices.hstack(phi.f, phi.g.mul(matrices.inverse(pairing))))
 
 
 def boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, FormIsometry]:
@@ -239,39 +241,30 @@ def boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, Form
 
 
 def _boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, FormIsometry]:
-    """``boundary_witness`` of a formation already known to be valid."""
-    if not lagrangians._is_lagrangian(phi.q, h):  # phi.q is nonsingular
+    """``boundary_witness`` of a formation already known to be valid.
+
+    As in ``_trivializer``, h complements x = F or G iff x*·lambda·h is invertible.
+    For F that is the pairing P, and T = (F | h·P^-1) is an isometry of quadratic forms
+    from H_eps(F).  The top of W = T^-1·G is eps·(P^-1)*·h*·lambda·G, invertible iff h
+    complements G.  T carries the graph (I; bottom·top^-1) = W·top^-1 to G·top^-1, which
+    spans G, so the graph is a lagrangian: lambda desymmetrizes on the diagonal.
+    """
+    if not lagrangians._is_lagrangian(phi.q, h):
         raise PreconditionError("witness is not a lagrangian of the form")
-    if not matrices.is_unimodular(matrices.hstack(phi.f, h)):
-        raise PreconditionError("witness is not complementary to F")
-    if not matrices.is_unimodular(matrices.hstack(phi.g, h)):
-        raise PreconditionError("witness is not complementary to G")
-    pairing = phi.f.star().mul(phi.q.lam).mul(h)
-    pinv = matrices.try_inverse(pairing)
+    pinv = matrices.try_inverse(phi.f.star().mul(phi.q.lam).mul(h))
     if pinv is None:
-        raise SingularMatrixError("complementary lagrangians failed to pair invertibly")
+        raise PreconditionError("witness is not complementary to F")
     trivializer = matrices.hstack(phi.f, h.mul(pinv))
-    tinv = matrices.try_inverse(trivializer)
-    if tinv is None:
-        raise SingularMatrixError("trivializing matrix is not invertible")
-    w = tinv.mul(phi.g)
+    w = _inverse_from_hyperbolic(trivializer, phi.q).mul(phi.g)
     k = phi.f.cols
     top = w.submatrix(range(k), range(w.cols))
     bottom = w.submatrix(range(k, 2 * k), range(w.cols))
     topinv = matrices.try_inverse(top)
     if topinv is None:
-        raise PreconditionError("transported G is not a graph over F; witness unusable")
+        raise PreconditionError("witness is not complementary to G")
     lam = bottom.mul(topinv)
-    theta = forms.split_hessian_witness(lam, phi.epsilon)
-    if theta is None:
-        raise DomainError("graph pairing admits no split lift; inputs inconsistent")
-    eps_prime = -phi.epsilon
-    mu = tuple(rings.q_eps_reduce(theta.entry(i, i), eps_prime) for i in range(k))
-    recovered = QuadraticForm(phi.ring, eps_prime, lam, mu)
-    graph = matrices.vstack(matrices.identity_matrix(phi.ring, k), lam)
-    if not matrices.same_span(trivializer.mul(graph), phi.g):
-        raise DomainError("recovered graph does not span G; witness inconsistent")
-    return recovered, FormIsometry(trivializer)
+    mu = [rings.desymmetrize(lam.entry(i, i), phi.epsilon) for i in range(k)]
+    return forms.quadratic_form(phi.ring, -phi.epsilon, lam, mu), FormIsometry(trivializer)
 
 
 def formation_from_automorphism(u) -> Formation:
@@ -307,9 +300,7 @@ def verify_formation_isomorphism(a: Formation, b: Formation, f: FormMatrix) -> b
         return False
     if f.rows != b.rank or f.cols != a.rank:
         return False
-    if not matrices.is_unimodular(f):
-        return False
-    if not forms.is_isometry(FormIsometry(f), a.q, b.q):
+    if not forms.is_isometry(FormIsometry(f), a.q, b.q):  # tests f unimodular first
         return False
     return matrices.same_span(f.mul(a.f), b.f) and matrices.same_span(f.mul(a.g), b.g)
 

@@ -63,10 +63,10 @@ def _sublagrangian_pairing(q: QuadraticForm, basis: FormMatrix, pairing=None):
 
 
 def _is_lagrangian(q: QuadraticForm, basis: FormMatrix, pairing=None) -> bool:
-    """is_lagrangian for a q already known to be nonsingular."""
+    """is_lagrangian for a nonsingular q: a half-rank sublagrangian, since over Z (other
+    rings are refused) L^perp = ker(basis*·lambda) is primitive of rank ell and holds L."""
     pairing = _sublagrangian_pairing(q, basis, pairing)
-    return (pairing is not None and 2 * basis.cols == q.rank
-            and matrices.same_span(matrices.kernel_basis(pairing), basis))
+    return pairing is not None and 2 * basis.cols == q.rank
 
 
 def is_sublagrangian(form, L) -> bool:
@@ -98,6 +98,9 @@ def extend_lagrangian(s: SplitForm, L, jprime: FormMatrix | None = None) -> Form
     computed deterministically; over other rings it must be supplied.  The
     correction j = j' + i·k with k = -eps·j''·psi·j' makes the second block
     isotropic for both lambda and mu.
+
+    f = (i j) needs no determinant: its hessian witness gives f*·lambda·f = lambda_H, so
+    det f·conj(det f)·det lambda = +-1 once f is square, and lambda is tested on entry.
     """
     basis, theta = _as_basis(L)
     lam = s.bilinear()
@@ -127,7 +130,7 @@ def extend_lagrangian(s: SplitForm, L, jprime: FormMatrix | None = None) -> Form
     j = jprime.add(basis.mul(k))
     f = matrices.hstack(basis, j)
     iso = forms.split_morphism_witness(f, forms.hyperbolic_split(s.ring, s.epsilon, ell), s)
-    if not matrices.is_unimodular(f):
+    if 2 * ell != s.rank:
         raise SingularMatrixError("extension matrix is not invertible; inputs were inconsistent")
     return iso
 
@@ -142,6 +145,8 @@ def sublagrangian_reduction(s: SplitForm, L) -> tuple[SplitForm, FormIsometry]:
     lagrangian [I; 0] pairs by [0, I], with reduced solution j' = [0; I], so
     k = -eps*J and extend_lagrangian would return [[I, -eps*J], [0, I]], with no
     test that can fail on a phi built here: g times it is (basis | j - eps·basis·J).
+    Nor can the rest fail: pairing maps the complement of its kernel onto Z^ell, and
+    as lambda_phi is unimodular, Z^n = span g + ker(g*·lambda), so the square f is invertible.
     """
     basis, _ = _as_basis(L)
     q = forms.split_to_quadratic(s)
@@ -151,19 +156,13 @@ def sublagrangian_reduction(s: SplitForm, L) -> tuple[SplitForm, FormIsometry]:
     if pairing is None:
         raise DomainError("basis is not a sublagrangian")
     comp, _ = matrices.complement_of_primitive(matrices.kernel_basis(pairing))
-    einv = matrices.try_inverse(pairing.mul(comp))
-    if einv is None:
-        raise SingularMatrixError("orthogonal complement does not pair invertibly with L")
-    j = comp.mul(einv)
+    j = comp.mul(matrices.inverse(pairing.mul(comp)))
     jpsij = j.star().mul(s.psi).mul(j)
     perp_of_image = matrices.kernel_basis(matrices.hstack(basis, j).star().mul(q.lam))
     residual = SplitForm(s.ring, s.epsilon, perp_of_image.star().mul(s.psi).mul(perp_of_image))
     f = matrices.hstack(basis, j.sub(basis.mul(jpsij).scale_int(s.epsilon)), perp_of_image)
     source = forms.direct_sum_split(forms.hyperbolic_split(s.ring, s.epsilon, basis.cols), residual)
-    iso = forms.split_morphism_witness(f, source, s)
-    if not matrices.is_unimodular(f):
-        raise SingularMatrixError("reduction isometry is not invertible; inputs were inconsistent")
-    return residual, iso
+    return residual, forms.split_morphism_witness(f, source, s)
 
 
 def diagonal_splitting(s: SplitForm) -> FormIsometry:

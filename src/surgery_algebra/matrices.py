@@ -42,11 +42,11 @@ z^m - 1 is a ring map Z[z] -> Z[Z/m], so over Z[Z/m] det M is g^s u, where u
 is det P folded mod g^m - 1, and M is invertible iff u is a unit, which the
 m x m regular representation of the 1 x 1 matrix (u) decides.  Either way
 the packed right-hand block of [P | I] reads back as the inverse, times
-z^-k or u^-1.  Before that, det M(1) = +-1 (M(1) = sum_k M_k) is required:
-z -> 1 (over Z[Z/m] the augmentation) maps units to units, and this cheap
-test turns most non-units away before any wide integer is built; a matrix
-it passes whose packed elimination would exceed ``MAX_ELIMINATION_SIZE`` is
-refused.  Lattice-splitting questions over non-integer rings are refused
+z^-k or u^-1.  Before either layout, det M(1) = +-1 (M(1) = sum_k M_k) is
+required: z -> 1 (over Z[Z/m] the augmentation) maps units to units, and this
+cheap test turns most non-units away before any wide integer is built; a
+matrix it passes whose packed elimination would exceed ``MAX_ELIMINATION_SIZE``
+is refused.  Lattice-splitting questions over non-integer rings are refused
 rather than approximated; callers there must supply witnesses.
 """
 
@@ -499,6 +499,12 @@ def _regular_inverse(m: FormMatrix):
     return _grid_matrix(m.ring, n, n, grids)
 
 
+def _augmentation_is_unit(m: FormMatrix) -> bool:
+    """det m(1) = +-1, m(1) = sum_k M_k: z -> 1 maps units to units, so no answer changes."""
+    grids = list(m._grids.values())
+    return _intlat.is_unimodular([[sum(c) for c in zip(*(g[i] for g in grids))] for i in range(m.rows)])
+
+
 def _packs_cyclic(n: int, order: int) -> bool:
     """Whether invertibility of an n x n matrix over Z[Z/order] is decided by the
     packed elimination over Z[z] rather than on its (n order)-wide regular
@@ -531,16 +537,12 @@ def _packed_elimination(m: FormMatrix, b: list[list[int]]):
     ints, and a polynomial is zero iff its image is.  Every entry the
     elimination keeps is +- a minor f of P.  On |z| = 1 each entry of P is at
     most its l1 norm, so by Hadamard |f(z)| <= prod_i (sum_j ||P_ij||_1^2)^(1/2)
-    (each factor at least 1, as m(1) has no zero row), and also so by columns;
-    each coefficient of f, and of f folded mod z^m - 1, is an average of f over
-    points of |z| = 1, so none is larger.  width keeps each one signed digit,
-    and d and x are packed the same way.
+    (each factor at least 1: m(1) has no zero row, as det m(1) = +-1 was tested
+    first), and also so by columns; each coefficient of f, and of f folded mod
+    z^m - 1, is an average of f over points of |z| = 1, so none is larger.
+    width keeps each one signed digit, and d and x are packed the same way.
     """
     grids = list(m._grids.values())
-    # z -> 1 maps units to units (over Z[Z/m] it is the augmentation), and m(1)
-    # is cheap to test; it also has no zero row or column
-    if not _intlat.is_unimodular([[sum(c) for c in zip(*(g[i] for g in grids))] for i in range(m.rows)]):
-        return None
     rlo = [min(k for k, g in m._grids.items() if any(g[i])) for i in range(m.rows)]
     norms = [[sum(c) ** 2 for c in zip(*(map(abs, g[i]) for g in grids))] for i in range(m.rows)]
     # every coefficient is at most the square root of the smaller product, which is under 2^(bits/2)
@@ -611,7 +613,7 @@ def try_inverse(m: FormMatrix):
     result is checked by m m^-1 = I.  A matrix whose packed elimination would
     exceed ``MAX_ELIMINATION_SIZE`` raises SchemaError.
     """
-    if m.rows != m.cols:
+    if m.rows != m.cols or (m.ring.kind != "Z" and not _augmentation_is_unit(m)):
         return None
     if m.rows == 0:
         return m
@@ -653,7 +655,7 @@ def is_unimodular(m: FormMatrix) -> bool:
     keeps there; det P = +-z^k over Z[z,z^-1]; otherwise over Z[Z/m], det P folded
     mod g^m - 1 a unit, which det R of that 1 x 1 matrix = +-1 decides.  A matrix
     whose packed elimination would exceed ``MAX_ELIMINATION_SIZE`` raises SchemaError."""
-    if m.rows != m.cols:
+    if m.rows != m.cols or (m.ring.kind != "Z" and not _augmentation_is_unit(m)):
         return False
     if m.ring.kind == "laurent":
         return _laurent_elimination(m, [[]] * m.rows) is not None

@@ -83,16 +83,23 @@ def is_homotopy_sphere_boundary(q: QuadraticForm) -> bool:
     return q.ring.kind == "Z" and matrices.is_unimodular(q.lam)
 
 
+def sphere_class(q: QuadraticForm) -> int | None:
+    """signature/8 mod 28 of a +1-form bounding a homotopy sphere, else None, from one pass."""
+    sig, det = witt.signature_and_det(q) if q.ring.kind == "Z" else (0, 0)
+    if det not in (1, -1):
+        return None
+    if sig % 8 != 0:
+        raise DomainError(f"signature {sig} is not divisible by 8")
+    return (sig // 8) % 28
+
+
 def exotic7_class(q: QuadraticForm) -> int:
     """signature/8 mod 28 for a unimodular +1-quadratic form."""
     if q.epsilon != 1:
         raise DomainError("the dimension-7 class needs a +1-quadratic form")
-    sig, det = witt.signature_and_det(q) if q.ring.kind == "Z" else (0, 0)
-    if det not in (1, -1):
+    if (cls := sphere_class(q)) is None:
         raise DomainError("the boundary is not a homotopy sphere: form is not unimodular")
-    if sig % 8 != 0:
-        raise DomainError(f"signature {sig} is not divisible by 8")
-    return (sig // 8) % 28
+    return cls
 
 
 def milnor_sphere(ell: int) -> tuple[int, bool]:

@@ -1,0 +1,442 @@
+"""Each fact checked once: the rewritten checks against verbatim copies of the
+code that tested the same facts again, on inputs that reach every failure."""
+
+import operator
+import random
+from functools import reduce
+
+from hypothesis import given, settings, strategies as st
+
+from surgery_algebra import _intlat, complexes as cx, forms, formations as fm, lagrangians, matrices as mx, rings
+from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, SingularMatrixError
+from surgery_algebra.forms import FormIsometry
+from surgery_algebra.generators import hessian_corner, matrix as random_matrix, word as random_word
+from surgery_algebra.lagrangians import LagrangianInclusion
+
+from conftest import random_complex, random_split_and_transport, random_unimodular
+from test_closed_forms import ALL_RINGS, outcome
+from test_matrices import cyclic_element, unit_lu
+
+Z = rings.integers()
+EPS = st.sampled_from([1, -1])
+seeds = st.integers(0, 2**32)
+
+
+# -- frozen copies of the checks as they were ---------------------------------
+
+def frozen_is_lagrangian(q, basis, pairing=None):
+    pairing = lagrangians._sublagrangian_pairing(q, basis, pairing)
+    return (pairing is not None and 2 * basis.cols == q.rank
+            and mx.same_span(mx.kernel_basis(pairing), basis))
+
+
+def frozen_extend_lagrangian(s, L, jprime=None):
+    basis, theta = lagrangians._as_basis(L)
+    lam = s.bilinear()
+    if not mx.is_unimodular(lam):
+        raise SingularMatrixError("hyperbolic extension needs a nonsingular split form")
+    if theta is not None:
+        lagrangians._check_theta(s, basis, theta)
+    ell = basis.cols
+    ident = mx.identity_matrix(s.ring, ell)
+    pairing = basis.star().mul(lam)
+    if jprime is None:
+        if s.ring.kind != "Z":
+            raise DomainError(
+                "splitting not found: supply a jprime witness over this ring"
+            )
+        if not frozen_is_lagrangian(forms.split_to_quadratic(s), basis, pairing):
+            raise DomainError("basis is not a lagrangian of the split form")
+        jprime = mx.solve_right(pairing, ident)
+        if jprime is None:
+            raise SingularMatrixError("lagrangian pairing admits no integral splitting")
+    else:
+        if not pairing.mul(basis).is_zero():
+            raise PreconditionError("basis is not lambda-isotropic")
+        if not pairing.mul(jprime).sub(ident).is_zero():
+            raise PreconditionError("jprime is not a splitting: i'·lambda·jprime != 1")
+    k = jprime.star().mul(s.psi).mul(jprime).scale_int(-s.epsilon)
+    j = jprime.add(basis.mul(k))
+    f = mx.hstack(basis, j)
+    iso = forms.split_morphism_witness(f, forms.hyperbolic_split(s.ring, s.epsilon, ell), s)
+    if not mx.is_unimodular(f):
+        raise SingularMatrixError("extension matrix is not invertible; inputs were inconsistent")
+    return iso
+
+
+def frozen_formation_violations(phi):
+    out = []
+    if not forms.is_nonsingular(phi.q):
+        out.append("underlying form is singular")
+        return tuple(out)
+    if not frozen_is_lagrangian(phi.q, phi.f):
+        out.append("F is not a lagrangian")
+    if not frozen_is_lagrangian(phi.q, phi.g):
+        out.append("G is not a lagrangian")
+    return tuple(out)
+
+
+def frozen_validated(phi):
+    bad = frozen_formation_violations(phi)
+    if bad:
+        raise DomainError("; ".join(bad))
+    return phi
+
+
+def frozen_complex_to_formation(c):
+    bad = cx.complex_violations(c)
+    if bad:
+        raise DomainError("complex is invalid: " + "; ".join(bad))
+    k = c.rank_top
+    q = forms.hyperbolic_quadratic(c.ring, c.epsilon, k)
+    g = cx.duality_inclusion(c)
+    phi = fm.Formation(c.ring, c.epsilon, q, fm._standard_f(c.ring, k), g)
+    if frozen_formation_violations(phi):
+        raise DomainError("complex does not produce lagrangian data; psi is inconsistent")
+    return phi
+
+
+def frozen_normalize_formation(phi):
+    frozen_validated(phi)
+    s = forms.quadratic_to_split(phi.q)
+    ext = frozen_extend_lagrangian(s, phi.f)
+    inv = mx.try_inverse(ext.f)
+    if inv is None:
+        raise SingularMatrixError("lagrangian extension failed to be invertible")
+    k = phi.f.cols
+    q = forms.hyperbolic_quadratic(phi.ring, phi.epsilon, k)
+    norm = fm.Formation(phi.ring, phi.epsilon, q, fm._standard_f(phi.ring, k), inv.mul(phi.g))
+    return norm, ext
+
+
+def frozen_trivializer(phi):
+    if not mx.is_unimodular(mx.hstack(phi.f, phi.g)):
+        return None
+    pairing = phi.f.star().mul(phi.q.lam).mul(phi.g)
+    pinv = mx.try_inverse(pairing)
+    if pinv is None:
+        return None
+    iso = mx.hstack(phi.f, phi.g.mul(pinv))
+    return FormIsometry(iso)
+
+
+def frozen_boundary_witness(phi, h):
+    if not frozen_is_lagrangian(phi.q, h):  # phi.q is nonsingular
+        raise PreconditionError("witness is not a lagrangian of the form")
+    if not mx.is_unimodular(mx.hstack(phi.f, h)):
+        raise PreconditionError("witness is not complementary to F")
+    if not mx.is_unimodular(mx.hstack(phi.g, h)):
+        raise PreconditionError("witness is not complementary to G")
+    pairing = phi.f.star().mul(phi.q.lam).mul(h)
+    pinv = mx.try_inverse(pairing)
+    if pinv is None:
+        raise SingularMatrixError("complementary lagrangians failed to pair invertibly")
+    trivializer = mx.hstack(phi.f, h.mul(pinv))
+    tinv = mx.try_inverse(trivializer)
+    if tinv is None:
+        raise SingularMatrixError("trivializing matrix is not invertible")
+    w = tinv.mul(phi.g)
+    k = phi.f.cols
+    top = w.submatrix(range(k), range(w.cols))
+    bottom = w.submatrix(range(k, 2 * k), range(w.cols))
+    topinv = mx.try_inverse(top)
+    if topinv is None:
+        raise PreconditionError("transported G is not a graph over F; witness unusable")
+    lam = bottom.mul(topinv)
+    theta = forms.split_hessian_witness(lam, phi.epsilon)
+    if theta is None:
+        raise DomainError("graph pairing admits no split lift; inputs inconsistent")
+    eps_prime = -phi.epsilon
+    mu = tuple(rings.q_eps_reduce(theta.entry(i, i), eps_prime) for i in range(k))
+    recovered = forms.QuadraticForm(phi.ring, eps_prime, lam, mu)
+    graph = mx.vstack(mx.identity_matrix(phi.ring, k), lam)
+    if not mx.same_span(trivializer.mul(graph), phi.g):
+        raise DomainError("recovered graph does not span G; witness inconsistent")
+    return recovered, FormIsometry(trivializer)
+
+
+def frozen_verify_formation_isomorphism(a, b, f):
+    if a.ring != b.ring or a.epsilon != b.epsilon:
+        return False
+    if f.rows != b.rank or f.cols != a.rank:
+        return False
+    if not mx.is_unimodular(f):
+        return False
+    if not forms.is_isometry(FormIsometry(f), a.q, b.q):
+        return False
+    return mx.same_span(f.mul(a.f), b.f) and mx.same_span(f.mul(a.g), b.g)
+
+
+def frozen_packed_elimination(m, b):
+    grids = list(m._grids.values())
+    # z -> 1 maps units to units (over Z[Z/m] it is the augmentation), and m(1)
+    # is cheap to test; it also has no zero row or column
+    if not _intlat.is_unimodular([[sum(c) for c in zip(*(g[i] for g in grids))] for i in range(m.rows)]):
+        return None
+    rlo = [min(k for k, g in m._grids.items() if any(g[i])) for i in range(m.rows)]
+    norms = [[sum(c) ** 2 for c in zip(*(map(abs, g[i]) for g in grids))] for i in range(m.rows)]
+    # every coefficient is at most the square root of the smaller product, which is under 2^(bits/2)
+    bits = min(reduce(operator.mul, map(sum, lines), 1) for lines in (norms, zip(*norms))).bit_length()
+    width = mx._width((1 << (bits + 1) // 2) - 1)
+    p = mx._pack(m._grids, rlo, width, m.cols)
+    # the lowest set bit of a packed entry lies in its lowest nonzero digit
+    clo = [min(((v & -v).bit_length() - 1) // width for v in col if v) for col in zip(*p)]
+    p = [[v >> width * c for v, c in zip(row, clo)] for row in p]
+    size = m.rows ** 2 * sum(max(map(int.bit_length, row)) for row in p)
+    if size > mx.MAX_ELIMINATION_SIZE:
+        raise SchemaError(f"a {m.rows}x{m.cols} matrix over {m.ring} packs into integers of up to "
+                          f"{size // m.rows ** 2} bits, rank^2 * bits {size} beyond {mx.MAX_ELIMINATION_SIZE}")
+    d, x = _intlat.bareiss(p, b)
+    return (width, rlo, clo, d, x) if d else None
+
+
+def frozen_laurent_elimination(m, b):
+    found = frozen_packed_elimination(m, b)
+    if found is None:
+        return None
+    width, rlo, clo, d, x = found
+    e = abs(d)
+    k, r = divmod(e.bit_length() - 1, width)
+    if r or e & (e - 1):  # only +-2^(width k), the image of +-z^k, is a unit
+        return None
+    return width, rlo, clo, k, x if d > 0 else [[-v for v in row] for row in x]
+
+
+def frozen_cyclic_elimination(m, b):
+    found = frozen_packed_elimination(m, b)
+    if found is None:
+        return None
+    width, rlo, clo, d, x = found
+    return width, rlo, clo, mx._folded(m.ring, [[d]], width, [[0]]), x
+
+
+def frozen_try_inverse(m):
+    if m.rows != m.cols:
+        return None
+    if m.rows == 0:
+        return m
+    n, ring = m.rows, m.ring
+    if ring.kind == "laurent":
+        found = frozen_laurent_elimination(m, _intlat.identity(n))
+        if found is None:
+            return None
+        width, rlo, clo, k, x = found
+        # entry (i, j) moves up by z^(top - clo[i] - rlo[j]), never down, so that
+        # every entry starts at z^(-k - top)
+        top = max(clo) + max(rlo)
+        x = [[v << width * (top - c - r) for v, r in zip(row, rlo)] for row, c in zip(x, clo)]
+        out = mx._grid_matrix(ring, n, n, mx._unpack(x, width, -k - top))
+    elif ring.kind == "cyclic" and mx._packs_cyclic(n, ring.m):
+        found = frozen_cyclic_elimination(m, _intlat.identity(n))
+        uinv = found and mx._regular_inverse(found[3])
+        if uinv is None:
+            return None
+        width, rlo, clo, _, x = found
+        out = mx._folded(ring, x, width, [[-c - r for r in rlo] for c in clo]).scale(uinv.entry(0, 0))
+    else:
+        return mx._regular_inverse(m)
+    if not m.mul(out).sub(mx.identity_matrix(ring, n)).is_zero():
+        return None
+    return out
+
+
+def frozen_is_unimodular(m):
+    if m.rows != m.cols:
+        return False
+    if m.ring.kind == "laurent":
+        return frozen_laurent_elimination(m, [[]] * m.rows) is not None
+    if m.ring.kind == "cyclic" and mx._packs_cyclic(m.rows, m.ring.m):
+        found = frozen_cyclic_elimination(m, [[]] * m.rows)
+        # u is a unit iff its m x m circulant has determinant +-1
+        return found is not None and _intlat.is_unimodular(mx._regular_grid(found[3]))
+    return _intlat.is_unimodular(mx._regular_grid(m))
+
+
+# -- builders -------------------------------------------------------------------
+
+def half_rank_bases(rng, pinv, half):
+    """Bases in a form that P^-1 carries H_eps(Z^half) onto: a lagrangian mixed by a
+    unimodular, half-rank sets that are no lagrangian (a pair e_0, f_0; twice a
+    lagrangian; a random draw), and the wrong ranks (a proper sublagrangian, one
+    column past half rank, a wrong row count)."""
+    rows = range(2 * half)
+    lagrangian = pinv.submatrix(rows, range(half))
+    return [
+        lagrangian.mul(random_unimodular(rng, Z, half)),
+        pinv.submatrix(rows, [0, half] + list(range(1, half - 1)) if half > 1 else range(half)),
+        lagrangian.scale_int(2),
+        random_matrix(rng, Z, 2 * half, half),
+        pinv.submatrix(rows, range(half - 1 if half else 0)),
+        pinv.submatrix(rows, range(half + 1)) if half else random_matrix(rng, Z, 0, 1),
+        random_matrix(rng, Z, 2 * half + 1, half),
+    ]
+
+
+def draw_formation(rng, kind, eps, k):
+    """(phi, t): a valid formation and the isometry t from H_eps(Z^k) onto its form.
+
+    "boundary" is the boundary of a random (-eps)-form, "automorphism" the formation
+    of a random word, and "transported" a random word's formation carried along
+    P^-1 onto a transported form, its first lagrangian mixed by a unimodular.
+    """
+    if kind == "boundary":
+        lam = hessian_corner(rng, Z, k, eps)
+        mu = [rings.symmetrize_preimage(lam.entry(i, i), -eps) for i in range(k)]
+        phi = fm.boundary_formation(forms.quadratic_form(Z, -eps, lam, mu))
+        return phi, mx.identity_matrix(Z, 2 * k)
+    u = random_word(rng, eps, k, rng.randint(1, 2 * k + 1)) if k else None
+    phi = fm.formation_from_automorphism(u) if k else fm.trivial_formation(Z, eps, 0)
+    if kind == "automorphism":
+        return phi, mx.identity_matrix(Z, 2 * k)
+    s, p = random_split_and_transport(rng, Z, eps, k)
+    t = mx.inverse(p)
+    f = t.mul(phi.f).mul(random_unimodular(rng, Z, k))
+    return fm.Formation(Z, eps, forms.split_to_quadratic(s), f, t.mul(phi.g)), t
+
+
+def witnesses(rng, phi, t, eps, k):
+    """Candidate common complements, carried along t: the dual summand (mixed), F, G,
+    a graph over F, and a random draw that is no lagrangian."""
+    dual = fm._standard_dual(Z, k)
+    graph = mx.vstack(mx.identity_matrix(Z, k), hessian_corner(rng, Z, k, eps))
+    return [t.mul(dual.mul(random_unimodular(rng, Z, k))), phi.f, phi.g, t.mul(graph),
+            random_matrix(rng, Z, 2 * k, k, -1, 1)]
+
+
+FORMATION_KINDS = ["boundary", "automorphism", "transported"]
+
+
+# -- lagrangians ------------------------------------------------------------------
+
+@settings(max_examples=80)
+@given(EPS, st.integers(0, 4), seeds)
+def test_the_lagrangian_test_and_its_extension_match_the_old_checks(eps, half, seed):
+    rng = random.Random(seed)
+    s, p = random_split_and_transport(rng, Z, eps, half)
+    q = forms.split_to_quadratic(s)
+    for basis in half_rank_bases(rng, mx.inverse(p), half):
+        assert outcome(lagrangians._is_lagrangian, q, basis) == outcome(frozen_is_lagrangian, q, basis)
+        got, want = outcome(lagrangians.extend_lagrangian, s, basis), outcome(frozen_extend_lagrangian, s, basis)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.f, got.chi) == (want.f, want.chi)
+    theta = LagrangianInclusion(mx.inverse(p).submatrix(range(2 * half), range(half)),
+                                random_matrix(rng, Z, half, half))
+    assert outcome(lagrangians.extend_lagrangian, s, theta) == outcome(frozen_extend_lagrangian, s, theta)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(ALL_RINGS), EPS, st.integers(1, 3), st.integers(0, 3), seeds)
+def test_the_extension_by_a_splitting_witness_matches_the_old_checks(ring, eps, half, ell, seed):
+    """ell columns of L with the matching columns of its dual: a hyperbolic summand,
+    which fills the form only when ell = half, so that below it the old closing
+    determinant refused a rectangular extension."""
+    rng = random.Random(seed)
+    s, p = random_split_and_transport(rng, ring, eps, half)
+    pinv, rows, ell = mx.inverse(p), range(2 * half), min(ell, half)
+    basis = pinv.submatrix(rows, range(ell))
+    q = forms.split_to_quadratic(s)  # off Z split injectivity refuses the ring first
+    assert outcome(lagrangians._is_lagrangian, q, basis) == outcome(frozen_is_lagrangian, q, basis)
+    for jprime in (pinv.submatrix(rows, range(half, half + ell)), pinv.submatrix(rows, range(ell))):
+        got, want = outcome(lagrangians.extend_lagrangian, s, basis, jprime), \
+            outcome(frozen_extend_lagrangian, s, basis, jprime)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.f, got.chi) == (want.f, want.chi)
+    if ring.kind == "Z" and ell < half:  # over Z the splitting is found, and a sublagrangian refused
+        assert outcome(lagrangians.extend_lagrangian, s, basis) == outcome(frozen_extend_lagrangian, s, basis)
+
+
+# -- formations -------------------------------------------------------------------
+
+@settings(max_examples=60)
+@given(EPS, st.integers(0, 4), st.sampled_from(FORMATION_KINDS), seeds)
+def test_normalization_and_triviality_match_the_old_checks(eps, k, kind, seed):
+    rng = random.Random(seed)
+    phi, _ = draw_formation(rng, kind, eps, k)
+    # the formation itself, and one whose second lagrangian is a random draw
+    for psi in (phi, fm.Formation(Z, eps, phi.q, phi.f, random_matrix(rng, Z, 2 * k, k))):
+        got, want = outcome(fm.normalize_formation, psi), outcome(frozen_normalize_formation, psi)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            (norm, ext), (want_norm, want_ext) = got, want
+            assert norm == want_norm and (ext.f, ext.chi) == (want_ext.f, want_ext.chi)
+            assert fm.verify_formation_isomorphism(norm, psi, ext.f)
+    got, want = fm._trivializer(phi), frozen_trivializer(phi)
+    assert (got is None) == (want is None)
+    assert got is None or got.f == want.f
+
+
+@given(st.integers(0, 1), st.integers(0, 4), st.sampled_from(["valid", "psi1", "psi0", "d", "cyclic"]), seeds)
+def test_the_formation_of_a_complex_matches_the_old_checks(parity, k, change, seed):
+    """A valid complex, one with a random psi1, psi0 or d in its place, or one over Z[Z/3]."""
+    rng = random.Random(seed)
+    c = random_complex(rng, parity, k, rng.randint(1, 2 * k + 1)) if k else random_complex(rng, parity, 1, 1)
+    parts = {"d": c.d, "psi0": c.psi0, "psi1": c.psi1}
+    if change in parts:
+        parts[change] = random_matrix(rng, Z, parts[change].rows, parts[change].cols, -1, 1)
+    ring = rings.cyclic(3) if change == "cyclic" else Z
+    c = cx.OddComplex(ring, parity, *(mx.matrix(ring, parts[n].to_int_grid()) for n in ("d", "psi0", "psi1")))
+    got = outcome(fm.complex_to_formation, c)
+    assert got == outcome(frozen_complex_to_formation, c)
+    assert isinstance(got, tuple) or fm.validate_formation(got)
+
+
+@settings(max_examples=60)
+@given(EPS, st.integers(0, 4), st.sampled_from(FORMATION_KINDS), seeds)
+def test_the_boundary_witness_matches_the_old_checks(eps, k, kind, seed):
+    rng = random.Random(seed)
+    phi, t = draw_formation(rng, kind, eps, k)
+    for h in witnesses(rng, phi, t, eps, k):
+        got, want = outcome(fm._boundary_witness, phi, h), outcome(frozen_boundary_witness, phi, h)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            (form, iso), (want_form, want_iso) = got, want
+            assert form == want_form and iso.f == want_iso.f
+
+
+@settings(max_examples=60)
+@given(EPS, st.integers(0, 3), st.sampled_from(FORMATION_KINDS), seeds)
+def test_the_formation_isomorphism_test_matches_the_old_checks(eps, k, kind, seed):
+    rng = random.Random(seed)
+    phi, _ = draw_formation(rng, kind, eps, k)
+    norm, ext = fm.normalize_formation(phi)
+    other = fm.trivial_formation(Z, -eps, k)
+    n = 2 * k
+    for a, b, f in [(norm, phi, ext.f), (phi, norm, mx.inverse(ext.f)), (phi, phi, mx.identity_matrix(Z, n)),
+                    (phi, phi, mx.identity_matrix(Z, n).scale_int(2)), (phi, phi, random_unimodular(rng, Z, n)),
+                    (phi, phi, random_matrix(rng, Z, n, n)), (phi, norm, ext.f),
+                    (phi, phi, random_matrix(rng, Z, n, n + 1)), (other, phi, mx.identity_matrix(Z, n))]:
+        assert fm.verify_formation_isomorphism(a, b, f) == frozen_verify_formation_isomorphism(a, b, f)
+
+
+# -- invertibility over the group rings -----------------------------------------
+
+def group_ring_draw(rng, ring, n, kind):
+    """A unit L·U; that unit with a row times 2 - g (which passes z -> 1, no unit)
+    or times 3 (which does not pass); a repeated row; or a dense draw."""
+    rows = [list(r) for r in unit_lu(rng, ring, n).entries]
+    if kind == "dense":
+        return random_matrix(rng, ring, n, n, -1, 1)
+    if kind in ("non-unit", "augmentation"):
+        c = cyclic_element(ring, [(2, 0), (-1, rng.randrange(1, ring.m or 3))] if kind == "non-unit" else [(3, 0)])
+        rows[0] = [rings.mul(c, x) for x in rows[0]]
+    elif kind == "singular":
+        rows[-1] = rows[0] if n > 1 else [rings.zero(ring)]
+    return mx.matrix(ring, rows)
+
+
+GROUP_RINGS = [rings.cyclic(m, w) for m in range(2, 9) for w in (1, -1) if w == 1 or m % 2 == 0] + [rings.laurent()]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(GROUP_RINGS), st.integers(1, 9), seeds,
+       st.sampled_from(["unit", "non-unit", "augmentation", "singular", "dense"]))
+def test_group_ring_invertibility_matches_the_old_paths(ring, n, seed, kind):
+    m = group_ring_draw(random.Random(seed), ring, n, kind)
+    assert outcome(mx.is_unimodular, m) == outcome(frozen_is_unimodular, m)
+    assert outcome(mx.try_inverse, m) == outcome(frozen_try_inverse, m)

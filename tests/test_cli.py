@@ -11,7 +11,9 @@ import time
 import pytest
 
 import surgery_algebra
-from surgery_algebra import _intlat, acceptance, cli, formations, forms, matrices, rings, serialize, witt
+from surgery_algebra import _intlat, acceptance, cli, formations, forms, generators, matrices, rings, serialize, witt
+
+from conftest import random_split_and_transport, random_unimodular
 
 # sha256 of the shipped E8 fixture; the fixtures regenerate byte for byte
 E8_SHA256 = "7f27ba30027e05a9f66f67d5f50171f41e1ee1e6065fc19f7fb851572a155ea9"
@@ -71,6 +73,63 @@ def test_boundary_of_a_unimodular_form_is_one_determinant(tmp_path, monkeypatch)
     assert status == 0 and calls == ["bareiss", "bareiss", "smith_normal_form"]
     assert report["result"] == {"h_n": {"free_rank": 0, "torsion": [3], "name": "Z/3"}, "h_n_plus_1_rank": 0,
                                 "is_sphere": False}
+
+
+def count_kernels(monkeypatch):
+    """(kernel, rows) of each call into the Bareiss, Smith and Hermite kernels, and of each signature pass."""
+    calls = []
+    for name in ("bareiss", "smith_normal_form", "hermite_column_basis"):
+        real = getattr(_intlat, name)
+        monkeypatch.setattr(_intlat, name, lambda a, *rest, name=name, real=real, **kw:
+                            calls.append((name, len(a))) or real(a, *rest, **kw))
+    real = witt.signature_and_det
+    monkeypatch.setattr(witt, "signature_and_det", lambda q: calls.append(("signature pass", q.rank)) or real(q))
+    return calls
+
+
+def test_the_lagrangian_extension_verb_checks_each_fact_once(tmp_path, monkeypatch):
+    rng = random.Random(12)
+    s, p = random_split_and_transport(rng, rings.Z, -1, 8)
+    q = forms.split_to_quadratic(s)
+    basis = matrices.inverse(p).submatrix(range(16), range(8)).mul(random_unimodular(rng, rings.Z, 8))
+    src = tmp_path / "lagrangian.json"
+    src.write_text(json.dumps({"form": serialize.form_to_obj(q), "basis": basis.to_int_grid()}), encoding="utf-8")
+    calls = count_kernels(monkeypatch)
+    status, report = run(["lagrangian-extend", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    # the determinant of lambda, split injectivity and the splitting's solve; no second determinant
+    assert status == 0 and report["result"]["verified"] is True
+    assert sorted(name for name, _ in calls) == ["bareiss", "hermite_column_basis", "smith_normal_form",
+                                                 "smith_normal_form"]
+    f = matrices.int_matrix(report["result"]["isometry"])
+    assert f.star().mul(q.lam).mul(f) == forms.hyperbolic_quadratic(rings.Z, -1, 8).lam
+
+
+def test_the_formation_verb_decides_triviality_without_a_hermite_form(tmp_path, monkeypatch):
+    rng = random.Random(13)
+    lam = generators.hessian_corner(rng, rings.Z, 4, 1)
+    mu = [rings.symmetrize_preimage(lam.entry(i, i), -1) for i in range(4)]
+    phi = formations.boundary_formation(forms.quadratic_form(rings.Z, -1, lam.scale_int(2), mu))
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps(serialize.formation_to_obj(phi)), encoding="utf-8")
+    calls = count_kernels(monkeypatch)
+    status, report = run(["formation", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert status == 0 and report["result"]["valid"] and not report["result"]["trivial"]
+    # the form's determinant, the quotient's Smith form and the 4 x 4 pairing's determinant
+    assert [c for c in calls if c[0] != "smith_normal_form"] == [("bareiss", 8), ("bareiss", 4)]
+
+
+def test_the_sphere_verb_runs_one_elimination(tmp_path, monkeypatch):
+    calls = count_kernels(monkeypatch)
+    status, report = run(["sphere", "--in", e8_path(), "--out", str(tmp_path / "report.json")])
+    assert (status, report["result"], calls) == (0, {"is_sphere": True, "class_mod_28": 1}, [("signature pass", 8)])
+    calls.clear()
+    arf = str(acceptance.fixture_path("arf.json"))
+    status, report = run(["sphere", "--in", arf, "--out", str(tmp_path / "report.json")])
+    assert (status, report["result"], calls) == (0, {"is_sphere": True}, [("bareiss", 2)])
+    calls.clear()  # det lambda = -1 also bounds a sphere
+    plus = str(acceptance.fixture_path("hyperbolic-plus-1.json"))
+    status, report = run(["sphere", "--in", plus, "--out", str(tmp_path / "report.json")])
+    assert (status, report["result"], calls) == (0, {"is_sphere": True, "class_mod_28": 0}, [("signature pass", 2)])
 
 
 def test_the_symmetric_witt_verb_runs_one_signature_pass(tmp_path, monkeypatch):
@@ -375,6 +434,24 @@ def test_form_info_on_a_laurent_unit_under_the_elimination_cap_answers(tmp_path)
     src.write_text(json.dumps(wide_window_hyperbolic_form(10, 20, 11)), encoding="utf-8")
     status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
     assert status == 0 and report["result"]["nonsingular"] is True
+
+
+def test_form_info_on_a_dense_cyclic_non_unit_of_order_256_is_quick(tmp_path):
+    # a 1 x 1 form over Z[Z/256] on the regular path: its 256 x 256 elimination took
+    # about 8.5 s of CPU, while lambda(1) = -34 already shows that lambda is no unit
+    rng = random.Random(5)
+    mu = [rng.randint(-9, 9) for _ in range(256)]
+    lam = [mu[k] + mu[-k % 256] for k in range(256)]
+    text = json.dumps({"ring": {"ring": "cyclic", "m": 256, "w": 1}, "epsilon": 1, "lambda": [[lam]], "mu": [mu]})
+    assert (len(text), sum(lam)) == (1908, -34)
+    src = tmp_path / "input.json"
+    src.write_text(text, encoding="utf-8")
+    start = time.process_time()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.process_time() - start < 0.5
+    assert (status, report["result"]) == (0, {"ring": {"ring": "cyclic", "m": 256, "w": 1}, "epsilon": 1,
+                                              "rank": 1, "nonsingular": False, "even": True})
+    assert report["provenance"]["sha256"] == ["ba42622e24cc0394219fa59a72cc310d642da9b353d8b2229b1a64b62042c6a6"]
 
 
 def test_the_formation_verb_validates_once_and_reads_a_witness(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from surgery_algebra import complexes as cx, formations, forms, matrices as mx, rings, unitary
+from surgery_algebra import _intlat, complexes as cx, formations, forms, matrices as mx, rings, unitary
 from surgery_algebra.errors import DomainError, PreconditionError, SchemaError
 from surgery_algebra.formations import (
     boundary_formation,
@@ -212,3 +212,32 @@ def test_stable_isomorphism_refuses_a_negative_pad():
         verify_stable_isomorphism(big, small, f, pad_a=-1)
     with pytest.raises(SchemaError, match="^pad_b must be at least 0, got -1$"):
         verify_stable_isomorphism(small, big, f, pad_b=-1)
+
+
+def bareiss_sizes(monkeypatch):
+    """The row count of each Bareiss elimination."""
+    sizes = []
+    real = _intlat.bareiss
+    monkeypatch.setattr(_intlat, "bareiss", lambda a, b: sizes.append(len(a)) or real(a, b))
+    return sizes
+
+
+def test_a_formation_isomorphism_is_checked_with_one_determinant(monkeypatch):
+    phi = formation_from_automorphism(random_word(random.Random(8), -1, 3, 7))
+    norm, ext = normalize_formation(phi)
+    sizes = bareiss_sizes(monkeypatch)
+    assert verify_formation_isomorphism(norm, phi, ext.f) and sizes == [6]
+    sizes.clear()
+    assert not verify_formation_isomorphism(norm, phi, ext.f.scale_int(2)) and sizes == [6]
+
+
+def test_the_boundary_witness_eliminates_only_k_by_k_pairings(monkeypatch):
+    rng = random.Random(9)
+    lam = hessian_corner(rng, Z, 3, 1)
+    mu = [rings.symmetrize_preimage(lam.entry(i, i), -1) for i in range(3)]
+    phi = boundary_formation(quadratic_form(Z, -1, lam, mu))
+    sizes = bareiss_sizes(monkeypatch)
+    recovered, iso = formations._boundary_witness(phi, formations._standard_dual(Z, 3))
+    # F*·lambda·h and the top block of T^-1·G; T^-1 itself is read off T*·lambda
+    assert recovered.lam == lam and sizes == [3, 3]
+    assert iso.f.star().mul(phi.q.lam).mul(iso.f) == hyperbolic_quadratic(Z, 1, 3).lam

@@ -15,6 +15,7 @@ from surgery_algebra.plumbing import (
     is_homotopy_sphere_boundary,
     milnor_sphere,
     plumbing_graph,
+    sphere_class,
 )
 from surgery_algebra.rings import AbelianGroup
 
@@ -117,6 +118,9 @@ def test_exotic_class_values():
               hyperbolic_quadratic(rings.cyclic(2), 1, 1)):
         with pytest.raises(DomainError, match=not_sphere):
             exotic7_class(q)
+        assert sphere_class(q) is None
+    assert sphere_class(stack) == 3
+    assert sphere_class(direct_sum(e8_quadratic(), hyperbolic_quadratic(Z, 1, 1))) == 1  # det -1
 
 
 def test_the_exotic_class_is_one_signature_pass(monkeypatch):
