@@ -139,9 +139,18 @@ def _hyperbolic(ring: RingSpec, k: int, c: int) -> FormMatrix:
 
 
 def hyperbolic_quadratic(ring: RingSpec, epsilon: int, k: int) -> QuadraticForm:
-    """The hyperbolic form on Lambda^k + its dual: lambda = [[0,I],[eps*I,0]], mu = 0."""
+    """The hyperbolic form on Lambda^k + its dual: lambda = [[0,I],[eps*I,0]], mu = 0.
+
+    Built without ``QuadraticForm``'s checks, which hold by construction: lambda is
+    square, eps*lambda* = [[0, eps*eps*I], [eps*I, 0]] = lambda, and each diagonal
+    entry is 0, the symmetrisation of the zero class over this ring and eps (which
+    ``q_eps_reduce`` refuses unless eps = +-1)."""
     zero_class = rings.q_eps_reduce(rings.zero(ring), epsilon)
-    return QuadraticForm(ring, epsilon, _hyperbolic(ring, k, epsilon), (zero_class,) * (2 * k))
+    q = object.__new__(QuadraticForm)
+    for name, value in (("ring", ring), ("epsilon", epsilon), ("lam", _hyperbolic(ring, k, epsilon)),
+                        ("mu", (zero_class,) * (2 * k))):
+        object.__setattr__(q, name, value)
+    return q
 
 
 def hyperbolic_split(ring: RingSpec, epsilon: int, k: int) -> SplitForm:

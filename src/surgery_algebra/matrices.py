@@ -24,30 +24,21 @@ grids present; ``serialize`` caps the window of files.  Only the constructor,
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
-grid.  The rings are commutative, so M is invertible iff det M is a unit,
-and every determinant comes from one fraction-free (Bareiss) elimination on
-ints, in one of two layouts.  Over Z, and over Z[Z/m] for the shapes the one
-shape rule ``_packs_cyclic`` keeps there (n = 1, n > 8, and small m n), it
-runs on the integer regular representation R(M), a block layout of the
-grids: M is invertible iff det R(M) = +-1; ``is_unimodular`` computes only
-that determinant, and ``try_inverse`` solves for the n columns of R(M)^-1
-that hold the inverse's coefficients.  That costs (m n)^3.  Otherwise M is
-lifted to a matrix over Z[z] (over Z[Z/m], grid k becomes the coefficient of
-z^k, 0 <= k < m), each row and then each column is shifted down to exponent
-0, giving P, and P is packed at z = 2^B, where B covers Hadamard's bound
-prod_i (sum_j ||P_ij||_1^2)^(1/2) on every coefficient of every minor of P,
-and of its fold mod z^m - 1.  Over Z[z,z^-1] the units are exactly +-z^k, so
-M is invertible iff the packed determinant is +-2^(Bk).  Reducing mod
-z^m - 1 is a ring map Z[z] -> Z[Z/m], so over Z[Z/m] det M is g^s u, where u
-is det P folded mod g^m - 1, and M is invertible iff u is a unit, which the
-m x m regular representation of the 1 x 1 matrix (u) decides.  Either way
-the packed right-hand block of [P | I] reads back as the inverse, times
-z^-k or u^-1.  Before either layout, det M(1) = +-1 (M(1) = sum_k M_k) is
-required: z -> 1 (over Z[Z/m] the augmentation) maps units to units, and this
-cheap test turns most non-units away before any wide integer is built; a
-matrix it passes whose packed elimination would exceed ``MAX_ELIMINATION_SIZE``
-is refused.  Lattice-splitting questions over non-integer rings are refused
-rather than approximated; callers there must supply witnesses.
+grid; over the other rings they are refused, and callers supply witnesses.
+The rings are commutative, so M is invertible iff det M is a unit, and each
+determinant comes from one fraction-free (Bareiss) elimination on ints, in one
+of two layouts.  The regular one is the (m n)-wide integer regular
+representation R(M), with M invertible iff det R(M) = +-1; it serves Z, and
+Z[Z/m] off the packed shapes.  The packed one lifts M to Z[z], shifts each row
+and column down to exponent 0 and packs the result at z = 2^B (``_packing``);
+over Z[z,z^-1] M is invertible iff det P = +-z^k, over Z[Z/m] iff det P folded
+mod g^m - 1 is a unit.  Each operation has its own shape rule over Z[Z/m],
+read off the ladder in CHANGES.md: ``_packs_cyclic`` for ``try_inverse`` and
+``_packs_cyclic_det`` for ``is_unimodular``.  Two exact tests may answer "no"
+first: det M(1) = +-1 (z -> 1 maps units to units), before either layout, and
+det R(M) mod a prime p = 1 (mod m), from m determinants of n x n matrices
+mod p, before an elimination that costs far more (``_refused_mod_p``).  A
+packed elimination beyond ``MAX_ELIMINATION_SIZE`` raises SchemaError.
 """
 
 from __future__ import annotations
@@ -491,12 +482,31 @@ def _regular_inverse(m: FormMatrix):
     # column j * order of block (i, j) of the inverse holds the coefficients
     # of entry (i, j), so solve for those n columns only
     n, order = m.rows, m.ring.m or 1
+    if _refused_mod_p(m, n * m.ring.m >= 64):
+        return None
     units = [[1 if r == j * order else 0 for j in range(n)] for r in range(n * order)]
     inv = _intlat.unimodular_solve(_regular_grid(m), units)
     if inv is None:
         return None
     grids = {r: [[inv[i * order + r][j] for j in range(n)] for i in range(n)] for r in range(order)}
     return _grid_matrix(m.ring, n, n, grids)
+
+
+def _regular_is_unit(m: FormMatrix) -> bool:
+    """det R(m) = +-1, for a square m over Z or Z[Z/m]."""
+    return not _refused_mod_p(m, m.rows * m.ring.m >= 64) and _intlat.is_unimodular(_regular_grid(m))
+
+
+def _refused_mod_p(m: FormMatrix, costly: bool) -> bool:
+    """Whether m over Z[Z/order] is shown no unit by det R(m) mod p, a product of order
+    n x n determinants mod a prime p (``_intlat.cyclic_det_mod_p``), being other than +-1:
+    an exact "no", tried in front of an elimination that is costly next to it, as read off
+    the ladder in CHANGES.md: a regular one n order >= 64 wide, or a packed one of
+    n^2 D >= 2^20 (see ``_packing``)."""
+    if not costly:
+        return False
+    d, p = _intlat.cyclic_det_mod_p(m._grids, m.rows, m.ring.m)
+    return d != 1 and d != p - 1
 
 
 def _augmentation_is_unit(m: FormMatrix) -> bool:
@@ -506,14 +516,20 @@ def _augmentation_is_unit(m: FormMatrix) -> bool:
 
 
 def _packs_cyclic(n: int, order: int) -> bool:
-    """Whether invertibility of an n x n matrix over Z[Z/order] is decided by the
-    packed elimination over Z[z] rather than on its (n order)-wide regular
-    representation: the one shape rule for both operations, read off the
-    ladder of both paths in CHANGES.md.  The packed path has a fixed cost (the
-    packing, the fold, the unit test on order x order, a packed product to
-    check an inverse) that only a wide enough regular representation
-    outweighs, and beyond n = 8 its integers outgrow the (n order)^3 solve."""
+    """Whether ``try_inverse`` over Z[Z/order] takes the packed elimination over Z[z]
+    for an n x n matrix, read off the ladder in CHANGES.md.  Its fixed cost (the
+    packing, the fold, u^-1, the packed check m m^-1 = I) pays only on a wide
+    enough regular representation, and beyond n = 8 its integers outgrow the
+    (n order)^3 solve."""
     return 2 <= n <= 8 and order >= 4 and n * order >= 24
+
+
+def _packs_cyclic_det(n: int, order: int) -> bool:
+    """Whether ``is_unimodular`` over Z[Z/order] takes the packed elimination for an
+    n x n matrix, read off the ladder in CHANGES.md.  Without the inverse's fixed costs
+    it pays from n order = 15 on, every shape of ``_packs_cyclic`` among them, and
+    loses to the regular path at order 2 and beyond n = 12."""
+    return 2 <= n <= 12 and order >= 3 and n * order >= 15
 
 
 # The packed elimination of an n x n matrix makes about n^3 operations on
@@ -526,21 +542,18 @@ def _packs_cyclic(n: int, order: int) -> bool:
 MAX_ELIMINATION_SIZE = 2 ** 24
 
 
-def _packed_elimination(m: FormMatrix, b: list[list[int]]):
-    """(width, rlo, clo, d, x) with P x = d b and d = +-det P != 0, else None.
+def _packing(m: FormMatrix):
+    """(width, rlo, clo, P, size): P = diag(z^-rlo) m diag(z^-clo) packed at z = 2^width,
+    and size = n^2 D, the measure ``MAX_ELIMINATION_SIZE`` caps.
 
-    P = diag(z^-rlo) m diag(z^-clo) is m with each row, then each column,
-    shifted down to exponent 0, a matrix over Z[z]; over Z[Z/m] the grids
-    keyed 0 .. m-1 are read as the lift with those exponents.  The Bareiss
-    elimination of [P | b] runs on P packed at z = 2^width, a ring map
-    Z[z] -> Z: each exact division of polynomials is an exact division of
-    ints, and a polynomial is zero iff its image is.  Every entry the
-    elimination keeps is +- a minor f of P.  On |z| = 1 each entry of P is at
-    most its l1 norm, so by Hadamard |f(z)| <= prod_i (sum_j ||P_ij||_1^2)^(1/2)
-    (each factor at least 1: m(1) has no zero row, as det m(1) = +-1 was tested
-    first), and also so by columns; each coefficient of f, and of f folded mod
-    z^m - 1, is an average of f over points of |z| = 1, so none is larger.
-    width keeps each one signed digit, and d and x are packed the same way.
+    P is m with each row, then each column, shifted down to exponent 0, a matrix
+    over Z[z]; over Z[Z/m] the grids keyed 0 .. m-1 are read as the lift with those
+    exponents.  Every entry the elimination of P keeps is +- a minor f of P.  On
+    |z| = 1 each entry of P is at most its l1 norm, so by Hadamard
+    |f(z)| <= prod_i (sum_j ||P_ij||_1^2)^(1/2) (each factor at least 1: m(1) has
+    no zero row, as det m(1) = +-1 was tested first), and also so by columns; each
+    coefficient of f, and of f folded mod z^m - 1, is an average of f over points of
+    |z| = 1, so none is larger.  width keeps each one signed digit.
     """
     grids = list(m._grids.values())
     rlo = [min(k for k, g in m._grids.items() if any(g[i])) for i in range(m.rows)]
@@ -552,7 +565,16 @@ def _packed_elimination(m: FormMatrix, b: list[list[int]]):
     # the lowest set bit of a packed entry lies in its lowest nonzero digit
     clo = [min(((v & -v).bit_length() - 1) // width for v in col if v) for col in zip(*p)]
     p = [[v >> width * c for v, c in zip(row, clo)] for row in p]
-    size = m.rows ** 2 * sum(max(map(int.bit_length, row)) for row in p)
+    return width, rlo, clo, p, m.rows ** 2 * sum(max(map(int.bit_length, row)) for row in p)
+
+
+def _packed_elimination(m: FormMatrix, b: list[list[int]], packing=None):
+    """(width, rlo, clo, d, x) with P x = d b and d = +-det P != 0, else None, for P
+    from ``_packing``.  The Bareiss elimination of [P | b] runs on P packed at
+    z = 2^width, a ring map Z[z] -> Z: each exact division of polynomials is an
+    exact division of ints, and a polynomial is zero iff its image is.  d and x
+    are packed the same way."""
+    width, rlo, clo, p, size = packing or _packing(m)
     if size > MAX_ELIMINATION_SIZE:
         raise SchemaError(f"a {m.rows}x{m.cols} matrix over {m.ring} packs into integers of up to "
                           f"{size // m.rows ** 2} bits, rank^2 * bits {size} beyond {MAX_ELIMINATION_SIZE}")
@@ -579,7 +601,7 @@ def _folded(ring: RingSpec, grid: list[list[int]], width: int, shifts) -> FormMa
 
     At z = 2^width, z^m - 1 is N = 2^(width m) - 1, so the fold is the residue
     mod N: the folded coefficients of a minor of P stay within the bound that
-    width covers (see ``_packed_elimination``), so the folded value is the
+    width covers (see ``_packing``), so the folded value is the
     residue of least absolute value."""
     big = (1 << width * ring.m) - 1
     out = []
@@ -591,10 +613,13 @@ def _folded(ring: RingSpec, grid: list[list[int]], width: int, shifts) -> FormMa
     return _grid_matrix(ring, len(grid), len(grid[0]), _unpack(out, width, 0))
 
 
-def _cyclic_elimination(m: FormMatrix, b: list[list[int]]):
+def _cyclic_elimination(m: FormMatrix, b: list[list[int]], packing=None):
     """(width, rlo, clo, u, x) as from the packed elimination of m's lift, with u
     the 1 x 1 matrix det P mod g^m - 1, which is a unit iff m is invertible; else None."""
-    found = _packed_elimination(m, b)
+    packing = packing or _packing(m)
+    if _refused_mod_p(m, packing[4] >= 2 ** 20):
+        return None
+    found = _packed_elimination(m, b, packing)
     if found is None:
         return None
     width, rlo, clo, d, x = found
@@ -651,16 +676,20 @@ def inverse(m: FormMatrix) -> FormMatrix:
 
 def is_unimodular(m: FormMatrix) -> bool:
     """Invertibility over the ring, decided by a determinant without building an inverse:
-    det R(m) = +-1 over Z, and over Z[Z/m] for the shapes the rule ``_packs_cyclic``
-    keeps there; det P = +-z^k over Z[z,z^-1]; otherwise over Z[Z/m], det P folded
-    mod g^m - 1 a unit, which det R of that 1 x 1 matrix = +-1 decides.  A matrix
-    whose packed elimination would exceed ``MAX_ELIMINATION_SIZE`` raises SchemaError."""
-    if m.rows != m.cols or (m.ring.kind != "Z" and not _augmentation_is_unit(m)):
+    det R(m) = +-1 over Z, and over Z[Z/m] off the shapes of ``_packs_cyclic_det``;
+    det P = +-z^k over Z[z,z^-1]; otherwise over Z[Z/m], det P folded mod g^m - 1 a
+    unit, which det R of that 1 x 1 matrix = +-1 decides.  The packed elimination
+    raises SchemaError beyond ``MAX_ELIMINATION_SIZE``, except on the shapes that
+    only ``_packs_cyclic_det`` packs, which then take the regular path."""
+    n, ring = m.rows, m.ring
+    if n != m.cols or (ring.kind != "Z" and not _augmentation_is_unit(m)):
         return False
-    if m.ring.kind == "laurent":
-        return _laurent_elimination(m, [[]] * m.rows) is not None
-    if m.ring.kind == "cyclic" and _packs_cyclic(m.rows, m.ring.m):
-        found = _cyclic_elimination(m, [[]] * m.rows)
-        # u is a unit iff its m x m circulant has determinant +-1
-        return found is not None and _intlat.is_unimodular(_regular_grid(found[3]))
-    return _intlat.is_unimodular(_regular_grid(m))
+    if ring.kind == "laurent":
+        return _laurent_elimination(m, [[]] * n) is not None
+    if ring.kind == "cyclic" and _packs_cyclic_det(n, ring.m):
+        packing = _packing(m)
+        if packing[4] <= MAX_ELIMINATION_SIZE or _packs_cyclic(n, ring.m):
+            found = _cyclic_elimination(m, [[]] * n, packing)
+            # u is a unit iff its m x m circulant has determinant +-1
+            return found is not None and _regular_is_unit(found[3])
+    return _regular_is_unit(m)

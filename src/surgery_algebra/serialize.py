@@ -6,14 +6,21 @@ matrix is [], with the missing dimension recovered from context (the square
 members of each composite object carry it).  Ring elements encode as a bare
 integer over the integers, a length-m coefficient list over a cyclic group
 ring, and {"origin": o, "coeffs": [...]} over the Laurent ring.
+
+A matrix is read straight into its exponent grids: int rows over Z, the
+transposed coefficient lists of each row over Z[Z/m] (checked a row at a
+time), the checked (origin, coeffs) of each entry over Z[z,z^-1].  Where a
+check fails, ``element_from_obj`` reads the elements in order, so that the
+error names the first bad one.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from itertools import chain
 
-from . import complexes, formations, forms, lagrangians, matrices, plumbing, rings, unitary
+from . import _intlat, complexes, formations, forms, lagrangians, matrices, plumbing, rings, unitary
 from .errors import SchemaError
 from .matrices import FormMatrix
 from .rings import RingElement, RingSpec
@@ -138,18 +145,41 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
         return matrices.zero_matrix(ring, 0, c)
     if ring.kind == "Z":
         return matrices.matrix(ring, [[_require_int(v, "integer element") for v in row] for row in obj])
-    data = [[element_from_obj(ring, v) for v in row] for row in obj]
-    if ring.kind == "laurent":
-        exponents = {k for row in data for e in row for k, x in enumerate(e.coeffs, e.shift) if x}
-        if len(exponents) * r * c > MAX_LAURENT_GRID_CELLS:
-            raise SchemaError(f"a {r}x{c} matrix over {ring} with {len(exponents)} distinct exponents "
-                              f"is stored as {len(exponents) * r * c} grid cells, beyond {MAX_LAURENT_GRID_CELLS}")
-        window = max(exponents) - min(exponents) + 1 if exponents else 0
-        if window * r * c > MAX_LAURENT_WINDOW_CELLS:
-            raise SchemaError(f"a {r}x{c} matrix over {ring} with exponents from {min(exponents)} to "
-                              f"{max(exponents)} is packed as {window * r * c} window cells, "
-                              f"beyond {MAX_LAURENT_WINDOW_CELLS}")
-    return matrices.matrix(ring, data)
+    if ring.kind == "cyclic":
+        grids = [[] for _ in range(ring.m)]
+        for row in obj:
+            # one test per row for lists of m ints; the element reader names the first bad one
+            if c and not (set(map(type, row)) == {list} and set(map(len, row)) == {ring.m}
+                          and set(map(type, chain.from_iterable(row))) == {int}):
+                for v in row:
+                    element_from_obj(ring, v)
+            for g, line in zip(grids, zip(*row)):
+                g.append(list(line))
+        return matrices._grid_matrix(ring, r, c, {k: g for k, g in enumerate(grids) if any(map(any, g))})
+    terms = []
+    for v in chain.from_iterable(obj):
+        if not (type(v) is dict and type(o := v.get("origin")) is int and type(cs := v.get("coeffs")) is list
+                and set(map(type, cs)) <= {int}
+                and -MAX_LAURENT_EXPONENT <= o <= MAX_LAURENT_EXPONENT - max(len(cs) - 1, 0)):
+            e = element_from_obj(ring, v)  # raises the error that names v
+            o, cs = e.shift, e.coeffs
+        terms.append((o, cs))
+    exponents = {k for o, cs in terms for k, x in enumerate(cs, o) if x}
+    if len(exponents) * r * c > MAX_LAURENT_GRID_CELLS:
+        raise SchemaError(f"a {r}x{c} matrix over {ring} with {len(exponents)} distinct exponents "
+                          f"is stored as {len(exponents) * r * c} grid cells, beyond {MAX_LAURENT_GRID_CELLS}")
+    window = max(exponents) - min(exponents) + 1 if exponents else 0
+    if window * r * c > MAX_LAURENT_WINDOW_CELLS:
+        raise SchemaError(f"a {r}x{c} matrix over {ring} with exponents from {min(exponents)} to "
+                          f"{max(exponents)} is packed as {window * r * c} window cells, "
+                          f"beyond {MAX_LAURENT_WINDOW_CELLS}")
+    grids = {k: _intlat.zeros(r, c) for k in exponents}
+    for at, (o, cs) in enumerate(terms):
+        i, j = divmod(at, c)
+        for k, x in enumerate(cs, o):
+            if x:
+                grids[k][i][j] = x
+    return matrices._grid_matrix(ring, r, c, grids)
 
 
 def form_to_obj(q: forms.QuadraticForm):

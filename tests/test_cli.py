@@ -504,3 +504,52 @@ def test_the_stabilization_is_refused_below_0_and_bounded_by_the_isometry(tmp_pa
         assert (status, report["kind"], report["error"]) == (2, "schema", "--stabilize must be at least 0, got -1")
     else:
         assert (status, report["result"]) == (0, {"stably_isomorphic": same, "pad": pad})
+
+
+def transported_non_unit_form(order, n, seed):
+    """lambda = P*·H·P over Z[Z/order], with the coboundary of a split transport in mu, for
+    P = I + N, N dense with coefficients in [-1, 1] and N(1) = 0: P(1) = I, so lambda passes
+    z -> 1, though it is no unit."""
+    ring, rng = rings.cyclic(order), random.Random(seed)
+
+    def entry(i, j):
+        c = [rng.randint(-1, 1) for _ in range(order)]
+        c[0] += int(i == j) - sum(c)
+        return rings.RingElement(ring, tuple(c))
+
+    p = matrices.FormMatrix(ring, n, n, [[entry(i, j) for j in range(n)] for i in range(n)])
+    s = generators.transport(rng, forms.hyperbolic_split(ring, 1, n // 2), p)
+    return serialize.form_to_obj(forms.split_to_quadratic(s))
+
+
+@pytest.mark.parametrize("order, n, size", [(25, 10, 11390), (21, 12, 13776)])
+def test_form_info_on_a_transported_non_unit_is_quick(tmp_path, order, n, size):
+    # dense rank-10 and rank-12 forms whose determinants took 11-13 s of CPU by elimination;
+    # det R(lambda) mod p refuses them
+    text = json.dumps(transported_non_unit_form(order, n, 7))
+    assert len(text) == size
+    src = tmp_path / "input.json"
+    src.write_text(text, encoding="utf-8")
+    start = time.process_time()
+    status, report = run(["form-info", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert time.process_time() - start < 0.5
+    assert (status, report["result"]) == (0, {"ring": {"ring": "cyclic", "m": order, "w": 1}, "epsilon": 1,
+                                              "rank": n, "nonsingular": False, "even": True})
+
+
+def test_form_info_reads_evenness_off_the_validated_form(tmp_path, monkeypatch):
+    group_ring = tmp_path / "group-ring.json"
+    group_ring.write_text(json.dumps(transported_non_unit_form(3, 2, 1)), encoding="utf-8")
+    paths = [str(acceptance.fixture_path(name)) for name in ("e8.json", "arf.json", "hyperbolic-plus-1.json")]
+    paths.append(str(group_ring))
+    wants = []
+    for src in paths:
+        q = serialize.form_from_obj(serialize.read_json(src))
+        wants.append({"ring": serialize.ring_to_obj(q.ring), "epsilon": q.epsilon, "rank": q.rank,
+                      "nonsingular": forms.is_nonsingular(q), "even": forms.is_even(q)})
+    calls = []
+    monkeypatch.setattr(rings, "in_symmetrize_image", lambda *a: calls.append(a) or True)
+    for src, want in zip(paths, wants):
+        status, report = run(["form-info", "--in", src, "--out", str(tmp_path / "report.json")])
+        assert (status, report["result"]) == (0, want)
+    assert calls == []

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from surgery_algebra import forms, matrices as mx, rings
-from surgery_algebra.errors import PreconditionError, WrongRingError
+from surgery_algebra import forms, matrices as mx, rings, serialize
+from surgery_algebra.errors import DomainError, PreconditionError, WrongRingError
 from surgery_algebra.forms import (
     FormIsometry,
     direct_sum,
@@ -171,6 +171,24 @@ def test_hyperbolic_is_even_and_nonsingular():
             h = hyperbolic_quadratic(Z, eps, k)
             assert forms.is_nonsingular(h)
             assert is_even(symmetric_form(Z, eps, h.lam.to_int_grid()))
+
+
+@pytest.mark.parametrize("ring", [Z, rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()], ids=str)
+@pytest.mark.parametrize("eps", [1, -1])
+def test_the_hyperbolic_form_equals_its_validated_construction(ring, eps):
+    zero = rings.q_eps_reduce(rings.zero(ring), eps)
+    for k in range(7):
+        grid = [[0] * (2 * k) for _ in range(2 * k)]
+        for i in range(k):
+            grid[i][k + i], grid[k + i][i] = 1, eps
+        validated = forms.QuadraticForm(ring, eps, mx.matrix(ring, grid), (zero,) * (2 * k))
+        h = hyperbolic_quadratic(ring, eps, k)
+        assert type(h) is forms.QuadraticForm and h == validated and hash(h) == hash(validated)
+        assert (h.ring, h.epsilon, h.lam, h.mu) == (ring, eps, validated.lam, validated.mu)
+        # read back from the wire format through every check of QuadraticForm
+        assert serialize.form_from_obj(serialize.form_to_obj(h)) == h
+    with pytest.raises(DomainError):
+        hyperbolic_quadratic(ring, 2, 1)
 
 
 def test_hessian_witness_exists_exactly_on_differences():

@@ -499,3 +499,73 @@ def test_each_lattice_answer_runs_only_the_eliminations_it_reads(monkeypatch):
     assert mx.cokernel(mx.int_matrix(p)) == (rings.AbelianGroup(0, ()), 6)
     assert mx.cokernel(mx.int_matrix([[2, 0], [0, 3]])) == (rings.AbelianGroup(0, (6,)), 2)
     assert smith == [3, 6, 6, 6, 2] and bareiss == []
+
+
+# -- the canonical representative modulo a lattice ---------------------------------
+
+
+@settings(max_examples=100)
+@given(GRID_KINDS, st.integers(1, 7), st.integers(0, 6), st.integers(0, 2**32))
+def test_the_reduction_mod_a_lattice_does_not_depend_on_the_representative(kind, rows, cols, seed):
+    rng = random.Random(seed)
+    a = lattice_grid(rng, kind, rows, cols)
+    h, pivots = _intlat.hermite_column_basis(a)
+    v = [rng.randint(-50, 50) for _ in range(rows)]
+    out = _intlat.reduce_mod_lattice(v, h, pivots)
+    # out lies in the coset of v and in the fundamental domain of the pivots
+    assert _intlat.solve(a, [[x - y] for x, y in zip(v, out)]) is not None
+    assert all(0 <= out[p] < h[p][i] for i, p in enumerate(pivots))
+    for _ in range(3):  # another representative, v plus a lattice vector
+        c = [[rng.randint(-9, 9)] for _ in range(cols)]
+        w = [x + row[0] for x, row in zip(v, _intlat.matmul(a, c))] if cols else v
+        assert _intlat.reduce_mod_lattice(w, h, pivots) == out
+
+
+# -- determinants mod p ---------------------------------------------------------------
+
+
+def test_the_primality_test_matches_trial_division():
+    small = [n for n in range(3000) if n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(3000) if _intlat.is_prime(n)] == small
+    # strong pseudoprimes to several of the bases, and primes near 2^30 and 2^61
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
+        assert not _intlat.is_prime(n)
+    for n in (2 ** 30 - 35, 2 ** 31 - 1, 2 ** 61 - 1):
+        assert _intlat.is_prime(n)
+    assert not _intlat.is_prime(2 ** 61 + 1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 12, 25, 64, 97, 128, 210, 256])
+def test_the_prime_has_a_root_of_unity_of_the_order(order):
+    p, zeta = _intlat.prime_and_root(order)
+    assert _intlat.is_prime(p) and 2 ** 29 < p < 2 ** 30 and p % order == 1 % order
+    assert pow(zeta, order, p) == 1
+    assert all(pow(zeta, k, p) != 1 for k in range(1, order))
+
+
+@given(st.integers(1, 9), st.integers(0, 4), st.sampled_from(["dense", "unit", "singular"]), st.integers(0, 2**32))
+def test_the_determinant_mod_p_is_that_of_the_regular_representation(order, n, kind, seed):
+    rng = random.Random(seed)
+    ring = rings.cyclic(order)
+    if kind == "dense":
+        m = random_matrix(rng, ring, n, n, -3, 3)
+    else:
+        m = random_unimodular(rng, ring, n)
+        if kind == "singular" and n:
+            m = mx.vstack(m.submatrix(range(n - 1), range(n)), m.submatrix([0], range(n)))
+    d, p = _intlat.cyclic_det_mod_p(m._grids, n, order)
+    exact = _intlat.bareiss(mx._regular_grid(m), [[]] * (n * order))[0] if n else 1
+    assert 0 <= d < p and d in (exact % p, -exact % p)
+    if kind == "unit":
+        assert d in (1, p - 1)
+
+
+def test_the_determinant_mod_p_of_a_grid():
+    p = 101
+    assert _intlat.det_mod([], p) == 1
+    assert _intlat.det_mod([[0, 1], [1, 0]], p) == p - 1
+    assert _intlat.det_mod([[2, 4], [1, 2]], p) == 0
+    rng = random.Random(3)
+    for n in range(1, 7):
+        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        assert _intlat.det_mod(a, p) == det_int(a) % p

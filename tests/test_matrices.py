@@ -424,10 +424,12 @@ def test_dense_laurent_inverse_at_rank_12():
 
 
 def on_both_cyclic_paths(f, m):
-    """(f(m) with every shape on the regular path, f(m) with every shape on the packed path)."""
+    """(f(m) with every shape on the regular path, f(m) with every shape on the packed path),
+    under the shape rules of both operations."""
     out = []
     for packs in (False, True):
-        with mock.patch.object(mx, "_packs_cyclic", lambda n, order, packs=packs: packs):
+        with mock.patch.object(mx, "_packs_cyclic", lambda n, order, packs=packs: packs), \
+                mock.patch.object(mx, "_packs_cyclic_det", lambda n, order, packs=packs: packs):
             out.append(f(m))
     return tuple(out)
 
@@ -484,6 +486,81 @@ def test_the_cyclic_paths_agree_on_each_side_of_the_shape_rule(n, order, seed, w
     assert_paths_agree(m, {"unit-lu": True, "dense": None}.get(kind, False))
 
 
+# each operation's own shape rule and the mod-p filter, over the ladder's range
+
+
+def filtered(f, m, on):
+    """f(m) with the mod-p filter tried in front of every elimination (on) or of none."""
+    real = mx._refused_mod_p
+    with mock.patch.object(mx, "_refused_mod_p", lambda a, costly: real(a, on)):
+        return f(m)
+
+
+def ladder_draw(rng, ring, n, kind):
+    """A unit from the generators' elements, that unit with a row times 2 - g^e (which passes
+    z -> 1, while det R is +-(2^m - 1) mod p), or with a repeated row (singular)."""
+    unit = random_unimodular(rng, ring, n)
+    if kind == "unit":
+        return unit
+    rows = [list(r) for r in unit.entries]
+    if kind == "non-unit":
+        c = cyclic_element(ring, [(2, 0), (-1, rng.randrange(1, ring.m))])
+        rows[0] = [rings.mul(c, x) for x in rows[0]]
+    else:
+        rows[-1] = rows[0] if n > 1 else [rings.zero(ring)]
+    return mx.matrix(ring, rows)
+
+
+# three orders for each n = 1 ... 9, together every order 2 ... 16
+LADDER_SHAPES = [(n, 2 + (4 * n + 5 * j) % 15) for n in range(1, 10) for j in range(3)]
+
+
+@pytest.mark.parametrize("n, order", LADDER_SHAPES)
+@pytest.mark.parametrize("kind", ["unit", "non-unit", "singular"])
+def test_the_rules_the_forced_paths_and_the_filter_agree(n, order, kind):
+    ring = rings.cyclic(order, -1 if order % 2 == 0 and n % 2 else 1)
+    m = ladder_draw(random.Random(f"{n}-{order}-{kind}"), ring, n, kind)
+    unit = kind == "unit"
+    # the filter's verdict is exact here: +-1 on units, 0 or +-(2^m - 1) < p on the rest
+    assert mx._refused_mod_p(m, True) == (not unit)
+    inverses = on_both_cyclic_paths(mx.try_inverse, m) + (mx.try_inverse(m), filtered(mx.try_inverse, m, False))
+    assert inverses == (inverses[0],) * 4 and (inverses[0] is not None) == unit
+    answers = on_both_cyclic_paths(mx.is_unimodular, m) + (mx.is_unimodular(m), filtered(mx.is_unimodular, m, False))
+    assert answers == (unit,) * 4
+    if unit:
+        assert_two_sided_inverse(m, inverses[0])
+
+
+def test_each_operation_has_its_own_shape_rule():
+    # the ladder in CHANGES.md: is_unimodular packs from n order = 15 at order >= 3, up to
+    # n = 12, and try_inverse only where its fixed costs pay
+    det = {(n, o) for n in range(1, 17) for o in range(2, 33) if mx._packs_cyclic_det(n, o)}
+    inv = {(n, o) for n in range(1, 17) for o in range(2, 33) if mx._packs_cyclic(n, o)}
+    assert inv < det
+    assert {(4, 4), (4, 5), (3, 5), (2, 8), (12, 16)} <= det - inv
+    assert not {(1, 32), (8, 2), (12, 2), (13, 16), (4, 3), (3, 4)} & det
+    # the workloads' form-info shapes, 4 x 4 from order 4 on, pack; criterion 4's Z[Z/2] does not
+    assert [o for o in range(2, 9) if mx._packs_cyclic_det(4, o)] == [4, 5, 6, 7, 8]
+
+
+def test_the_determinant_past_the_cap_takes_the_regular_path_only_where_the_inverse_does_not_pack():
+    # I + N, N nilpotent with 60,000-bit coefficients and N(1) = 0, packs past MAX_ELIMINATION_SIZE at
+    # 4 x 4 and 8 x 8 over Z[Z/4]; the first shape only the determinant packs, so it takes the regular
+    # path as before, and the second raises as before
+    for n, packs in ((4, False), (8, True)):
+        ring = rings.cyclic(4)
+        big = cyclic_element(ring, [(2 ** 60000, 1), (-2 ** 60000, 2)])
+        m = mx.identity_matrix(ring, n).add(mx.matrix(ring, [[big if j == i + 1 else 0 for j in range(n)]
+                                                             for i in range(n)]))
+        assert mx._packs_cyclic_det(n, 4) and mx._packs_cyclic(n, 4) == packs
+        assert mx._packing(m)[4] > mx.MAX_ELIMINATION_SIZE
+        if packs:
+            with pytest.raises(SchemaError, match="beyond"):
+                mx.is_unimodular(m)
+        else:
+            assert mx.is_unimodular(m)
+
+
 C5 = rings.cyclic(5, 1)
 
 
@@ -538,7 +615,7 @@ def test_cyclic_unimodularity_at_8_by_8_over_the_group_of_order_32_is_quick():
     # the packed path; the 256 x 256 regular representation took about 0.3 s
     ring = rings.cyclic(32)
     m = unit_lu(random.Random(32), ring, 8)
-    assert mx._packs_cyclic(8, 32)
+    assert mx._packs_cyclic_det(8, 32)
     start = time.process_time()
     assert mx.is_unimodular(m)
     assert time.process_time() - start < 0.15

@@ -5,10 +5,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import complexes as cx
-from surgery_algebra import formations, forms, plumbing, rings, unitary
+from surgery_algebra import formations, forms, matrices, plumbing, rings, unitary
 from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError
 from surgery_algebra.matrices import FormMatrix
@@ -299,3 +299,156 @@ def test_every_shipped_fixture_round_trips_byte_for_byte(name):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     assert sz.dumps_canonical(shipped_fixture_round_trip(sz.loads(text))) == text
+
+
+# -- group-ring matrices read straight into grids ---------------------------------
+
+
+def frozen_matrix_from_obj(ring, obj, rows=None, cols=None):
+    """matrix_from_obj as it read group-ring matrices: one RingElement per entry, then the grids."""
+    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
+        raise SchemaError("matrix must be an array of arrays")
+    r = len(obj)
+    if rows is not None and r != rows:
+        raise SchemaError(f"matrix has {r} rows, expected {rows}")
+    c = len(obj[0]) if r else cols or 0
+    if any(len(row) != c for row in obj):
+        raise SchemaError("matrix rows have unequal lengths")
+    if cols is not None and c != cols:
+        raise SchemaError(f"matrix has {c} columns, expected {cols}")
+    if ring.m * max(r, c) > sz.MAX_CYCLIC_WIDTH:
+        raise SchemaError(f"a {r}x{c} matrix over {ring} is {ring.m * max(r, c)} wide in its regular "
+                          f"representation, beyond {sz.MAX_CYCLIC_WIDTH}")
+    if r == 0:
+        return matrices.zero_matrix(ring, 0, c)
+    data = [[sz.element_from_obj(ring, v) for v in row] for row in obj]
+    if ring.kind == "laurent":
+        exponents = {k for row in data for e in row for k, x in enumerate(e.coeffs, e.shift) if x}
+        if len(exponents) * r * c > sz.MAX_LAURENT_GRID_CELLS:
+            raise SchemaError(f"a {r}x{c} matrix over {ring} with {len(exponents)} distinct exponents "
+                              f"is stored as {len(exponents) * r * c} grid cells, beyond {sz.MAX_LAURENT_GRID_CELLS}")
+        window = max(exponents) - min(exponents) + 1 if exponents else 0
+        if window * r * c > sz.MAX_LAURENT_WINDOW_CELLS:
+            raise SchemaError(f"a {r}x{c} matrix over {ring} with exponents from {min(exponents)} to "
+                              f"{max(exponents)} is packed as {window * r * c} window cells, "
+                              f"beyond {sz.MAX_LAURENT_WINDOW_CELLS}")
+    return matrices.matrix(ring, data)
+
+
+def read_outcome(read, ring, obj, rows, cols):
+    """The grids and entries read, or the class and message of the SchemaError raised."""
+    try:
+        m = read(ring, obj, rows, cols)
+    except SchemaError as e:
+        return type(e), str(e)
+    return m.rows, m.cols, matrices._nonzero(m), m.entries
+
+
+GROUP_RINGS = [rings.cyclic(1), rings.cyclic(3), rings.cyclic(4, -1), rings.cyclic(6, 1), rings.laurent()]
+# what no element encoding may hold, at any level
+BAD = [True, False, 0.0, 1.0, None, "1", [[1]], {"origin": 0}]
+CAP = sz.MAX_LAURENT_EXPONENT
+
+
+ELEMENT_FAULTS = {"cyclic": ["coefficient", "length", "element"],
+                  "laurent": ["origin", "coeffs", "coefficient", "missing", "element", "cap"]}
+CASES = [(ring, fault) for ring in GROUP_RINGS
+         for fault in [None, "ragged", "rows", "cols"] + ELEMENT_FAULTS[ring.kind]]
+
+
+def faulty_element(draw, ring, fault):
+    """A valid element encoding over ring, or one at fault in the given way."""
+    coeff = st.integers(-3, 3) | st.integers(-2**70, 2**70)
+    bad = st.sampled_from(BAD)
+    if ring.kind == "cyclic":
+        v = draw(st.lists(coeff, min_size=ring.m, max_size=ring.m))
+        if fault == "coefficient":
+            v[draw(st.integers(0, ring.m - 1))] = draw(bad)
+        elif fault == "length":
+            v = v + [0] if draw(st.booleans()) or not v else v[:-1]
+        elif fault == "element":
+            v = draw(bad)
+        return v
+    e = {"origin": draw(st.integers(-6, 6)), "coeffs": draw(st.lists(coeff, max_size=4))}
+    if fault == "origin":
+        e["origin"] = draw(bad)
+    elif fault == "coeffs":
+        e["coeffs"] = draw(st.sampled_from([None, 1.0, "12", True, {"0": 1}]))
+    elif fault == "coefficient":
+        e["coeffs"].insert(draw(st.integers(0, len(e["coeffs"]))), draw(bad))
+    elif fault == "missing":
+        del e[draw(st.sampled_from(["origin", "coeffs"]))]
+    elif fault == "element":
+        e = draw(st.sampled_from(BAD[:-1] + [[1, 2]]))
+    elif fault == "cap":  # the lowest or the highest exponent one past the cap
+        e["coeffs"].append(1)
+        top = CAP - len(e["coeffs"]) + 2
+        e["origin"] = draw(st.sampled_from([top, top + 1, -CAP - 1, -10**9]))
+    return e
+
+
+@pytest.mark.parametrize("ring, fault", CASES, ids=[f"{r}-{f}" for r, f in CASES])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_grid_reading_matches_the_element_reader(ring, fault, data):
+    # an element fault sits at a drawn position, and a second one may follow it, so
+    # that the error must name the first
+    draw = data.draw
+    least = {None: 0, "ragged": 2}.get(fault, 1)  # a ragged matrix needs two rows
+    rows, cols = draw(st.integers(least, 3)), draw(st.integers(min(least, 1), 3))
+    at = draw(st.integers(0, rows * cols - 1)) if fault in ELEMENT_FAULTS[ring.kind] else -1
+    later = draw(st.sampled_from(ELEMENT_FAULTS[ring.kind])) if at >= 0 and draw(st.booleans()) else None
+    obj = [[faulty_element(draw, ring, fault if i * cols + j == at else later if i * cols + j > at >= 0 else None)
+            for j in range(cols)] for i in range(rows)]
+    if fault == "ragged":
+        obj[draw(st.integers(0, rows - 1))].append(faulty_element(draw, ring, None))
+    want_rows = rows + 1 if fault == "rows" else draw(st.sampled_from([None, rows]))
+    want_cols = cols + 1 if fault == "cols" else draw(st.sampled_from([None, cols]))
+    got = read_outcome(sz.matrix_from_obj, ring, obj, want_rows, want_cols)
+    assert got == read_outcome(frozen_matrix_from_obj, ring, obj, want_rows, want_cols)
+    assert isinstance(got[0], type) == (fault is not None)
+
+
+def laurent_cells(count, top, origin=-1000):
+    """A 2 x 2 Laurent matrix object: count distinct exponents from origin on, and z^top."""
+    zero = {"origin": 0, "coeffs": []}
+    return [[{"origin": origin, "coeffs": [1] * count}, zero], [zero, {"origin": top, "coeffs": [1]}]]
+
+
+@pytest.mark.parametrize("ring, obj", [
+    # MAX_CYCLIC_WIDTH: 128 * 2 is read, 128 * 3 and 257 * 1 are not
+    (rings.cyclic(128), [[[1] + [0] * 127, [0] * 128], [[0] * 128, [0, 1] + [0] * 126]]),
+    (rings.cyclic(128), [[[0] * 128] * 3] * 3),
+    (rings.cyclic(257), [[[1] * 257]]),
+    # the first bad element named, though a later one is also bad
+    (rings.cyclic(3), [[[1, 2, 3], [1, 2]], [[1, True, 0], [0, 0, 0]]]),
+    (rings.cyclic(3), [[[1, 2, 3], [1, 2, 3.0]], [[1, None, 0], "abc"]]),
+    (rings.cyclic(2), [[[0, 0], [[0], 0]], [[1, 1], [0, 0]]]),
+    # ragged rows, before any element is read
+    (rings.cyclic(3), [[[1, 2, 3]], [[1, 2, 3], [0, 0, True]]]),
+    (rings.laurent(), [[{"origin": 0, "coeffs": [1]}, {"origin": 0, "coeffs": []}], [{"origin": None}]]),
+    # the grid-cell cap at and beyond 4 * 2^16, the window cap at and beyond 4 * 2^17
+    (rings.laurent(), laurent_cells(2 ** 16 - 1, 0)),
+    (rings.laurent(), laurent_cells(2 ** 16 + 1, 0)),
+    (rings.laurent(), laurent_cells(1, 2 ** 16 - 1, -2 ** 16)),
+    (rings.laurent(), laurent_cells(1, 2 ** 16, -2 ** 16)),
+    # MAX_LAURENT_EXPONENT at and beyond the cap, and an element at fault after one beyond it
+    (rings.laurent(), laurent_cells(1, CAP, -CAP)),
+    (rings.laurent(), laurent_cells(2, CAP, CAP - 1)),
+    (rings.laurent(), [[{"origin": -CAP - 1, "coeffs": [1]}, {"origin": True, "coeffs": [1]}]]),
+    (rings.laurent(), [[{"origin": CAP - 1, "coeffs": [1, 0, 0]}]]),
+    (rings.laurent(), [[{"origin": 0, "coeffs": [0, 0]}, {"origin": 3, "coeffs": [0, 2, 0]}]]),
+], ids=range(17))
+def test_grid_reading_keeps_every_cap_and_message(ring, obj):
+    got = read_outcome(sz.matrix_from_obj, ring, obj, None, None)
+    assert got == read_outcome(frozen_matrix_from_obj, ring, obj, None, None)
+
+
+def test_grid_reading_accepts_int_subclasses_as_the_element_reader_did():
+    class Int(int):
+        pass
+
+    for ring, obj in [(rings.cyclic(2), [[[Int(1), 0], [0, Int(0)]]]),
+                      (rings.laurent(), [[{"origin": Int(-1), "coeffs": [Int(2), 0]}]])]:
+        assert read_outcome(sz.matrix_from_obj, ring, obj, None, None) == \
+            read_outcome(frozen_matrix_from_obj, ring, obj, None, None)
