@@ -161,10 +161,11 @@ def verb_formation(args):
     if args.stabilize < 0:
         raise SchemaError(f"--stabilize must be at least 0, got {args.stabilize}")
     obj = _load(args)
-    if "psi0" in obj:
+    keys = obj if isinstance(obj, dict) else {}  # formation_from_obj refuses a list, string or scalar
+    if "psi0" in keys:
         phi = fm.complex_to_formation(sz.complex_from_obj(obj))
         return {"formation": sz.formation_to_obj(phi)}
-    if "first" in obj or "second" in obj:
+    if "first" in keys or "second" in keys:
         a = sz.formation_from_obj(_require(obj, "first", "stable comparison"))
         b = sz.formation_from_obj(_require(obj, "second", "stable comparison"))
         iso = sz.matrix_from_obj(a.ring, _require(obj, "isometry", "stable comparison"))

@@ -78,6 +78,8 @@ def duality_projection(c: OddComplex) -> FormMatrix:
 
 def complex_violations(c: OddComplex, witness=None) -> tuple[str, ...]:
     """Empty tuple iff the complex is valid; entries name failed conditions.
+    Over Z one Smith form decides exactness: pi = incl*·[[0, eps*I], [I, 0]], a unit times
+    incl*, is onto iff incl is split injective, and both messages name that one failure.
 
     Off the integers a witness pair (gamma0, gamma1) contracting the
     duality sequence must be supplied: gamma0: C_n -> C_(n+1) + C^(n+1)
@@ -98,7 +100,6 @@ def complex_violations(c: OddComplex, witness=None) -> tuple[str, ...]:
             out.append("rank balance fails: rank C_(n+1) != rank C_n")
         if not matrices.is_split_injection(inc):
             out.append("duality inclusion (psi0; d') is not split injective")
-        if not matrices.is_surjection(pi):
             out.append("duality projection (d, (-1)^n psi0') is not onto")
     else:
         if witness is None:
@@ -311,10 +312,8 @@ def validate_cobordism(c: OddComplex, cprime: OddComplex, cob: Cobordism) -> boo
 
 
 def surgery_on_complex(c: OddComplex, s: SurgeryData) -> tuple[OddComplex, Cobordism]:
-    """(effect, trace); the trace joins c to the effect over kernel of the onto map."""
+    """(effect, trace), the trace joining c to the effect; off Z ``surgery_effect`` refuses the ring first."""
     effect = surgery_effect(c, s)
-    if c.ring.kind != "Z":
-        raise WrongRingError("the trace construction runs over the integers")
     basis = matrices.kernel_basis(_surgery_surjection(c, s))
     section = matrices.solve_right(basis.star(), matrices.identity_matrix(c.ring, basis.cols))
     if section is None:

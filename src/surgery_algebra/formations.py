@@ -221,12 +221,11 @@ def _trivializer(phi: Formation):
     """``is_trivial_formation`` of a formation already known to be valid.
 
     F and G are lagrangians, so (F | G)*·lambda·(F | G) = [[0, P], [eps*P*, 0]] for
-    P = F*·lambda·G: (F | G) is unimodular, F and G complementary, iff P is.
+    P = F*·lambda·G: (F | G) is unimodular, F and G complementary, iff P is, which
+    one elimination decides: ``try_inverse`` is None exactly when P is no unit.
     """
-    pairing = phi.f.star().mul(phi.q.lam).mul(phi.g)
-    if not matrices.is_unimodular(pairing):
-        return None
-    return FormIsometry(matrices.hstack(phi.f, phi.g.mul(matrices.inverse(pairing))))
+    pinv = matrices.try_inverse(phi.f.star().mul(phi.q.lam).mul(phi.g))
+    return None if pinv is None else FormIsometry(matrices.hstack(phi.f, phi.g.mul(pinv)))
 
 
 def boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, FormIsometry]:

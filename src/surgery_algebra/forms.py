@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matrices, rings
-from .errors import PreconditionError, SchemaError, WrongRingError
+from .errors import DomainError, PreconditionError, SchemaError, WrongRingError
 from .matrices import FormMatrix
 from .rings import QEpsilonClass, RingSpec
 
@@ -130,37 +130,35 @@ def split_form(ring: RingSpec, epsilon: int, psi_rows) -> SplitForm:
     return SplitForm(ring, epsilon, psi)
 
 
-def _hyperbolic(ring: RingSpec, k: int, c: int) -> FormMatrix:
-    """[[0, I], [c*I, 0]] on Lambda^k + its dual, written as one int grid."""
-    grid = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        grid[i][k + i], grid[k + i][i] = 1, c
-    return matrices.matrix(ring, grid)
-
-
 def hyperbolic_quadratic(ring: RingSpec, epsilon: int, k: int) -> QuadraticForm:
-    """The hyperbolic form on Lambda^k + its dual: lambda = [[0,I],[eps*I,0]], mu = 0.
-
-    Built without ``QuadraticForm``'s checks, which hold by construction: lambda is
-    square, eps*lambda* = [[0, eps*eps*I], [eps*I, 0]] = lambda, and each diagonal
-    entry is 0, the symmetrisation of the zero class over this ring and eps (which
-    ``q_eps_reduce`` refuses unless eps = +-1)."""
-    zero_class = rings.q_eps_reduce(rings.zero(ring), epsilon)
-    q = object.__new__(QuadraticForm)
-    for name, value in (("ring", ring), ("epsilon", epsilon), ("lam", _hyperbolic(ring, k, epsilon)),
-                        ("mu", (zero_class,) * (2 * k))):
-        object.__setattr__(q, name, value)
-    return q
+    """The hyperbolic form on Lambda^k + its dual: lambda = [[0,I],[eps*I,0]], mu = 0."""
+    return split_to_quadratic(hyperbolic_split(ring, epsilon, k))
 
 
 def hyperbolic_split(ring: RingSpec, epsilon: int, k: int) -> SplitForm:
-    return SplitForm(ring, epsilon, _hyperbolic(ring, k, 0))
+    """psi = [[0, I], [0, 0]] on Lambda^k + its dual, written as one int grid."""
+    if k < 0:
+        raise SchemaError(f"hyperbolic_split: k must be at least 0, got {k}")
+    grid = [[0] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        grid[i][k + i] = 1
+    return SplitForm(ring, epsilon, matrices.matrix(ring, grid))
 
 
 def split_to_quadratic(s: SplitForm) -> QuadraticForm:
-    lam = s.bilinear()
-    mu = tuple(rings.q_eps_reduce(s.psi.entry(i, i), s.epsilon) for i in range(s.rank))
-    return QuadraticForm(s.ring, s.epsilon, lam, mu)
+    """(K, psi + eps*psi*, [psi_ii]), the one form built without ``QuadraticForm``'s checks.
+    They hold for every square psi once eps = +-1, refused otherwise at every rank:
+    eps*(psi + eps*psi*)* = psi + eps*psi*, and [psi_ii] = [psi_ii + a - eps*conj(a)]
+    symmetrises to psi_ii + eps*conj(psi_ii) = lambda_ii, as 1 + T_eps kills a - eps*conj(a).
+    Its classes are over psi's ring, refused as ``QuadraticForm`` does if that is not the form's."""
+    if s.epsilon not in (1, -1):
+        raise DomainError("epsilon must be +1 or -1")
+    if s.rank and s.psi.ring != s.ring:
+        raise WrongRingError("mu class over wrong ring or epsilon")
+    q = object.__new__(QuadraticForm)  # a frozen dataclass: its fields go straight into __dict__
+    q.__dict__.update(ring=s.ring, epsilon=s.epsilon, lam=s.bilinear(),
+                      mu=tuple(rings.q_eps_reduce(s.psi.entry(i, i), s.epsilon) for i in range(s.rank)))
+    return q
 
 
 def quadratic_to_split(q: QuadraticForm) -> SplitForm:

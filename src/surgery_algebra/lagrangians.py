@@ -103,20 +103,20 @@ def extend_lagrangian(s: SplitForm, L, jprime: FormMatrix | None = None) -> Form
     det f·conj(det f)·det lambda = +-1 once f is square, and lambda is tested on entry.
     """
     basis, theta = _as_basis(L)
-    lam = s.bilinear()
-    if not matrices.is_unimodular(lam):
+    q = forms.split_to_quadratic(s)
+    if not matrices.is_unimodular(q.lam):
         raise SingularMatrixError("hyperbolic extension needs a nonsingular split form")
     if theta is not None:
         _check_theta(s, basis, theta)
     ell = basis.cols
     ident = matrices.identity_matrix(s.ring, ell)
-    pairing = basis.star().mul(lam)
+    pairing = basis.star().mul(q.lam)
     if jprime is None:
         if s.ring.kind != "Z":
             raise DomainError(
                 "splitting not found: supply a jprime witness over this ring"
             )
-        if not _is_lagrangian(forms.split_to_quadratic(s), basis, pairing):
+        if not _is_lagrangian(q, basis, pairing):
             raise DomainError("basis is not a lagrangian of the split form")
         jprime = matrices.solve_right(pairing, ident)
         if jprime is None:

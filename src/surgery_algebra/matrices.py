@@ -320,10 +320,14 @@ def int_matrix(data) -> FormMatrix:
 
 
 def zero_matrix(ring: RingSpec, rows: int, cols: int) -> FormMatrix:
+    if rows < 0 or cols < 0:
+        raise SchemaError(f"zero_matrix: rows and cols must be at least 0, got {rows} and {cols}")
     return _grid_matrix(ring, rows, cols, {})
 
 
 def identity_matrix(ring: RingSpec, n: int) -> FormMatrix:
+    if n < 0:
+        raise SchemaError(f"identity_matrix: n must be at least 0, got {n}")
     return _grid_matrix(ring, n, n, {0: _intlat.identity(n)})
 
 

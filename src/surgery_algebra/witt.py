@@ -28,12 +28,14 @@ from .matrices import FormMatrix
 
 
 def _int_symmetric(form, epsilon: int, what: str) -> list[list[int]]:
+    """The int grid of a form over Z; a bare matrix is checked as ``SymmetricForm`` checks it."""
     lam = form.lam if hasattr(form, "lam") else form
     if lam.ring.kind != "Z":
         raise WrongRingError(f"{what} is only computed over the integers")
-    got = getattr(form, "epsilon", epsilon)
-    if got != epsilon:
-        raise DomainError(f"{what} needs epsilon = {epsilon:+d}, got {got:+d}")
+    if lam is form:
+        forms.SymmetricForm(lam.ring, epsilon, lam)
+    elif form.epsilon != epsilon:
+        raise DomainError(f"{what} needs epsilon = {epsilon:+d}, got {form.epsilon:+d}")
     return lam.to_int_grid()
 
 
@@ -115,16 +117,6 @@ def _symplectic_pairs(g: list[list[int]]) -> list[list[int]]:
     return [[int(r == 0)] + lifted[r][:h] + [v[r]] + lifted[r][h:] for r in range(k)]
 
 
-def _unimodular_antisymmetric(form) -> list[list[int]]:
-    """The int grid of a unimodular antisymmetric form over the integers, checked
-    with the errors of the symplectic basis."""
-    grid = _int_symmetric(form, -1, "the symplectic basis")
-    lam = form.lam if hasattr(form, "lam") else form
-    if not matrices.is_unimodular(lam):
-        raise SingularMatrixError("the symplectic basis needs a unimodular form")
-    return grid
-
-
 def symplectic_basis(form) -> FormMatrix:
     """Change of basis B with B'·lambda·B = [[0, I], [-I, 0]].
 
@@ -134,14 +126,20 @@ def symplectic_basis(form) -> FormMatrix:
     rank; it is kept for callers that need the basis itself, and the Arf
     invariant does not use it.
     """
-    return matrices.int_matrix(_symplectic_pairs(_unimodular_antisymmetric(form)))
+    grid = _int_symmetric(form, -1, "the symplectic basis")
+    if not _intlat.is_unimodular(grid):
+        raise SingularMatrixError("the symplectic basis needs a unimodular form")
+    return matrices.int_matrix(_symplectic_pairs(grid))
 
 
 def arf(q: QuadraticForm) -> int:
     """Sum of mu(u_i)·mu(v_i) over a symplectic basis, in Z/2."""
     if not isinstance(q, QuadraticForm):
         raise SchemaError("arf expects a quadratic form")
-    return _arf_mod2(_unimodular_antisymmetric(q), q.mu)
+    grid = _int_symmetric(q, -1, "the Arf invariant")
+    if not _intlat.is_unimodular(grid):
+        raise SingularMatrixError("the Arf invariant needs a unimodular form")
+    return _arf_mod2(grid, q.mu)
 
 
 def _arf_mod2(g: list[list[int]], mu) -> int:

@@ -5,10 +5,11 @@ import operator
 import random
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import _intlat, complexes as cx, forms, formations as fm, lagrangians, matrices as mx, rings
-from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, SingularMatrixError
+from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.forms import FormIsometry
 from surgery_algebra.generators import hessian_corner, matrix as random_matrix, word as random_word
 from surgery_algebra.lagrangians import LagrangianInclusion
@@ -440,3 +441,305 @@ def test_group_ring_invertibility_matches_the_old_paths(ring, n, seed, kind):
     m = group_ring_draw(random.Random(seed), ring, n, kind)
     assert outcome(mx.is_unimodular, m) == outcome(frozen_is_unimodular, m)
     assert outcome(mx.try_inverse, m) == outcome(frozen_try_inverse, m)
+
+
+# -- one Smith form per complex, one elimination per trivializer, one split-to-quadratic constructor
+#    (frozen copies of the code that built or tested each fact twice)
+
+def frozen_complex_violations(c, witness=None):
+    out = []
+    eps = c.epsilon
+    chain = c.d.mul(c.psi0).add(c.psi1).add(c.psi1.star().scale_int(-eps))
+    if not chain.is_zero():
+        out.append("chain condition d·psi0 + psi1 + (-1)^(n+1)·psi1' != 0")
+    inc = cx.duality_inclusion(c)
+    pi = cx.duality_projection(c)
+    if not pi.mul(inc).is_zero():
+        out.append("duality composite pi·incl != 0")
+    if c.ring.kind == "Z" and witness is None:
+        if c.rank_top != c.rank_bottom:
+            out.append("rank balance fails: rank C_(n+1) != rank C_n")
+        if not mx.is_split_injection(inc):
+            out.append("duality inclusion (psi0; d') is not split injective")
+        if not mx.is_surjection(pi):
+            out.append("duality projection (d, (-1)^n psi0') is not onto")
+    else:
+        if witness is None:
+            raise WrongRingError(
+                "duality exactness needs a contraction witness over this ring"
+            )
+        gamma0, gamma1 = witness
+        ident_bot = mx.identity_matrix(c.ring, c.rank_bottom)
+        ident_mid = mx.identity_matrix(c.ring, 2 * c.rank_top)
+        if not pi.mul(gamma0).sub(ident_bot).is_zero():
+            out.append("witness fails pi·gamma0 = 1")
+        if not gamma1.mul(inc).sub(mx.identity_matrix(c.ring, inc.cols)).is_zero():
+            out.append("witness fails gamma1·incl = 1")
+        if not inc.mul(gamma1).add(gamma0.mul(pi)).sub(ident_mid).is_zero():
+            out.append("witness fails incl·gamma1 + gamma0·pi = 1")
+    return tuple(out)
+
+
+def frozen_pairing_trivializer(phi):
+    pairing = phi.f.star().mul(phi.q.lam).mul(phi.g)
+    if not mx.is_unimodular(pairing):
+        return None
+    return FormIsometry(mx.hstack(phi.f, phi.g.mul(mx.inverse(pairing))))
+
+
+def frozen_split_to_quadratic(s):
+    lam = s.bilinear()
+    mu = tuple(rings.q_eps_reduce(s.psi.entry(i, i), s.epsilon) for i in range(s.rank))
+    return forms.QuadraticForm(s.ring, s.epsilon, lam, mu)
+
+
+def frozen_hyperbolic(ring, k, c):
+    grid = [[0] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        grid[i][k + i], grid[k + i][i] = 1, c
+    return mx.matrix(ring, grid)
+
+
+def frozen_unchecked_hyperbolic_quadratic(ring, epsilon, k):
+    zero_class = rings.q_eps_reduce(rings.zero(ring), epsilon)
+    q = object.__new__(forms.QuadraticForm)
+    for name, value in (("ring", ring), ("epsilon", epsilon), ("lam", frozen_hyperbolic(ring, k, epsilon)),
+                        ("mu", (zero_class,) * (2 * k))):
+        object.__setattr__(q, name, value)
+    return q
+
+
+def frozen_extend_by_two_bilinears(s, L, jprime=None):
+    basis, theta = lagrangians._as_basis(L)
+    lam = s.bilinear()
+    if not mx.is_unimodular(lam):
+        raise SingularMatrixError("hyperbolic extension needs a nonsingular split form")
+    if theta is not None:
+        lagrangians._check_theta(s, basis, theta)
+    ell = basis.cols
+    ident = mx.identity_matrix(s.ring, ell)
+    pairing = basis.star().mul(lam)
+    if jprime is None:
+        if s.ring.kind != "Z":
+            raise DomainError(
+                "splitting not found: supply a jprime witness over this ring"
+            )
+        if not lagrangians._is_lagrangian(frozen_split_to_quadratic(s), basis, pairing):
+            raise DomainError("basis is not a lagrangian of the split form")
+        jprime = mx.solve_right(pairing, ident)
+        if jprime is None:
+            raise SingularMatrixError("lagrangian pairing admits no integral splitting")
+    else:
+        if not pairing.mul(basis).is_zero():
+            raise PreconditionError("basis is not lambda-isotropic")
+        if not pairing.mul(jprime).sub(ident).is_zero():
+            raise PreconditionError("jprime is not a splitting: i'·lambda·jprime != 1")
+    k = jprime.star().mul(s.psi).mul(jprime).scale_int(-s.epsilon)
+    j = jprime.add(basis.mul(k))
+    f = mx.hstack(basis, j)
+    iso = forms.split_morphism_witness(f, forms.hyperbolic_split(s.ring, s.epsilon, ell), s)
+    if 2 * ell != s.rank:
+        raise SingularMatrixError("extension matrix is not invertible; inputs were inconsistent")
+    return iso
+
+
+def frozen_surgery_on_complex(c, s):
+    effect = cx.surgery_effect(c, s)
+    if c.ring.kind != "Z":
+        raise WrongRingError("the trace construction runs over the integers")
+    basis = mx.kernel_basis(cx._surgery_surjection(c, s))
+    section = mx.solve_right(basis.star(), mx.identity_matrix(c.ring, basis.cols))
+    if section is None:
+        raise SingularMatrixError("kernel basis admits no retraction; input was inconsistent")
+    retraction = section.star()
+    inc_c = mx.vstack(
+        mx.identity_matrix(c.ring, c.rank_top),
+        mx.zero_matrix(c.ring, s.j.rows, c.rank_top),
+    )
+    j_c = retraction.mul(inc_c)
+    dim = basis.cols
+    cob = cx.Cobordism(j_c, retraction, mx.zero_matrix(c.ring, dim, dim))
+    return effect, cob
+
+
+def arbitrary_complex(rng, ring, parity, bottom, top, lo=-1, hi=1):
+    """d, psi0 and psi1 drawn on their own: mostly neither exact nor chain, and unbalanced
+    when bottom != top."""
+    return cx.OddComplex(ring, parity, random_matrix(rng, ring, bottom, top, lo, hi),
+                         random_matrix(rng, ring, top, bottom, lo, hi), random_matrix(rng, ring, bottom, bottom, lo, hi))
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+    return calls
+
+
+RANKS = st.integers(0, 4)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 1), RANKS, RANKS, st.integers(1, 2), seeds)
+def test_the_projection_is_onto_exactly_when_the_inclusion_splits(parity, bottom, top, bound, seed):
+    """pi = incl*·[[0, eps*I], [I, 0]]: any complex over Z, valid or not."""
+    c = arbitrary_complex(random.Random(seed), Z, parity, bottom, top, -bound, bound)
+    assert mx.is_split_injection(cx.duality_inclusion(c)) == mx.is_surjection(cx.duality_projection(c))
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 1), RANKS, RANKS, st.sampled_from(["arbitrary", "valid", "cyclic", "witness"]), seeds)
+def test_the_complex_violations_match_the_old_checks(parity, bottom, top, kind, seed):
+    """Arbitrary complexes over Z of every shape up to rank 4, valid ones, and complexes
+    over Z[Z/m] without a witness or, like a Z complex with one, with a random one."""
+    rng = random.Random(seed)
+    if kind == "valid":
+        c = random_complex(rng, parity, top, rng.randint(1, 2 * top + 1)) if top else cx.zero_complex(Z, parity)
+    else:
+        ring = rings.cyclic(rng.randint(2, 4)) if kind == "cyclic" else Z
+        c = arbitrary_complex(rng, ring, parity, bottom, top)
+    witness = None
+    if kind == "witness" or (kind == "cyclic" and rng.random() < 0.5):
+        witness = (random_matrix(rng, c.ring, 2 * c.rank_top, c.rank_bottom, -1, 1),
+                   random_matrix(rng, c.ring, c.rank_bottom, 2 * c.rank_top, -1, 1))
+    assert outcome(cx.complex_violations, c, witness) == outcome(frozen_complex_violations, c, witness)
+
+
+def test_a_complex_over_z_is_decided_by_one_smith_form(monkeypatch):
+    rng = random.Random(19)
+    complexes = [random_complex(rng, p, k, 3) for p in (0, 1) for k in (1, 3)]
+    complexes += [arbitrary_complex(rng, Z, p, b, t) for p in (0, 1) for b in range(4) for t in range(4)]
+    calls = count_calls(monkeypatch, _intlat, "smith_normal_form")
+    for c in complexes:
+        calls.clear()
+        cx.complex_violations(c)
+        assert len(calls) <= 1
+
+
+@settings(max_examples=60)
+@given(EPS, st.integers(0, 4), st.sampled_from(FORMATION_KINDS), seeds)
+def test_the_trivializer_matches_the_determinant_then_inverse(eps, k, kind, seed):
+    """Valid formations, trivial or not: G replaced by a lagrangian that meets F (F itself,
+    or F mixed by a unimodular) makes the pairing singular."""
+    rng = random.Random(seed)
+    phi, t = draw_formation(rng, kind, eps, k)
+    others = [phi.g, phi.f, phi.f.mul(random_unimodular(rng, Z, k)), t.mul(fm._standard_dual(Z, k))]
+    for g in others:
+        psi = fm.Formation(Z, eps, phi.q, phi.f, g)
+        got, want = outcome(fm.is_trivial_formation, psi), outcome(frozen_pairing_trivializer, psi)
+        assert got == want
+    random_g = fm.Formation(Z, eps, phi.q, phi.f, random_matrix(rng, Z, 2 * k, k))
+    assert outcome(fm.is_trivial_formation, random_g) == outcome(lambda p: frozen_pairing_trivializer(
+        fm._validated(p)), random_g)
+
+
+def test_the_trivializer_runs_one_elimination(monkeypatch):
+    rng = random.Random(20)
+    formations = [draw_formation(rng, kind, eps, 3)[0] for kind in FORMATION_KINDS for eps in (1, -1)]
+    formations += [fm.trivial_formation(Z, eps, 3) for eps in (1, -1)]
+    assert any(fm._trivializer(phi) is None for phi in formations)
+    assert any(fm._trivializer(phi) is not None for phi in formations)
+    calls = count_calls(monkeypatch, _intlat, "bareiss")
+    for phi in formations:
+        calls.clear()
+        fm._trivializer(phi)
+        assert calls == ["bareiss"]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(ALL_RINGS), EPS, st.integers(0, 4), seeds)
+def test_split_to_quadratic_matches_the_checked_construction(ring, eps, k, seed):
+    rng = random.Random(seed)
+    s = forms.SplitForm(ring, eps, random_matrix(rng, ring, k, k))
+    assert outcome(forms.split_to_quadratic, s) == outcome(frozen_split_to_quadratic, s)
+    # a psi over another ring than the form's: its classes are refused, at rank 0 nothing is
+    other = Z if ring != Z else rings.cyclic(3)
+    s = forms.SplitForm(other, eps, random_matrix(rng, ring, k, k))
+    assert outcome(forms.split_to_quadratic, s) == outcome(frozen_split_to_quadratic, s)
+
+
+@pytest.mark.parametrize("eps", [0, 2, -3])
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+def test_split_to_quadratic_refuses_any_other_epsilon_at_every_rank(ring, eps):
+    rng = random.Random(21)
+    for k in range(4):
+        s = forms.SplitForm(ring, eps, random_matrix(rng, ring, k, k))
+        got = outcome(forms.split_to_quadratic, s)
+        assert got == (DomainError, "epsilon must be +1 or -1")
+        if k:  # at rank 0 the checked construction had no class to refuse
+            assert got == outcome(frozen_split_to_quadratic, s)
+
+
+@pytest.mark.parametrize("eps", [1, -1, 2])
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+def test_the_hyperbolic_form_matches_its_unchecked_construction(ring, eps):
+    for k in range(6):
+        got, want = outcome(forms.hyperbolic_quadratic, ring, eps, k), \
+            outcome(frozen_unchecked_hyperbolic_quadratic, ring, eps, k)
+        assert got == want
+        assert isinstance(got, tuple) or got.lam.entries == want.lam.entries
+
+
+def test_split_to_quadratic_and_the_hyperbolic_form_skip_the_form_checks(monkeypatch):
+    rng = random.Random(22)
+    splits = [forms.SplitForm(ring, eps, random_matrix(rng, ring, k, k))
+              for ring in ALL_RINGS for eps in (1, -1) for k in range(4)]
+    calls = count_calls(monkeypatch, forms.QuadraticForm, "__post_init__")
+    for s in splits:
+        forms.split_to_quadratic(s)
+    for ring in ALL_RINGS:
+        forms.hyperbolic_quadratic(ring, -1, 3)
+    assert calls == []
+
+
+@settings(max_examples=60)
+@given(EPS, st.integers(0, 4), seeds)
+def test_the_extension_matches_the_one_that_built_lambda_twice(eps, half, seed):
+    rng = random.Random(seed)
+    s, p = random_split_and_transport(rng, Z, eps, half)
+    pinv, rows = mx.inverse(p), range(2 * half)
+    for basis in half_rank_bases(rng, pinv, half):
+        assert outcome(lagrangians.extend_lagrangian, s, basis) == outcome(frozen_extend_by_two_bilinears, s, basis)
+    theta = LagrangianInclusion(pinv.submatrix(rows, range(half)), random_matrix(rng, Z, half, half))
+    assert outcome(lagrangians.extend_lagrangian, s, theta) == outcome(frozen_extend_by_two_bilinears, s, theta)
+    singular = forms.SplitForm(Z, eps, s.psi.scale_int(2))
+    basis = pinv.submatrix(rows, range(half))
+    assert outcome(lagrangians.extend_lagrangian, singular, basis) == \
+        outcome(frozen_extend_by_two_bilinears, singular, basis)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_RINGS), EPS, st.integers(1, 3), seeds)
+def test_the_extension_by_a_witness_matches_the_one_that_built_lambda_twice(ring, eps, half, seed):
+    rng = random.Random(seed)
+    s, p = random_split_and_transport(rng, ring, eps, half)
+    pinv, rows = mx.inverse(p), range(2 * half)
+    basis = pinv.submatrix(rows, range(half))
+    for jprime in (pinv.submatrix(rows, range(half, 2 * half)), pinv.submatrix(rows, range(half))):
+        assert outcome(lagrangians.extend_lagrangian, s, basis, jprime) == \
+            outcome(frozen_extend_by_two_bilinears, s, basis, jprime)
+    assert outcome(lagrangians.extend_lagrangian, s, basis) == outcome(frozen_extend_by_two_bilinears, s, basis)
+
+
+def test_the_extension_builds_lambda_once_and_checks_no_form(monkeypatch):
+    rng = random.Random(23)
+    s, p = random_split_and_transport(rng, Z, -1, 3)
+    basis = mx.inverse(p).submatrix(range(6), range(3))
+    bilinear = count_calls(monkeypatch, forms.SplitForm, "bilinear")
+    checks = count_calls(monkeypatch, forms.QuadraticForm, "__post_init__")
+    lagrangians.extend_lagrangian(s, basis)
+    assert (len(bilinear), checks) == (1, [])
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 1), st.integers(0, 3), st.integers(0, 3), st.sampled_from(["Z", "cyclic"]), seeds)
+def test_surgery_on_a_complex_matches_the_old_ring_check(parity, k, m, ring, seed):
+    """Valid complexes and random surgery data, admissible or not; over Z[Z/m] the
+    surjectivity test refuses the ring before the trace's own check could."""
+    rng = random.Random(seed)
+    c = random_complex(rng, parity, k, rng.randint(1, 2 * k + 1)) if k else cx.zero_complex(Z, parity)
+    if ring == "cyclic":
+        cyc = rings.cyclic(rng.randint(2, 4))
+        c = cx.OddComplex(cyc, parity, *(mx.matrix(cyc, x.to_int_grid()) for x in (c.d, c.psi0, c.psi1)))
+    s = cx.SurgeryData(random_matrix(rng, c.ring, m, k, -1, 1), random_matrix(rng, c.ring, m, m, -1, 1))
+    assert outcome(cx.surgery_on_complex, c, s) == outcome(frozen_surgery_on_complex, c, s)

@@ -553,3 +553,20 @@ def test_form_info_reads_evenness_off_the_validated_form(tmp_path, monkeypatch):
         status, report = run(["form-info", "--in", src, "--out", str(tmp_path / "report.json")])
         assert (status, report["result"]) == (0, want)
     assert calls == []
+
+
+@pytest.mark.parametrize("value", [0, None, True, 1.5, "x", [], {}], ids=json.dumps)
+@pytest.mark.parametrize("verb", sorted(cli.NEEDS_INPUT))
+def test_no_top_level_json_value_ends_in_a_traceback(tmp_path, verb, value):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(value), encoding="utf-8")
+    status, report = run([verb, "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert status in (1, 2) and "error" in report and "kind" in report
+
+
+@pytest.mark.parametrize("value", [0, None, True, 1.5, "psi0", "first", []], ids=json.dumps)
+def test_the_formation_verb_refuses_a_file_that_is_no_object(tmp_path, value):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(value), encoding="utf-8")
+    status, report = run(["formation", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert (status, report["kind"], report["error"]) == (2, "schema", "formation file must be a JSON object")

@@ -241,3 +241,8 @@ def test_the_boundary_witness_eliminates_only_k_by_k_pairings(monkeypatch):
     # F*·lambda·h and the top block of T^-1·G; T^-1 itself is read off T*·lambda
     assert recovered.lam == lam and sizes == [3, 3]
     assert iso.f.star().mul(phi.q.lam).mul(iso.f) == hyperbolic_quadratic(Z, 1, 3).lam
+
+
+def test_a_trivial_formation_of_negative_rank_is_refused_by_name():
+    with pytest.raises(SchemaError, match=r"^hyperbolic_split: k must be at least 0, got -1$"):
+        trivial_formation(Z, -1, -1)

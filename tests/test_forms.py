@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surgery_algebra import forms, matrices as mx, rings, serialize
-from surgery_algebra.errors import DomainError, PreconditionError, WrongRingError
+from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, WrongRingError
 from surgery_algebra.forms import (
     FormIsometry,
     direct_sum,
@@ -250,3 +250,9 @@ def test_mu_values_match_the_polarisation_expansion(ring, eps, k, cols, seed):
     # the pullback along f carries exactly those classes, so f is a morphism onto q
     pullback = forms.QuadraticForm(ring, eps, f.star().mul(q.lam).mul(f), expected)
     assert forms.is_quadratic_morphism(f, pullback, q)
+
+
+@pytest.mark.parametrize("build", [hyperbolic_split, hyperbolic_quadratic])
+def test_a_negative_hyperbolic_rank_is_refused_by_name(build):
+    with pytest.raises(SchemaError, match=r"^hyperbolic_split: k must be at least 0, got -2$"):
+        build(Z, 1, -2)

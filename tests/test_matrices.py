@@ -900,3 +900,16 @@ def test_int_rows_build_grid_zero_directly():
         mx.matrix(Z, [[1, 2], [3]])
     with pytest.raises(SchemaError, match="matrix entry grid does not match declared shape"):
         mx.matrix(C4, [[1], [2, 3]])
+
+
+# -- counts at the boundary -----------------------------------------------------
+
+@pytest.mark.parametrize("rows, cols", [(-1, 3), (3, -1), (-2, -2)])
+def test_a_negative_zero_matrix_shape_is_refused_by_name(rows, cols):
+    with pytest.raises(SchemaError, match=rf"^zero_matrix: rows and cols must be at least 0, got {rows} and {cols}$"):
+        mx.zero_matrix(Z, rows, cols)
+
+
+def test_a_negative_identity_size_is_refused_by_name():
+    with pytest.raises(SchemaError, match=r"^identity_matrix: n must be at least 0, got -1$"):
+        mx.identity_matrix(rings.cyclic(3), -1)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from surgery_algebra import matrices as mx, rings, unitary
-from surgery_algebra.errors import DomainError, SingularMatrixError
+from surgery_algebra.errors import DomainError, SchemaError, SingularMatrixError
 from surgery_algebra.unitary import (
     UnitaryAutomorphism,
     compose,
@@ -113,3 +113,13 @@ def test_generators_preserve_the_hyperbolic_pairing():
         for _ in range(10):
             m = random_word(rng, eps, k, 5).matrix()
             assert m.star().mul(lam).mul(m) == lam
+
+
+def test_a_flip_of_negative_rank_is_refused_by_name():
+    with pytest.raises(SchemaError, match=r"^identity_matrix: n must be at least 0, got -1$"):
+        unitary.sigma_eps(Z, 1, -1)
+
+
+def test_an_identity_automorphism_of_negative_rank_is_refused_by_name():
+    with pytest.raises(SchemaError, match=r"^identity_matrix: n must be at least 0, got -3$"):
+        unitary.identity_unitary(Z, -1, -3)

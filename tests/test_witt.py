@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import _intlat, formations, forms, lagrangians, matrices as mx, rings, witt
-from surgery_algebra.errors import SingularMatrixError
+from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.forms import (
     FormIsometry,
     direct_sum,
@@ -23,6 +23,7 @@ from surgery_algebra.witt import WittClass, arf, signature, symplectic_basis, wi
 
 from conftest import random_split, random_unimodular
 from test_forms import arf_form
+from test_closed_forms import outcome
 from test_matrices import E8_ROWS
 
 Z = rings.integers()
@@ -399,3 +400,33 @@ def test_witt_class_and_arf_never_build_the_symplectic_basis(monkeypatch):
     monkeypatch.setattr(witt, "_symplectic_pairs", lambda g: pytest.fail("the basis was built"))
     assert witt_class(q) == WittClass(-1, 1)
     assert arf(q) == 1
+
+
+@pytest.mark.parametrize("fn, eps, grid, error", [
+    (symplectic_basis, -1, [[0, 1], [1, 0]], PreconditionError),
+    (symplectic_basis, -1, [[0, 1]], SchemaError),
+    (signature, 1, [[0, 1], [-1, 0]], PreconditionError),
+    (witt.signature_and_det, 1, [[1], [2]], SchemaError),
+    (witt.signature_and_det, 1, [[1, 2], [3, 1]], PreconditionError),
+], ids=["symplectic-symmetric", "symplectic-not-square", "signature-antisymmetric", "det-not-square",
+        "det-not-symmetric"])
+def test_a_bare_matrix_is_refused_as_a_symmetric_form_refuses_it(fn, eps, grid, error):
+    m = mx.int_matrix(grid)
+    got = outcome(fn, m)
+    assert got[0] is error and got == outcome(forms.SymmetricForm, Z, eps, m)
+
+
+def test_a_bare_matrix_that_is_a_form_is_still_answered():
+    assert signature(mx.int_matrix(E8_ROWS)) == 8
+    g = mx.int_matrix([[0, 1], [-1, 0]])
+    b = symplectic_basis(g)
+    assert b.star().mul(g).mul(b) == g
+
+
+def test_arf_names_itself_in_its_errors():
+    cases = [(quadratic_form(Z, -1, [[0, 2], [-2, 0]], [0, 0]), SingularMatrixError, "needs a unimodular form"),
+             (hyperbolic_quadratic(Z, 1, 1), DomainError, "needs epsilon = -1, got +1"),
+             (hyperbolic_quadratic(rings.cyclic(3), -1, 1), WrongRingError, "is only computed over the integers")]
+    for q, error, tail in cases:
+        assert outcome(arf, q) == (error, "the Arf invariant " + tail)
+        assert outcome(symplectic_basis, q) == (error, "the symplectic basis " + tail)
