@@ -17,6 +17,7 @@ canonical witness chi is built from the strict upper triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 from . import matrices, rings
 from .errors import DomainError, PreconditionError, SchemaError, WrongRingError
@@ -24,8 +25,14 @@ from .matrices import FormMatrix
 from .rings import QEpsilonClass, RingSpec
 
 
-def _check_square(lam: FormMatrix):
-    if lam.rows != lam.cols:
+def _check_form(ring: RingSpec, epsilon: int, m: FormMatrix):
+    """What every form class refuses, at every rank: eps other than +-1, a matrix over
+    another ring than the form's, a matrix that is not square."""
+    if epsilon not in (1, -1):
+        raise DomainError("epsilon must be +1 or -1")
+    if m.ring != ring:
+        raise WrongRingError("form matrix over another ring than the form's")
+    if m.rows != m.cols:
         raise SchemaError("form matrix must be square")
 
 
@@ -43,7 +50,7 @@ class SymmetricForm:
     lam: FormMatrix
 
     def __post_init__(self):
-        _check_square(self.lam)
+        _check_form(self.ring, self.epsilon, self.lam)
         _check_eps_symmetric(self.lam, self.epsilon)
 
     @property
@@ -61,7 +68,7 @@ class QuadraticForm:
     mu: tuple[QEpsilonClass, ...]
 
     def __post_init__(self):
-        _check_square(self.lam)
+        _check_form(self.ring, self.epsilon, self.lam)
         _check_eps_symmetric(self.lam, self.epsilon)
         if len(self.mu) != self.lam.rows:
             raise SchemaError("one mu class per basis vector required")
@@ -83,14 +90,14 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class SplitForm:
-    """A split form (K, psi); psi is any square matrix."""
+    """A split form (K, psi); psi is any square matrix over the form's ring."""
 
     ring: RingSpec
     epsilon: int
     psi: FormMatrix
 
     def __post_init__(self):
-        _check_square(self.psi)
+        _check_form(self.ring, self.epsilon, self.psi)
 
     @property
     def rank(self) -> int:
@@ -130,13 +137,37 @@ def split_form(ring: RingSpec, epsilon: int, psi_rows) -> SplitForm:
     return SplitForm(ring, epsilon, psi)
 
 
+def _memoized(build):
+    """build(ring, epsilon, k), memoized per (ring, epsilon, k) for k <= 32 in an LRU memo
+    of 64 entries.  A run asks for few hyperbolic forms, many times over: one pass of the
+    acceptance suite for 16 split and 10 quadratic ones, in about 2,300 and 800 calls, all
+    with k <= 8.  64 entries keep all of them with room for more rings and ranks.  The rank
+    bound keeps what the memo holds under about 6 MB: a form's grids grow as k^2, and a
+    split form with its quadratic form takes 0.1 MB at k = 32 and 72 MB at k = 1024.
+    A refusal is raised again on each call."""
+    memo = lru_cache(maxsize=64, typed=True)(build)
+
+    @wraps(build)
+    def memoized(ring: RingSpec, epsilon: int, k: int):
+        return (memo if k <= 32 else build)(ring, epsilon, k)
+
+    memoized.memo = memo
+    return memoized
+
+
+@_memoized
 def hyperbolic_quadratic(ring: RingSpec, epsilon: int, k: int) -> QuadraticForm:
-    """The hyperbolic form on Lambda^k + its dual: lambda = [[0,I],[eps*I,0]], mu = 0."""
+    """The hyperbolic form on Lambda^k + its dual: lambda = [[0,I],[eps*I,0]], mu = 0.
+    Memoized and shared as ``hyperbolic_split`` is."""
     return split_to_quadratic(hyperbolic_split(ring, epsilon, k))
 
 
+@_memoized
 def hyperbolic_split(ring: RingSpec, epsilon: int, k: int) -> SplitForm:
-    """psi = [[0, I], [0, 0]] on Lambda^k + its dual, written as one int grid."""
+    """psi = [[0, I], [0, 0]] on Lambda^k + its dual, written as one int grid.
+    Memoized per (ring, eps, k) for k <= 32, in at most 64 entries (``_memoized`` gives
+    the reasons).  Every caller gets the one object, which is safe because forms and their
+    matrices are immutable."""
     if k < 0:
         raise SchemaError(f"hyperbolic_split: k must be at least 0, got {k}")
     grid = [[0] * (2 * k) for _ in range(2 * k)]
@@ -147,14 +178,9 @@ def hyperbolic_split(ring: RingSpec, epsilon: int, k: int) -> SplitForm:
 
 def split_to_quadratic(s: SplitForm) -> QuadraticForm:
     """(K, psi + eps*psi*, [psi_ii]), the one form built without ``QuadraticForm``'s checks.
-    They hold for every square psi once eps = +-1, refused otherwise at every rank:
+    They hold for every ``SplitForm``, whose psi is square and over its ring, with eps = +-1:
     eps*(psi + eps*psi*)* = psi + eps*psi*, and [psi_ii] = [psi_ii + a - eps*conj(a)]
-    symmetrises to psi_ii + eps*conj(psi_ii) = lambda_ii, as 1 + T_eps kills a - eps*conj(a).
-    Its classes are over psi's ring, refused as ``QuadraticForm`` does if that is not the form's."""
-    if s.epsilon not in (1, -1):
-        raise DomainError("epsilon must be +1 or -1")
-    if s.rank and s.psi.ring != s.ring:
-        raise WrongRingError("mu class over wrong ring or epsilon")
+    symmetrises to psi_ii + eps*conj(psi_ii) = lambda_ii, as 1 + T_eps kills a - eps*conj(a)."""
     q = object.__new__(QuadraticForm)  # a frozen dataclass: its fields go straight into __dict__
     q.__dict__.update(ring=s.ring, epsilon=s.epsilon, lam=s.bilinear(),
                       mu=tuple(rings.q_eps_reduce(s.psi.entry(i, i), s.epsilon) for i in range(s.rank)))

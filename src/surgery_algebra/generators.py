@@ -5,6 +5,12 @@ order is a contract: the shipped fixtures (``tools/make_fixtures.py --check``) a
 the acceptance instances and detail strings depend on it, and
 ``tests/test_acceptance.py`` pins the draws of every criterion.  A builder that
 must draw differently is a new builder, not an edit of one of these.
+
+Integer matrices are built straight as int grids: ``matrix`` over Z draws each entry
+into the grid, and ``shears`` applies each step as a column operation on one grid
+instead of multiplying by the step's matrix.  Both draw exactly what the element by
+element and product by product constructions drew, in the same order, and keep the
+declared shape, a 0 x k draw included.
 """
 
 from __future__ import annotations
@@ -26,19 +32,26 @@ def element(rng, ring, lo=-2, hi=2) -> rings.RingElement:
 
 def matrix(rng, ring, rows, cols, lo=-2, hi=2) -> FormMatrix:
     """A rows x cols matrix of ``element`` draws, row by row."""
+    if ring.kind == "Z":  # element draws one randint per entry: draw it into the grid
+        grid = [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+        return matrices._grid_matrix(ring, rows, cols, {0: grid})
     return FormMatrix(ring, rows, cols, [[element(rng, ring, lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
 def shears(rng, ring, k, steps) -> FormMatrix:
-    """A product of ``steps`` shears I + c·e_ij, c in [-2, 2]; a step that draws i = j draws no c."""
-    p = matrices.identity_matrix(ring, k)
+    """A product of ``steps`` shears I + c·e_ij, c in [-2, 2]; a step that draws i = j draws no c.
+
+    The product is taken left to right, so each step is the column operation
+    col_j += c·col_i on the int grid of the product so far; the draws are those of
+    the product, in the same order."""
+    p = matrices.identity_matrix(ring, k)._grids[0]  # refuses k < 0; nothing else holds this grid
     for _ in range(steps):
         i, j = rng.randrange(k), rng.randrange(k)
         if i != j:
-            rows = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-            rows[i][j] = rng.randint(-2, 2)
-            p = p.mul(matrices.matrix(ring, rows))
-    return p
+            c = rng.randint(-2, 2)
+            for row in p:
+                row[j] += c * row[i]
+    return matrices._grid_matrix(ring, k, k, {0: p})
 
 
 def hessian_corner(rng, ring, k, eps) -> FormMatrix:

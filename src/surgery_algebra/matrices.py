@@ -19,8 +19,13 @@ sum_k M_k[i][j] 2^(B (k - lo)), with B wide enough that every coefficient
 of the product is one signed base-2^B digit, and one integer product is
 read back digit by digit (folded mod m over Z[Z/m]), skipping the digits no
 entry uses.  That product costs time with the exponent window, not with the
-grids present; ``serialize`` caps the window of files.  Only the constructor,
-``entry`` and ``entries`` convert between grids and RingElements.
+grids present; ``serialize`` caps the window of files.  Where an operand gives
+the answer no arithmetic is done: a product with I returns the other factor, I
+being recognised by its structure (one grid, at exponent 0, equal to I), and a
+sum or difference with a matrix that keeps no grids returns the first summand.
+Both come after the ring and shape checks, and the result shares the operand's
+grids, which is safe as nobody mutates a grid once a matrix owns it.  Only the
+constructor, ``entry`` and ``entries`` convert between grids and RingElements.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
@@ -142,6 +147,8 @@ class FormMatrix:
             raise WrongRingError("matrix arithmetic over mixed rings")
         if self.rows != other.rows or self.cols != other.cols:
             raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        if not other._grids:  # x + 0 = x - 0 = x
+            return self
         grids = {k: [list(map(op, ra, rb)) for ra, rb in zip(_grid(self, k), _grid(other, k))]
                  for k in self._grids.keys() | other._grids.keys()}
         return _grid_matrix(self.ring, self.rows, self.cols, grids)
@@ -154,6 +161,10 @@ class FormMatrix:
             raise WrongRingError("matrix product over mixed rings")
         if self.cols != other.rows:
             raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         a, b = self._grids, other._grids
         if not (a and b and self.rows and self.cols and other.cols):
             return zero_matrix(self.ring, self.rows, other.cols)
@@ -228,6 +239,15 @@ def _grid_matrix(ring: RingSpec, rows: int, cols: int, grids: dict) -> FormMatri
     _set(m, "cols", cols)
     _set(m, "_grids", grids)
     return m
+
+
+def _is_identity(m: FormMatrix) -> bool:
+    """Whether m is I by its structure: one grid, at exponent 0, with row i equal to e_i."""
+    g = m._grids.get(0)
+    if g is None or len(m._grids) != 1 or m.rows != m.cols:
+        return False
+    zeros = m.cols - 1
+    return all(r[i] == 1 and r.count(0) == zeros for i, r in enumerate(g))
 
 
 def _grid(m: FormMatrix, k: int) -> list[list[int]]:

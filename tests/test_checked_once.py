@@ -652,22 +652,22 @@ def test_split_to_quadratic_matches_the_checked_construction(ring, eps, k, seed)
     rng = random.Random(seed)
     s = forms.SplitForm(ring, eps, random_matrix(rng, ring, k, k))
     assert outcome(forms.split_to_quadratic, s) == outcome(frozen_split_to_quadratic, s)
-    # a psi over another ring than the form's: its classes are refused, at rank 0 nothing is
+    # a psi over another ring than the form's: the split form itself is refused, at every rank
     other = Z if ring != Z else rings.cyclic(3)
-    s = forms.SplitForm(other, eps, random_matrix(rng, ring, k, k))
-    assert outcome(forms.split_to_quadratic, s) == outcome(frozen_split_to_quadratic, s)
+    psi = random_matrix(rng, ring, k, k)
+    with pytest.raises(WrongRingError, match="^form matrix over another ring than the form's$"):
+        forms.SplitForm(other, eps, psi)
 
 
 @pytest.mark.parametrize("eps", [0, 2, -3])
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
 def test_split_to_quadratic_refuses_any_other_epsilon_at_every_rank(ring, eps):
+    """No split form has such an epsilon: its construction is refused, at every rank."""
     rng = random.Random(21)
     for k in range(4):
-        s = forms.SplitForm(ring, eps, random_matrix(rng, ring, k, k))
-        got = outcome(forms.split_to_quadratic, s)
-        assert got == (DomainError, "epsilon must be +1 or -1")
-        if k:  # at rank 0 the checked construction had no class to refuse
-            assert got == outcome(frozen_split_to_quadratic, s)
+        psi = random_matrix(rng, ring, k, k)
+        with pytest.raises(DomainError, match="^epsilon must be \\+1 or -1$"):
+            forms.split_to_quadratic(forms.SplitForm(ring, eps, psi))
 
 
 @pytest.mark.parametrize("eps", [1, -1, 2])

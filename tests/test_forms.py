@@ -256,3 +256,45 @@ def test_mu_values_match_the_polarisation_expansion(ring, eps, k, cols, seed):
 def test_a_negative_hyperbolic_rank_is_refused_by_name(build):
     with pytest.raises(SchemaError, match=r"^hyperbolic_split: k must be at least 0, got -2$"):
         build(Z, 1, -2)
+
+
+RINGS = [Z, rings.cyclic(3), rings.cyclic(4, -1), rings.laurent()]
+
+
+def form_classes(ring, epsilon, m):
+    """Each form class on the matrix m, built by its own constructor; the classes mu are
+    zero over m's ring, at epsilon where that is +-1."""
+    mu = tuple(rings.q_eps_reduce(rings.zero(m.ring), epsilon if epsilon in (1, -1) else 1) for _ in range(m.rows))
+    return [lambda: forms.SplitForm(ring, epsilon, m), lambda: forms.SymmetricForm(ring, epsilon, m),
+            lambda: forms.QuadraticForm(ring, epsilon, m, mu)]
+
+
+def test_the_form_classes_refuse_what_split_to_quadratic_refused():
+    c3 = rings.cyclic(3)
+    for build in (lambda: forms.SplitForm(Z, 3, mx.int_matrix([[1, 2], [3, 4]])),
+                  lambda: forms.SymmetricForm(Z, 5, mx.int_matrix([[0]])),
+                  lambda: forms.QuadraticForm(Z, 2, mx.zero_matrix(Z, 0, 0), ())):
+        with pytest.raises(DomainError, match=r"^epsilon must be \+1 or -1$"):
+            build()
+    for build in (lambda: forms.SplitForm(Z, 1, mx.matrix(c3, [[1]])),
+                  lambda: forms.SymmetricForm(Z, 1, mx.matrix(c3, [[0]]))):
+        with pytest.raises(WrongRingError, match="^form matrix over another ring than the form's$"):
+            build()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_every_form_class_refuses_another_epsilon_or_ring_at_every_rank(ring):
+    """The zero matrix is a form of every class at eps = +-1 over its own ring, so
+    each refusal below is the one named."""
+    other = rings.cyclic(3) if ring == Z else Z
+    for k in range(4):
+        zero = mx.zero_matrix(ring, k, k)
+        for build in form_classes(ring, 1, zero) + form_classes(ring, -1, zero):
+            build()
+        for eps in (0, 2, -3):
+            for build in form_classes(ring, eps, zero):
+                with pytest.raises(DomainError, match=r"^epsilon must be \+1 or -1$"):
+                    build()
+        for build in form_classes(other, 1, zero):
+            with pytest.raises(WrongRingError, match="^form matrix over another ring than the form's$"):
+                build()
