@@ -687,8 +687,11 @@ def test_split_to_quadratic_and_the_hyperbolic_form_skip_the_form_checks(monkeyp
     calls = count_calls(monkeypatch, forms.QuadraticForm, "__post_init__")
     for s in splits:
         forms.split_to_quadratic(s)
+    # An earlier test may have memoized these forms; empty the memo so each is built here.
+    forms.hyperbolic_quadratic.memo.cache_clear()
     for ring in ALL_RINGS:
         forms.hyperbolic_quadratic(ring, -1, 3)
+    assert forms.hyperbolic_quadratic.memo.cache_info().misses == len(ALL_RINGS)
     assert calls == []
 
 
