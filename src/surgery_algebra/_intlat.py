@@ -428,11 +428,6 @@ def unimodular_solve(a: list[list[int]], b: list[list[int]]):
     return [[d * v for v in row] for row in x] if d in (1, -1) else None
 
 
-def inverse(a: list[list[int]]):
-    """Exact inverse of a unimodular integer matrix, or None."""
-    return unimodular_solve(a, identity(len(a)))
-
-
 def complement_of_primitive(b: list[list[int]]):
     """For a primitive m×r sublattice basis b, return (c, p): c an m×(m-r)
     complement basis and p the (m-r)×m projection with p·c = I, p·b = 0."""

@@ -100,7 +100,10 @@ def verb_surgery_form(args):
 
 
 def verb_lagrangian_extend(args):
-    """``verified`` records the checks ``extend_lagrangian`` ran before returning."""
+    """``verified`` rests on the witness ``extend_lagrangian`` certified before returning:
+    its chi gives f*·lambda·f = lambda_H and mu = 0 on the first half of the square f, so
+    conj(det f)·det lambda·det f = +-1 and the basis is a lagrangian of a nonsingular form,
+    the first half of an isometry from H."""
     q, inc = sz.inclusion_from_obj(_load(args))
     ext = lagrangians.extend_lagrangian(forms.quadratic_to_split(q), inc)
     return {"isometry": sz.matrix_to_obj(ext.f), "verified": True}

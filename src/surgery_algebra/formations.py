@@ -73,11 +73,11 @@ def _validated(phi: Formation) -> Formation:
 
 
 def _standard_f(ring: RingSpec, k: int) -> FormMatrix:  # L and L* in H(L): columns of I_2k
-    return matrices.identity_matrix(ring, 2 * k).submatrix(range(2 * k), range(k))
+    return matrices.vstack(matrices.identity_matrix(ring, k), matrices.zero_matrix(ring, k, k))
 
 
 def _standard_dual(ring: RingSpec, k: int) -> FormMatrix:
-    return matrices.identity_matrix(ring, 2 * k).submatrix(range(2 * k), range(k, 2 * k))
+    return matrices.vstack(matrices.zero_matrix(ring, k, k), matrices.identity_matrix(ring, k))
 
 
 def trivial_formation(ring: RingSpec, epsilon: int, k: int) -> Formation:
@@ -223,8 +223,15 @@ def _trivializer(phi: Formation):
     F and G are lagrangians, so (F | G)*·lambda·(F | G) = [[0, P], [eps*P*, 0]] for
     P = F*·lambda·G: (F | G) is unimodular, F and G complementary, iff P is, which
     one elimination decides: ``try_inverse`` is None exactly when P is no unit.
+    When F is the standard summand of the standard hyperbolic form, F*·lambda = (0 | I),
+    so P is the bottom k rows of G, read off with no product.
     """
-    pinv = matrices.try_inverse(phi.f.star().mul(phi.q.lam).mul(phi.g))
+    k = phi.f.cols
+    if phi.q.lam == forms.hyperbolic_quadratic(phi.ring, phi.epsilon, k).lam and phi.f == _standard_f(phi.ring, k):
+        pairing = phi.g.submatrix(range(k, 2 * k), range(phi.g.cols))
+    else:
+        pairing = phi.f.star().mul(phi.q.lam).mul(phi.g)
+    pinv = matrices.try_inverse(pairing)
     return None if pinv is None else FormIsometry(matrices.hstack(phi.f, phi.g.mul(pinv)))
 
 

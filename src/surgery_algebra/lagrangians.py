@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import forms, matrices, rings
-from .errors import DomainError, PreconditionError, SchemaError, SingularMatrixError
+from .errors import DomainError, PreconditionError, SchemaError, SingularMatrixError, SurgeryAlgebraError
 from .forms import FormIsometry, QuadraticForm, SplitForm
 from .matrices import FormMatrix
 
@@ -91,6 +91,29 @@ def _check_theta(s: SplitForm, basis: FormMatrix, theta: FormMatrix):
         raise PreconditionError("theta is not a hessian witness: i'psi i != theta - eps*theta'")
 
 
+def _extension_entry_checks(s: SplitForm, q: QuadraticForm, basis: FormMatrix, theta, jprime):
+    """The input tests of ``extend_lagrangian``, in their order, each raising its own error.
+
+    They run only once the construction or its certificate has failed, on the lambda of q
+    that the construction used, so that the first input fault is the one reported.
+    """
+    if not matrices.is_unimodular(q.lam):
+        raise SingularMatrixError("hyperbolic extension needs a nonsingular split form")
+    if theta is not None:
+        _check_theta(s, basis, theta)
+    pairing = basis.star().mul(q.lam)
+    if jprime is None:
+        if s.ring.kind != "Z":
+            raise DomainError("splitting not found: supply a jprime witness over this ring")
+        if not _is_lagrangian(q, basis, pairing):
+            raise DomainError("basis is not a lagrangian of the split form")
+    else:
+        if not pairing.mul(basis).is_zero():
+            raise PreconditionError("basis is not lambda-isotropic")
+        if not pairing.mul(jprime).sub(matrices.identity_matrix(s.ring, basis.cols)).is_zero():
+            raise PreconditionError("jprime is not a splitting: i'·lambda·jprime != 1")
+
+
 def extend_lagrangian(s: SplitForm, L, jprime: FormMatrix | None = None) -> FormIsometry:
     """Extend a lagrangian inclusion i to an isomorphism (i j) from the hyperbolic form.
 
@@ -99,40 +122,46 @@ def extend_lagrangian(s: SplitForm, L, jprime: FormMatrix | None = None) -> Form
     correction j = j' + i·k with k = -eps·j''·psi·j' makes the second block
     isotropic for both lambda and mu.
 
-    f = (i j) needs no determinant: its hessian witness gives f*·lambda·f = lambda_H, so
-    det f·conj(det f)·det lambda = +-1 once f is square, and lambda is tested on entry.
+    The result is built first and certified by the witness it returns.  A theta is
+    tested in front, as nothing else implies it.  The hessian witness chi of f = (i | j)
+    gives f*·psi·f = psi_H + chi - eps*chi*, so f*·lambda·f = lambda_H and mu(f e_t) =
+    [psi_H,tt] = 0.  With f square, conj(det f)·det lambda·det f = det lambda_H = +-1,
+    so lambda and f are invertible.  Hence i, the first half of an isometry from H,
+    is split injective, lambda- and mu-isotropic and of half rank: a lagrangian; and
+    i*·lambda·j' = i*·lambda·j = I, the corner of lambda_H, as i*·lambda·i = 0.  So every
+    entry test holds once f passes.  When a step or the certificate fails, the entry
+    tests run in their order (``_extension_entry_checks``) and the first to fail raises;
+    when all pass, the step's own error is raised.
     """
     basis, theta = _as_basis(L)
     q = forms.split_to_quadratic(s)
-    if not matrices.is_unimodular(q.lam):
-        raise SingularMatrixError("hyperbolic extension needs a nonsingular split form")
-    if theta is not None:
-        _check_theta(s, basis, theta)
     ell = basis.cols
-    ident = matrices.identity_matrix(s.ring, ell)
-    pairing = basis.star().mul(q.lam)
-    if jprime is None:
-        if s.ring.kind != "Z":
-            raise DomainError(
-                "splitting not found: supply a jprime witness over this ring"
-            )
-        if not _is_lagrangian(q, basis, pairing):
-            raise DomainError("basis is not a lagrangian of the split form")
-        jprime = matrices.solve_right(pairing, ident)
-        if jprime is None:
-            raise SingularMatrixError("lagrangian pairing admits no integral splitting")
-    else:
-        if not pairing.mul(basis).is_zero():
-            raise PreconditionError("basis is not lambda-isotropic")
-        if not pairing.mul(jprime).sub(ident).is_zero():
-            raise PreconditionError("jprime is not a splitting: i'·lambda·jprime != 1")
-    k = jprime.star().mul(s.psi).mul(jprime).scale_int(-s.epsilon)
-    j = jprime.add(basis.mul(k))
-    f = matrices.hstack(basis, j)
-    iso = forms.split_morphism_witness(f, forms.hyperbolic_split(s.ring, s.epsilon, ell), s)
-    if 2 * ell != s.rank:
-        raise SingularMatrixError("extension matrix is not invertible; inputs were inconsistent")
-    return iso
+    try:
+        if theta is not None:
+            _check_theta(s, basis, theta)
+        split = jprime
+        if split is None:  # solve_right refuses other rings, and the entry tests name the fault
+            split = matrices.solve_right(basis.star().mul(q.lam), matrices.identity_matrix(s.ring, ell))
+            if split is None:
+                raise SingularMatrixError("lagrangian pairing admits no integral splitting")
+        k = split.star().mul(s.psi).mul(split).scale_int(-s.epsilon)
+        f = matrices.hstack(basis, split.add(basis.mul(k)))
+        iso = forms.split_morphism_witness(f, forms.hyperbolic_split(s.ring, s.epsilon, ell), s)
+        if 2 * ell != s.rank:
+            raise SingularMatrixError("extension matrix is not invertible; inputs were inconsistent")
+        return iso
+    except SurgeryAlgebraError:
+        _extension_entry_checks(s, q, basis, theta, jprime)
+        raise
+
+
+def _reduction_entry_checks(q: QuadraticForm, basis: FormMatrix):
+    """The input tests of ``sublagrangian_reduction``, in their order, each raising its own
+    error; run only once the construction or its certificate has failed."""
+    if not forms.is_nonsingular(q):
+        raise SingularMatrixError("sublagrangian reduction needs a nonsingular form")
+    if _sublagrangian_pairing(q, basis) is None:
+        raise DomainError("basis is not a sublagrangian")
 
 
 def sublagrangian_reduction(s: SplitForm, L) -> tuple[SplitForm, FormIsometry]:
@@ -145,24 +174,37 @@ def sublagrangian_reduction(s: SplitForm, L) -> tuple[SplitForm, FormIsometry]:
     lagrangian [I; 0] pairs by [0, I], with reduced solution j' = [0; I], so
     k = -eps*J and extend_lagrangian would return [[I, -eps*J], [0, I]], with no
     test that can fail on a phi built here: g times it is (basis | j - eps·basis·J).
-    Nor can the rest fail: pairing maps the complement of its kernel onto Z^ell, and
-    as lambda_phi is unimodular, Z^n = span g + ker(g*·lambda), so the square f is invertible.
+    Nor can the rest fail on a sublagrangian: pairing maps the complement of its kernel
+    onto Z^ell, and as lambda_phi is unimodular, Z^n = span g + ker(g*·lambda), so the
+    square f is invertible.
+
+    The result is built first and certified by the witness it returns.  The witness
+    gives f*·lambda·f = lambda_H(r) + lambda_res and mu(f e_t) = 0 for t < 2r.  With f
+    square, conj(det f)·det lambda·det f = +-det lambda_res, so one determinant of the
+    (n - 2r)-square residual, 0 x 0 when r = ell, shows lambda and f invertible.  Then
+    basis, the first r columns of f, is split injective, lambda- and mu-isotropic and
+    of the form's rank: a sublagrangian, and every entry test holds.  When a step or the
+    certificate fails, the entry tests run in their order (``_reduction_entry_checks``)
+    and the first to fail raises; when both pass, the step's own error is raised.
     """
     basis, _ = _as_basis(L)
     q = forms.split_to_quadratic(s)
-    if not forms.is_nonsingular(q):
-        raise SingularMatrixError("sublagrangian reduction needs a nonsingular form")
-    pairing = _sublagrangian_pairing(q, basis)
-    if pairing is None:
-        raise DomainError("basis is not a sublagrangian")
-    comp, _ = matrices.complement_of_primitive(matrices.kernel_basis(pairing))
-    j = comp.mul(matrices.inverse(pairing.mul(comp)))
-    jpsij = j.star().mul(s.psi).mul(j)
-    perp_of_image = matrices.kernel_basis(matrices.hstack(basis, j).star().mul(q.lam))
-    residual = SplitForm(s.ring, s.epsilon, perp_of_image.star().mul(s.psi).mul(perp_of_image))
-    f = matrices.hstack(basis, j.sub(basis.mul(jpsij).scale_int(s.epsilon)), perp_of_image)
-    source = forms.direct_sum_split(forms.hyperbolic_split(s.ring, s.epsilon, basis.cols), residual)
-    return residual, forms.split_morphism_witness(f, source, s)
+    try:
+        pairing = basis.star().mul(q.lam)
+        comp, _ = matrices.complement_of_primitive(matrices.kernel_basis(pairing))
+        j = comp.mul(matrices.inverse(pairing.mul(comp)))
+        jpsij = j.star().mul(s.psi).mul(j)
+        perp_of_image = matrices.kernel_basis(matrices.hstack(basis, j).star().mul(q.lam))
+        residual = SplitForm(s.ring, s.epsilon, perp_of_image.star().mul(s.psi).mul(perp_of_image))
+        f = matrices.hstack(basis, j.sub(basis.mul(jpsij).scale_int(s.epsilon)), perp_of_image)
+        source = forms.direct_sum_split(forms.hyperbolic_split(s.ring, s.epsilon, basis.cols), residual)
+        iso = forms.split_morphism_witness(f, source, s)
+        if f.rows != f.cols or not forms.is_nonsingular(residual):
+            raise SingularMatrixError("reduction isometry is not invertible")
+        return residual, iso
+    except SurgeryAlgebraError:
+        _reduction_entry_checks(q, basis)
+        raise
 
 
 def diagonal_splitting(s: SplitForm) -> FormIsometry:

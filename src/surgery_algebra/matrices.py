@@ -149,6 +149,8 @@ class FormMatrix:
             raise SchemaError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         if not other._grids:  # x + 0 = x - 0 = x
             return self
+        if not self._grids and op is operator.add:  # 0 + x = x; 0 - x is -x
+            return other
         grids = {k: [list(map(op, ra, rb)) for ra, rb in zip(_grid(self, k), _grid(other, k))]
                  for k in self._grids.keys() | other._grids.keys()}
         return _grid_matrix(self.ring, self.rows, self.cols, grids)

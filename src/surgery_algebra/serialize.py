@@ -370,11 +370,6 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
 
-def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj))
-
-
 def read_json(path: str, data: bytes | None = None):
     """The JSON value of the file at path, parsed from data, its bytes, when the caller has read them."""
     try:

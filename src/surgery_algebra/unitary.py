@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import forms, matrices
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, WrongRingError
 from .matrices import FormMatrix
 from .rings import RingSpec
 
@@ -33,14 +33,14 @@ class UnitaryAutomorphism:
 
     def __post_init__(self):
         if self.epsilon not in (1, -1):
-            raise SchemaError("epsilon must be +1 or -1")
+            raise DomainError("epsilon must be +1 or -1")
         k = self.alpha.rows
         for name in ("alpha", "beta", "gamma", "delta"):
             b = getattr(self, name)
             if b.rows != k or b.cols != k:
                 raise SchemaError(f"block {name} must be {k}x{k}")
             if b.ring != self.ring:
-                raise SchemaError(f"block {name} lives over the wrong ring")
+                raise WrongRingError(f"block {name} lives over the wrong ring")
 
     @property
     def k(self) -> int:

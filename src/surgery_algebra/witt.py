@@ -184,7 +184,7 @@ class WittClass:
 
     def __post_init__(self):
         if self.epsilon not in (1, -1):
-            raise SchemaError("epsilon must be +1 or -1")
+            raise DomainError("epsilon must be +1 or -1")
         if self.epsilon == -1 and self.value not in (0, 1):
             raise SchemaError("the antisymmetric class is a single bit")
 

@@ -41,6 +41,23 @@ def random_split_and_transport(rng: random.Random, ring, eps, half):
     return generators.transport(rng, forms.hyperbolic_split(ring, eps, half), p), p
 
 
+def transported_lagrangian(rng: random.Random, ring, eps, half):
+    """(s, L, D): the lagrangian L of H and its dual summand D carried into a transported s,
+    so that L*·lambda·D = I and D is a lagrangian as well."""
+    s, p = random_split_and_transport(rng, ring, eps, half)
+    pinv, rows = matrices.inverse(p), range(2 * half)
+    return s, pinv.submatrix(rows, range(half)), pinv.submatrix(rows, range(half, 2 * half))
+
+
+def random_lagrangian(rng: random.Random, ring, eps, half):
+    """(s, basis, jprime): L mixed by a unimodular U, and a splitting jprime = D·(U*)^-1 +
+    basis·X with basis*·lambda·jprime = I, for a random X."""
+    s, lag, dual = transported_lagrangian(rng, ring, eps, half)
+    u = random_unimodular(rng, ring, half)
+    basis = lag.mul(u)
+    return s, basis, dual.mul(matrices.inverse(u.star())).add(basis.mul(generators.matrix(rng, ring, half, half, -1, 1)))
+
+
 def random_split(rng: random.Random, ring, eps, half):
     """Nonsingular split form: a transported hyperbolic plus a coboundary."""
     return random_split_and_transport(rng, ring, eps, half)[0]

@@ -633,6 +633,45 @@ def test_the_trivializer_matches_the_determinant_then_inverse(eps, k, kind, seed
         fm._validated(p)), random_g)
 
 
+def frozen_two_product_trivializer(phi):
+    pinv = mx.try_inverse(phi.f.star().mul(phi.q.lam).mul(phi.g))
+    return None if pinv is None else FormIsometry(mx.hstack(phi.f, phi.g.mul(pinv)))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_RINGS), EPS, st.integers(0, 3), seeds)
+def test_the_trivializer_reads_the_pairing_off_g_on_the_standard_summand(ring, eps, k, seed):
+    """F the standard summand of the standard hyperbolic form, with G the dual summand
+    mixed, or a random draw; and the two-product pairing where F or the form is another."""
+    rng = random.Random(seed)
+    h = forms.hyperbolic_quadratic(ring, eps, k)
+    standard, dual = fm._standard_f(ring, k), fm._standard_dual(ring, k)
+    gs = [dual.mul(random_unimodular(rng, ring, k)), random_matrix(rng, ring, 2 * k, k, -1, 1),
+          dual.add(standard.mul(hessian_corner(rng, ring, k, eps)))]
+    fs = [standard, standard.mul(random_unimodular(rng, ring, k)), dual]
+    for q in (h, forms.negate(h)):
+        for f in fs:
+            for g in gs:
+                phi = fm.Formation(ring, eps, q, f, g)
+                got, want = outcome(fm._trivializer, phi), outcome(frozen_two_product_trivializer, phi)
+                assert got == want
+                assert got is None or isinstance(got, tuple) or got.f.entries == want.f.entries
+
+
+def test_the_trivializer_of_a_standard_formation_makes_one_product(monkeypatch):
+    """G·P^-1 alone: P is read off G, on the formations of automorphisms as on the
+    formations that the rank ladder's verbs read."""
+    rng = random.Random(26)
+    formations = [fm.formation_from_automorphism(random_word(rng, eps, k, 2 * k + 1)) for eps in (1, -1)
+                  for k in (1, 3, 5)] + [fm.trivial_formation(Z, eps, 3) for eps in (1, -1)]
+    assert any(fm._trivializer(phi) is not None for phi in formations)
+    products = count_calls(monkeypatch, mx.FormMatrix, "mul")
+    for phi in formations:
+        products.clear()
+        triv = fm._trivializer(phi)
+        assert len(products) == (0 if triv is None else 1)
+
+
 def test_the_trivializer_runs_one_elimination(monkeypatch):
     rng = random.Random(20)
     formations = [draw_formation(rng, kind, eps, 3)[0] for kind in FORMATION_KINDS for eps in (1, -1)]
@@ -732,6 +771,27 @@ def test_the_extension_builds_lambda_once_and_checks_no_form(monkeypatch):
     checks = count_calls(monkeypatch, forms.QuadraticForm, "__post_init__")
     lagrangians.extend_lagrangian(s, basis)
     assert (len(bilinear), checks) == (1, [])
+
+
+def test_the_extension_checks_its_inputs_on_the_lambda_it_built_only_when_it_fails(monkeypatch):
+    """A lagrangian runs no entry check.  A basis that pairs e_0 with f_0 is split but fails
+    the witness; the entry checks then get the one lambda the construction built."""
+    rng = random.Random(23)
+    s, p = random_split_and_transport(rng, Z, -1, 3)
+    pinv = mx.inverse(p)
+    built, checked = [], []
+    bilinear, entry_checks = forms.SplitForm.bilinear, lagrangians._extension_entry_checks
+    monkeypatch.setattr(forms.SplitForm, "bilinear", lambda self: built.append(bilinear(self)) or built[-1])
+    monkeypatch.setattr(lagrangians, "_extension_entry_checks",
+                        lambda s, q, *rest: checked.append(q.lam) or entry_checks(s, q, *rest))
+    form_checks = count_calls(monkeypatch, forms.QuadraticForm, "__post_init__")
+    lagrangians.extend_lagrangian(s, pinv.submatrix(range(6), range(3)))
+    assert (len(built), checked) == (1, [])
+    built.clear()
+    with pytest.raises(DomainError, match="^basis is not a lagrangian of the split form$"):
+        lagrangians.extend_lagrangian(s, pinv.submatrix(range(6), [0, 3, 1]))
+    assert len(built) == len(checked) == 1 and checked[0] is built[0]
+    assert form_checks == []
 
 
 @settings(max_examples=60)

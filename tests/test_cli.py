@@ -96,10 +96,9 @@ def test_the_lagrangian_extension_verb_checks_each_fact_once(tmp_path, monkeypat
     src.write_text(json.dumps({"form": serialize.form_to_obj(q), "basis": basis.to_int_grid()}), encoding="utf-8")
     calls = count_kernels(monkeypatch)
     status, report = run(["lagrangian-extend", "--in", str(src), "--out", str(tmp_path / "report.json")])
-    # the determinant of lambda, split injectivity and the splitting's solve; no second determinant
+    # the splitting's solve alone: the witness certifies lambda and the lagrangian, so no determinant
     assert status == 0 and report["result"]["verified"] is True
-    assert sorted(name for name, _ in calls) == ["bareiss", "hermite_column_basis", "smith_normal_form",
-                                                 "smith_normal_form"]
+    assert sorted(name for name, _ in calls) == ["hermite_column_basis", "smith_normal_form"]
     f = matrices.int_matrix(report["result"]["isometry"])
     assert f.star().mul(q.lam).mul(f) == forms.hyperbolic_quadratic(rings.Z, -1, 8).lam
 
@@ -251,6 +250,18 @@ def test_an_error_report_names_the_innermost_package_frame(tmp_path, verb, form,
     assert (where_module, where_function) == (module, function)
     source = linecache.getline(sys.modules[module].__file__, int(line))
     assert "raise" in source and raised in source
+
+
+@pytest.mark.parametrize("eps", [0, 2, -3])
+def test_an_automorphism_file_with_another_epsilon_still_exits_with_status_2(tmp_path, eps):
+    """The automorphism class now calls such an epsilon a DomainError, but the reader refuses
+    it first, as a SchemaError; and it reads every block over the file's one ring."""
+    src = tmp_path / "aut.json"
+    src.write_text(json.dumps({"epsilon": eps, "alpha": [[1]], "beta": [[0]], "gamma": [[0]], "delta": [[1]]}),
+                   encoding="utf-8")
+    code, report = run(["formation-from-aut", "--in", str(src), "--out", str(tmp_path / "report.json")])
+    assert (code, report["kind"], report["error"]) == (2, "schema", f"epsilon must be +1 or -1, got {eps}")
+    assert report["where"].startswith("surgery_algebra.serialize:_require_sign:")
 
 
 def laurent_form(mu_origin):

@@ -16,6 +16,11 @@ from test_matrices import det_int
 Z = rings.integers()
 
 
+def inverse(a):
+    """Exact inverse of a unimodular integer matrix, or None: the unimodular solve against I."""
+    return _intlat.unimodular_solve(a, _intlat.identity(len(a)))
+
+
 def smith_inverse(a):
     """The Smith-form inverse that the Bareiss elimination replaced, frozen here."""
     m, n = _intlat.dims(a)
@@ -50,7 +55,7 @@ def test_elimination_agrees_with_the_smith_inverse(kind, n, width, seed):
     a = square_grid(rng, kind, n)
     b = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)]
     expected = smith_inverse(a)
-    assert _intlat.inverse(a) == expected
+    assert inverse(a) == expected
     assert _intlat.is_unimodular(a) == (expected is not None)
     x = _intlat.unimodular_solve(a, b)
     assert x == (None if expected is None else _intlat.matmul(expected, b))
@@ -82,18 +87,18 @@ def test_elimination_yields_the_determinant_up_to_sign(kind, n, width, seed):
      [[1, -2, 0, 0], [-1, 3, 0, 0], [0, 0, 1, 0], [0, 0, -5, 1]], 1),
 ])
 def test_elimination_on_row_swaps_and_rows_that_are_only_rescaled(a, inv, det):
-    assert _intlat.inverse(a) == inv == smith_inverse(a)
+    assert inverse(a) == inv == smith_inverse(a)
     assert _intlat.is_unimodular(a) == (inv is not None)
     assert abs(_intlat.bareiss(a, [[]] * len(a))[0]) == abs(det) == abs(det_int(a))
 
 
 def test_elimination_on_empty_and_non_square_grids():
-    assert _intlat.inverse([]) == []
+    assert inverse([]) == []
     assert _intlat.is_unimodular([])
     assert _intlat.unimodular_solve([], []) == []
     assert _intlat.unimodular_solve([[1]], [[]]) == [[]]
     assert not _intlat.is_unimodular([[1, 0]])
-    assert _intlat.inverse([[1, 0]]) is None
+    assert inverse([[1, 0]]) is None
     assert _intlat.unimodular_solve([[1, 0], [0, 1]], [[1]]) is None
 
 
@@ -293,7 +298,7 @@ def frozen_complement_of_primitive(b):
         if len(divs) != r or any(x != 1 for x in divs):
             return None
     u, d, _ = frozen_smith_normal_form(b, want_v=False)
-    uinv = _intlat.inverse(u)
+    uinv = inverse(u)
     comp = [[uinv[i][j] for j in range(r, m)] for i in range(m)]
     proj = [u[i][:] for i in range(r, m)]
     return comp, proj
@@ -455,7 +460,7 @@ def frozen_completion_of_primitive_vector(v):
     u, d, _ = _intlat.smith_normal_form(col, want_v=False)
     if not (d and d[0][0] == 1):
         return None
-    w = _intlat.inverse(u)
+    w = inverse(u)
     if _intlat.matmul(w, [[1]] + [[0]] * (m - 1)) != col:
         w = [[-w[i][0]] + w[i][1:] for i in range(m)]
     return w

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import forms, matrices as mx, rings
 from surgery_algebra.errors import DomainError, PreconditionError, SingularMatrixError
@@ -32,8 +33,9 @@ from surgery_algebra.lagrangians import (
     surgery_on_form,
 )
 
-from conftest import random_split_and_transport, random_unimodular
+from conftest import random_lagrangian, random_split_and_transport, random_unimodular
 from test_forms import arf_form
+from test_closed_forms import ALL_RINGS
 from test_matrices import E8_ROWS
 
 Z = rings.integers()
@@ -204,3 +206,37 @@ def test_extension_off_the_integers_takes_a_splitting_witness(ring, eps):
         with pytest.raises(DomainError, match="supply a jprime witness") as exc:
             extend_lagrangian(s, basis)
         assert exc.type is DomainError
+
+
+# -- laws: the witness is the constructions' only certificate ------------------
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+@settings(max_examples=100)
+@given(eps=st.sampled_from([1, -1]), half=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_the_extension_is_an_isometry_from_the_hyperbolic_form(ring, eps, half, seed):
+    """On a transported lagrangian, with a splitting witness and, over Z, without one:
+    (i | j) starts with i and passes the isometry test, which knows nothing of chi."""
+    s, basis, jprime = random_lagrangian(random.Random(seed), ring, eps, half)
+    source, target = hyperbolic_quadratic(ring, eps, half), split_to_quadratic(s)
+    for witness in ([None, jprime] if ring.kind == "Z" else [jprime]):
+        ext = extend_lagrangian(s, basis, witness)
+        assert is_isometry(ext, source, target)
+        assert ext.f.submatrix(range(2 * half), range(half)) == basis
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([1, -1]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**32))
+def test_the_reduction_recombines_to_an_isometry(eps, half, r, seed):
+    """r columns of a transported lagrangian, mixed: hyperbolic(r) + residual maps onto
+    the form by a unimodular f that passes the isometry test, with a residual of rank
+    2(half - r)."""
+    rng = random.Random(seed)
+    s, basis, _ = random_lagrangian(rng, Z, eps, half)
+    r = min(r, half)
+    sub = basis.submatrix(range(2 * half), range(r)).mul(random_unimodular(rng, Z, r))
+    residual, iso = sublagrangian_reduction(s, sub)
+    source = direct_sum(hyperbolic_quadratic(Z, eps, r), split_to_quadratic(residual))
+    assert residual.rank == 2 * (half - r)
+    assert mx.is_unimodular(iso.f)
+    assert is_isometry(iso, source, split_to_quadratic(s))
+    assert iso.f.submatrix(range(2 * half), range(r)) == sub

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from surgery_algebra import matrices as mx, rings, unitary
-from surgery_algebra.errors import DomainError, SchemaError, SingularMatrixError
+from surgery_algebra.errors import DomainError, SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.unitary import (
     UnitaryAutomorphism,
     compose,
@@ -123,3 +123,29 @@ def test_a_flip_of_negative_rank_is_refused_by_name():
 def test_an_identity_automorphism_of_negative_rank_is_refused_by_name():
     with pytest.raises(SchemaError, match=r"^identity_matrix: n must be at least 0, got -3$"):
         unitary.identity_unitary(Z, -1, -3)
+
+
+@pytest.mark.parametrize("eps", [0, 2, -3])
+def test_an_automorphism_refuses_any_other_epsilon_as_the_forms_do(eps):
+    """The kind and message of the form classes, at every rank, before the blocks are read."""
+    for k in range(3):
+        blocks = [mx.identity_matrix(Z, k)] * 4
+        with pytest.raises(DomainError, match=r"^epsilon must be \+1 or -1$") as exc:
+            UnitaryAutomorphism(Z, eps, *blocks)
+        assert exc.type is DomainError
+    with pytest.raises(DomainError, match=r"^epsilon must be \+1 or -1$"):
+        UnitaryAutomorphism(Z, eps, mx.identity_matrix(Z, 1), mx.zero_matrix(Z, 2, 2),
+                            mx.zero_matrix(rings.cyclic(3), 1, 1), mx.identity_matrix(Z, 1))
+
+
+def test_a_block_over_another_ring_is_a_wrong_ring_error():
+    """Each block's shape is tested before its ring, block by block, as before."""
+    one, other = mx.identity_matrix(Z, 1), mx.identity_matrix(rings.cyclic(3), 1)
+    for place in range(4):
+        blocks = [one] * 4
+        blocks[place] = other
+        name = ("alpha", "beta", "gamma", "delta")[place]
+        with pytest.raises(WrongRingError, match=f"^block {name} lives over the wrong ring$"):
+            UnitaryAutomorphism(Z, 1, *blocks)
+    with pytest.raises(SchemaError, match="^block beta must be 1x1$"):
+        UnitaryAutomorphism(Z, 1, one, mx.identity_matrix(rings.cyclic(3), 2), one, other)

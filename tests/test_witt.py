@@ -430,3 +430,13 @@ def test_arf_names_itself_in_its_errors():
     for q, error, tail in cases:
         assert outcome(arf, q) == (error, "the Arf invariant " + tail)
         assert outcome(symplectic_basis, q) == (error, "the symplectic basis " + tail)
+
+
+@pytest.mark.parametrize("eps", [0, 2, -3])
+def test_a_witt_class_refuses_any_other_epsilon_as_the_forms_do(eps):
+    for value in (0, 1, 5):
+        with pytest.raises(DomainError, match=r"^epsilon must be \+1 or -1$") as exc:
+            WittClass(eps, value)
+        assert exc.type is DomainError
+    with pytest.raises(SchemaError, match="^the antisymmetric class is a single bit$"):
+        WittClass(-1, 2)

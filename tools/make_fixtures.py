@@ -53,7 +53,8 @@ E8_ROWS = [
 
 def write(outdir: str, name: str, obj) -> None:
     path = os.path.join(outdir, name)
-    sz.write_json(path, obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(sz.dumps_canonical(obj))
     print("wrote", os.path.relpath(path))
 
 
