@@ -39,7 +39,7 @@ class OddComplex:
             raise SchemaError("psi1 must map C^n -> C_n")
         for m in (self.d, self.psi0, self.psi1):
             if m.ring != self.ring:
-                raise SchemaError("complex matrices live over the wrong ring")
+                raise WrongRingError("complex matrices live over the wrong ring")
 
     @property
     def epsilon(self) -> int:
@@ -319,12 +319,8 @@ def surgery_on_complex(c: OddComplex, s: SurgeryData) -> tuple[OddComplex, Cobor
     if section is None:
         raise SingularMatrixError("kernel basis admits no retraction; input was inconsistent")
     retraction = section.star()
-    inc_c = matrices.vstack(
-        matrices.identity_matrix(c.ring, c.rank_top),
-        matrices.zero_matrix(c.ring, s.j.rows, c.rank_top),
-    )
-    j_c = retraction.mul(inc_c)
     dim = basis.cols
+    j_c = retraction.submatrix(range(dim), range(c.rank_top))  # retraction·[I; 0]
     cob = Cobordism(j_c, retraction, matrices.zero_matrix(c.ring, dim, dim))
     return effect, cob
 
@@ -345,20 +341,12 @@ def union_cobordisms(c: OddComplex, cmid: OddComplex, cprime: OddComplex,
     d2 = cob2.j.rows
     mid = cmid.rank_bottom
     inc = matrices.vstack(cob1.jprime, cmid.d, cob2.j)
-    if not matrices.is_split_injection(inc):
+    try:  # it refuses exactly the inclusions that are not split injective
+        _, proj = matrices.complement_of_primitive(inc)
+    except SingularMatrixError:
         raise DomainError(
             "the glued inclusion (j1'; d; j2) has non-free cokernel; inputs are not valid cobordisms"
-        )
-    _, proj = matrices.complement_of_primitive(inc)
-    total = d1 + mid + d2
-    inc_1 = matrices.vstack(
-        matrices.identity_matrix(ring, d1),
-        matrices.zero_matrix(ring, mid + d2, d1),
-    )
-    inc_3 = matrices.vstack(
-        matrices.zero_matrix(ring, d1 + mid, d2),
-        matrices.identity_matrix(ring, d2),
-    )
+        ) from None
     # The middle row needs the glueing cross terms: without them the
     # symmetrized block degenerates whenever both ends are small (glue a
     # trace to its reversal and the whole pairing would vanish).  With
@@ -372,8 +360,9 @@ def union_cobordisms(c: OddComplex, cmid: OddComplex, cprime: OddComplex,
          matrices.zero_matrix(ring, mid, d2)],
         [matrices.zero_matrix(ring, d2, d1), matrices.zero_matrix(ring, d2, mid), cob2.delta_psi0],
     ])
-    j_new = proj.mul(inc_1).mul(cob1.j)
-    jprime_new = proj.mul(inc_3).mul(cob2.jprime)
+    # proj·[I; 0; 0] and proj·[0; 0; I] are the first d1 and the last d2 columns of proj
+    j_new = proj.submatrix(range(proj.rows), range(d1)).mul(cob1.j)
+    jprime_new = proj.submatrix(range(proj.rows), range(d1 + mid, proj.cols)).mul(cob2.jprime)
     delta_new = proj.mul(delta_big).mul(proj.star())
     return Cobordism(j_new, jprime_new, delta_new)
 
@@ -394,10 +383,9 @@ def reflexive_cobordism(c: OddComplex) -> tuple[OddComplex, Cobordism]:
     h = forms.hyperbolic_split(c.ring, eps, c.rank_top)
     incl = lagrangians.LagrangianInclusion(duality_inclusion(c), c.psi1.scale_int(eps))
     ext = lagrangians.extend_lagrangian(h, incl)
-    cols = list(range(c.rank_bottom, 2 * c.rank_top))
-    jmat = ext.f.submatrix(list(range(2 * c.rank_top)), cols)
-    top = jmat.submatrix(list(range(c.rank_top)), list(range(jmat.cols)))
-    bottom = jmat.submatrix(list(range(c.rank_top, 2 * c.rank_top)), list(range(jmat.cols)))
+    cols = range(c.rank_bottom, 2 * c.rank_top)
+    top = ext.f.submatrix(range(c.rank_top), cols)
+    bottom = ext.f.submatrix(range(c.rank_top, 2 * c.rank_top), cols)
     cob = Cobordism(bottom.star(), top.star(), bottom.star().mul(top))
     return cprime, cob
 

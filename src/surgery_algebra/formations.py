@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import complexes, forms, lagrangians, matrices, rings
-from .errors import DomainError, PreconditionError, SchemaError
+from .errors import DomainError, PreconditionError, SchemaError, WrongRingError
 from .forms import FormIsometry, QuadraticForm
 from .matrices import FormMatrix
 from .rings import AbelianGroup, RingSpec
@@ -32,10 +32,10 @@ class Formation:
 
     def __post_init__(self):
         if self.q.ring != self.ring or self.q.epsilon != self.epsilon:
-            raise SchemaError("form does not match the formation's ring and epsilon")
+            raise WrongRingError("form does not match the formation's ring and epsilon")
         for m in (self.f, self.g):
             if m.ring != self.ring:
-                raise SchemaError("lagrangian basis over the wrong ring")
+                raise WrongRingError("lagrangian basis over the wrong ring")
             if m.rows != self.q.rank:
                 raise SchemaError("lagrangian basis does not live in the form's module")
 
@@ -100,7 +100,7 @@ def boundary_formation(k: QuadraticForm) -> Formation:
 
 def direct_sum_formation(a: Formation, b: Formation) -> Formation:
     if a.ring != b.ring or a.epsilon != b.epsilon:
-        raise SchemaError("formation sum needs one ring and one epsilon")
+        raise WrongRingError("formation sum needs one ring and one epsilon")
     ka = a.rank // 2
     kb = b.rank // 2
     # interleave so the result is again based on the standard hyperbolic

@@ -6,11 +6,11 @@ the acceptance instances and detail strings depend on it, and
 ``tests/test_acceptance.py`` pins the draws of every criterion.  A builder that
 must draw differently is a new builder, not an edit of one of these.
 
-Integer matrices are built straight as int grids: ``matrix`` over Z draws each entry
-into the grid, and ``shears`` applies each step as a column operation on one grid
-instead of multiplying by the step's matrix.  Both draw exactly what the element by
-element and product by product constructions drew, in the same order, and keep the
-declared shape, a 0 x k draw included.
+No builder here writes the grids of a matrix.  ``matrix`` draws each entry's coefficient
+window for ``matrices.from_windows``, one path over every ring, and ``shears`` applies
+each step as a column operation on int rows instead of multiplying by the step's matrix.
+Both draw exactly what the element by element and product by product constructions
+drew, in the same order, and keep the declared shape, a 0 x k draw included.
 """
 
 from __future__ import annotations
@@ -21,37 +21,34 @@ from .matrices import FormMatrix
 
 
 def element(rng, ring, lo=-2, hi=2) -> rings.RingElement:
-    """Coefficients in [lo, hi]: of 1 over Z, of each g^k over Z[Z/m], of z^-1, 1, z over Z[z, z^-1]."""
-    if ring.kind == "Z":
-        return rings.from_int(ring, rng.randint(lo, hi))
-    out = rings.zero(ring)
-    for k in range(ring.m) if ring.kind == "cyclic" else (-1, 0, 1):
-        out = rings.add(out, rings.monomial(ring, k, rng.randint(lo, hi)))
-    return out
+    """The one entry of a 1 x 1 ``matrix`` draw."""
+    return matrix(rng, ring, 1, 1, lo, hi).entry(0, 0)
 
 
 def matrix(rng, ring, rows, cols, lo=-2, hi=2) -> FormMatrix:
-    """A rows x cols matrix of ``element`` draws, row by row."""
-    if ring.kind == "Z":  # element draws one randint per entry: draw it into the grid
-        grid = [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-        return matrices._grid_matrix(ring, rows, cols, {0: grid})
-    return FormMatrix(ring, rows, cols, [[element(rng, ring, lo, hi) for _ in range(cols)] for _ in range(rows)])
+    """A rows x cols matrix drawn row by row, each entry's coefficients in [lo, hi]: of 1
+    over Z, of each g^k over Z[Z/m], of z^-1, 1, z over Z[z, z^-1]."""
+    k, width = (-1, 3) if ring.kind == "laurent" else (0, ring.m or 1)
+    cs = [rng.randint(lo, hi) for _ in range(rows) for _ in range(cols) for _ in range(width)]
+    return matrices.from_windows(ring, rows, cols, [(k, cs[at:at + width]) for at in range(0, len(cs), width)])
 
 
 def shears(rng, ring, k, steps) -> FormMatrix:
     """A product of ``steps`` shears I + c·e_ij, c in [-2, 2]; a step that draws i = j draws no c.
 
     The product is taken left to right, so each step is the column operation
-    col_j += c·col_i on the int grid of the product so far; the draws are those of
+    col_j += c·col_i on the int rows of the product so far; the draws are those of
     the product, in the same order."""
-    p = matrices.identity_matrix(ring, k)._grids[0]  # refuses k < 0; nothing else holds this grid
+    if k < 0:
+        return matrices.identity_matrix(ring, k)  # raises its refusal of k < 0
+    p = [[int(r == c) for c in range(k)] for r in range(k)]
     for _ in range(steps):
         i, j = rng.randrange(k), rng.randrange(k)
         if i != j:
             c = rng.randint(-2, 2)
             for row in p:
                 row[j] += c * row[i]
-    return matrices._grid_matrix(ring, k, k, {0: p})
+    return matrices.matrix(ring, p)
 
 
 def hessian_corner(rng, ring, k, eps) -> FormMatrix:

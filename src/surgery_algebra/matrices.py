@@ -24,8 +24,9 @@ the answer no arithmetic is done: a product with I returns the other factor, I
 being recognised by its structure (one grid, at exponent 0, equal to I), and a
 sum or difference with a matrix that keeps no grids returns the first summand.
 Both come after the ring and shape checks, and the result shares the operand's
-grids, which is safe as nobody mutates a grid once a matrix owns it.  Only the
-constructor, ``entry`` and ``entries`` convert between grids and RingElements.
+grids, which is safe as nobody mutates a grid once a matrix owns it.  Only this
+module writes grids: ``from_windows`` fills them from each entry's coefficient
+window for the constructor, the file reader and the seeded builders alike.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
@@ -75,17 +76,7 @@ class FormMatrix:
             raise SchemaError("matrix entry grid does not match declared shape")
         if any(e.ring != ring for row in entries for e in row):
             raise WrongRingError("entry over wrong ring")
-        grids = {}
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                k = e.shift
-                for c in e.coeffs:
-                    if c:
-                        if k not in grids:
-                            grids[k] = _intlat.zeros(rows, cols)
-                        grids[k][i][j] = c
-                    k += 1
-        return _grid_matrix(ring, rows, cols, grids)
+        return from_windows(ring, rows, cols, [(e.shift, e.coeffs) for row in entries for e in row])
 
     def __eq__(self, other):
         if not isinstance(other, FormMatrix):
@@ -321,11 +312,33 @@ def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
     return out
 
 
+def from_windows(ring: RingSpec, rows: int, cols: int, windows) -> FormMatrix:
+    """The rows x cols matrix with entry (i, j) = sum_t c_t g^(k+t) for the window (k, (c_0,
+    c_1, ...)) of ints at windows[i * cols + j], as a RingElement is (shift, coeffs).  Only
+    exponents with a nonzero coefficient get a grid; one that keys no grid over the ring
+    (other than 0 over Z, beyond m - 1 over Z[Z/m]) raises SchemaError."""
+    n = rows * cols
+    if rows < 0 or len(windows) != n:
+        raise SchemaError("matrix entry grid does not match declared shape")
+    flat, at = {}, 0  # exponent -> its grid in row-major order; the entry's index there
+    for k, cs in windows:
+        for c in cs:
+            if c:
+                f = flat.get(k)
+                if f is None:
+                    f = flat[k] = [0] * n
+                f[at] = c
+            k += 1
+        at += 1
+    return _grid_matrix(ring, rows, cols, {t: [f[i:i + cols] for i in range(0, n, cols)] for t, f in flat.items()})
+
+
 def matrix(ring: RingSpec, data) -> FormMatrix:
-    """Build a matrix from rows of RingElements or plain ints."""
+    """Build a matrix from rows of RingElements or ints; ``rings.from_int`` refuses any
+    other entry, a bool included."""
     rows = len(data)
     cols = len(data[0]) if rows else 0
-    if RingElement not in set(map(type, chain.from_iterable(data))):  # plain ints are grid 0
+    if set(map(type, chain.from_iterable(data))) <= {int}:  # plain ints are grid 0
         return _grid_matrix(ring, rows, cols, {0: [list(r) for r in data]})
     ents = [[e if isinstance(e, RingElement) else rings.from_int(ring, e) for e in row] for row in data]
     return FormMatrix(ring, rows, cols, ents)

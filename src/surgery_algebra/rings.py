@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, WrongRingError
+from .errors import DomainError, SchemaError, WrongRingError
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,14 @@ def zero(ring: RingSpec) -> RingElement:
     return RingElement(ring, ())
 
 
+def _check_int(v, what: str):
+    """Refuse v unless it is an int; an int subclass passes, a bool does not."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"{what} must be an integer, got {type(v).__name__}")
+
+
 def from_int(ring: RingSpec, n: int) -> RingElement:
+    _check_int(n, "coefficient")
     if ring.kind == "Z":
         return RingElement(ring, (n,))
     if ring.kind == "cyclic":
@@ -122,6 +129,8 @@ def one(ring: RingSpec) -> RingElement:
 
 def monomial(ring: RingSpec, k: int, coeff: int = 1) -> RingElement:
     """coeff * g^k (cyclic), coeff * z^k (Laurent), or plain coeff over Z (k must be 0)."""
+    _check_int(k, "exponent")
+    _check_int(coeff, "coefficient")
     if ring.kind == "Z":
         if k != 0:
             raise DomainError("the integers have no nontrivial monomials")

@@ -7,11 +7,12 @@ members of each composite object carry it).  Ring elements encode as a bare
 integer over the integers, a length-m coefficient list over a cyclic group
 ring, and {"origin": o, "coeffs": [...]} over the Laurent ring.
 
-A matrix is read straight into its exponent grids: int rows over Z, the
-transposed coefficient lists of each row over Z[Z/m] (checked a row at a
-time), the checked (origin, coeffs) of each entry over Z[z,z^-1].  Where a
-check fails, ``element_from_obj`` reads the elements in order, so that the
-error names the first bad one.
+A matrix is read without building ring elements: over Z its int rows go to
+``matrices.matrix``, and over Z[Z/m] and Z[z,z^-1] the coefficient window of
+each entry goes to ``matrices.from_windows`` once checked: (0, the m
+coefficients) over Z[Z/m], a row at a time, and (origin, coeffs) over
+Z[z,z^-1], an entry at a time.  Where a check fails, ``element_from_obj``
+reads the elements in order, so that the error names the first bad one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import io
 import json
 from itertools import chain
 
-from . import _intlat, complexes, formations, forms, lagrangians, matrices, plumbing, rings, unitary
+from . import complexes, formations, forms, lagrangians, matrices, plumbing, rings, unitary
 from .errors import SchemaError
 from .matrices import FormMatrix
 from .rings import RingElement, RingSpec
@@ -146,16 +147,13 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
     if ring.kind == "Z":
         return matrices.matrix(ring, [[_require_int(v, "integer element") for v in row] for row in obj])
     if ring.kind == "cyclic":
-        grids = [[] for _ in range(ring.m)]
         for row in obj:
             # one test per row for lists of m ints; the element reader names the first bad one
             if c and not (set(map(type, row)) == {list} and set(map(len, row)) == {ring.m}
                           and set(map(type, chain.from_iterable(row))) == {int}):
                 for v in row:
                     element_from_obj(ring, v)
-            for g, line in zip(grids, zip(*row)):
-                g.append(list(line))
-        return matrices._grid_matrix(ring, r, c, {k: g for k, g in enumerate(grids) if any(map(any, g))})
+        return matrices.from_windows(ring, r, c, [(0, v) for v in chain.from_iterable(obj)])
     terms = []
     for v in chain.from_iterable(obj):
         if not (type(v) is dict and type(o := v.get("origin")) is int and type(cs := v.get("coeffs")) is list
@@ -173,13 +171,7 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
         raise SchemaError(f"a {r}x{c} matrix over {ring} with exponents from {min(exponents)} to "
                           f"{max(exponents)} is packed as {window * r * c} window cells, "
                           f"beyond {MAX_LAURENT_WINDOW_CELLS}")
-    grids = {k: _intlat.zeros(r, c) for k in exponents}
-    for at, (o, cs) in enumerate(terms):
-        i, j = divmod(at, c)
-        for k, x in enumerate(cs, o):
-            if x:
-                grids[k][i][j] = x
-    return matrices._grid_matrix(ring, r, c, grids)
+    return matrices.from_windows(ring, r, c, terms)
 
 
 def form_to_obj(q: forms.QuadraticForm):

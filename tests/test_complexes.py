@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from surgery_algebra import complexes as cx, matrices as mx, rings
 from surgery_algebra.complexes import (
@@ -23,7 +24,7 @@ from surgery_algebra.complexes import (
     verify_map,
     zero_complex,
 )
-from surgery_algebra.errors import DomainError
+from surgery_algebra.errors import DomainError, WrongRingError
 from surgery_algebra.rings import AbelianGroup
 from surgery_algebra.generators import hessian_corner, matrix as random_matrix
 
@@ -191,3 +192,61 @@ def test_surgery_preserves_homology_when_nothing_is_attached():
         assert cx.surgery_admissible(c, data)
         effect, _ = surgery_on_complex(c, data)
         assert complex_homology(effect) == complex_homology(c)
+
+
+def test_a_glued_inclusion_that_is_no_split_injection_is_refused_by_name():
+    c, mid = zero_complex(Z, 1), odd_complex(Z, 1, [[2]], [[1]], [[-1]])
+    cob1 = Cobordism(mx.zero_matrix(Z, 1, 0), mx.int_matrix([[2]]), mx.zero_matrix(Z, 1, 1))
+    cob2 = Cobordism(mx.int_matrix([[2]]), mx.zero_matrix(Z, 1, 0), mx.zero_matrix(Z, 1, 1))
+    with pytest.raises(DomainError) as err:  # (2; 2; 2) spans no primitive sublattice
+        union_cobordisms(c, mid, c, cob1, cob2)
+    assert type(err.value) is DomainError and str(err.value) == \
+        "the glued inclusion (j1'; d; j2) has non-free cokernel; inputs are not valid cobordisms"
+
+
+def test_complex_matrices_over_another_ring_are_a_wrong_ring_error():
+    c3 = rings.cyclic(3)
+    for bad in range(3):
+        ms = [mx.zero_matrix(c3 if i == bad else Z, 1, 1) for i in range(3)]
+        with pytest.raises(WrongRingError, match="^complex matrices live over the wrong ring$"):
+            OddComplex(Z, 0, *ms)
+
+
+# -- laws of surgery and gluing, over Z ------------------------------------------------
+
+def admissible_surgery(rng, c):
+    """Surgery data drawn as criterion 11 draws it: j of 1 or k rows and delta with entries
+    in [-1, 1], redrawn until admissible, 200 tries at most; None if none was."""
+    k = c.rank_top
+    for _ in range(200):
+        m = rng.choice([1, k])
+        s = SurgeryData(random_matrix(rng, Z, m, k, -1, 1), random_matrix(rng, Z, m, m, -1, 1))
+        if cx.surgery_admissible(c, s):
+            return s
+    return None
+
+
+def surgery_draw(seed, parity, k):
+    rng = random.Random(seed)
+    c = random_complex(rng, parity, k, rng.randint(1, 5))
+    s = admissible_surgery(rng, c)
+    assume(s is not None)
+    effect, trace = surgery_on_complex(c, s)
+    return c, effect, trace
+
+
+DRAWS = (st.integers(0, 2**32), st.sampled_from([0, 1]), st.integers(1, 4))
+
+
+@settings(max_examples=100)
+@given(*DRAWS)
+def test_the_trace_of_a_surgery_is_a_cobordism(seed, parity, k):
+    c, effect, trace = surgery_draw(seed, parity, k)
+    assert validate_cobordism(c, effect, trace)
+
+
+@settings(max_examples=100)
+@given(*DRAWS)
+def test_a_trace_glued_to_its_reversal_is_a_cobordism(seed, parity, k):
+    c, effect, trace = surgery_draw(seed, parity, k)
+    assert validate_cobordism(c, c, union_cobordisms(c, effect, c, trace, reverse_cobordism(trace)))

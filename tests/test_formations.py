@@ -5,8 +5,9 @@ import random
 import pytest
 
 from surgery_algebra import _intlat, complexes as cx, formations, forms, matrices as mx, rings, unitary
-from surgery_algebra.errors import DomainError, PreconditionError, SchemaError
+from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, WrongRingError
 from surgery_algebra.formations import (
+    Formation,
     boundary_formation,
     boundary_witness,
     complex_to_formation,
@@ -246,3 +247,19 @@ def test_the_boundary_witness_eliminates_only_k_by_k_pairings(monkeypatch):
 def test_a_trivial_formation_of_negative_rank_is_refused_by_name():
     with pytest.raises(SchemaError, match=r"^hyperbolic_split: k must be at least 0, got -1$"):
         trivial_formation(Z, -1, -1)
+
+
+def test_a_formation_part_over_another_ring_is_a_wrong_ring_error():
+    c3 = rings.cyclic(3)
+    phi, other = trivial_formation(Z, 1, 1), trivial_formation(c3, 1, 1)
+    off = mx.zero_matrix(c3, 2, 1)
+    for args, message in [((Z, 1, other.q, phi.f, phi.g), "form does not match the formation's ring and epsilon"),
+                          ((Z, -1, phi.q, phi.f, phi.g), "form does not match the formation's ring and epsilon"),
+                          ((Z, 1, phi.q, off, phi.g), "lagrangian basis over the wrong ring"),
+                          ((Z, 1, phi.q, phi.f, off), "lagrangian basis over the wrong ring")]:
+        with pytest.raises(WrongRingError) as err:
+            Formation(*args)
+        assert str(err.value) == message
+    for a, b in ((phi, other), (phi, trivial_formation(Z, -1, 1))):
+        with pytest.raises(WrongRingError, match="^formation sum needs one ring and one epsilon$"):
+            direct_sum_formation(a, b)

@@ -298,3 +298,13 @@ def test_every_form_class_refuses_another_epsilon_or_ring_at_every_rank(ring):
         for build in form_classes(other, 1, zero):
             with pytest.raises(WrongRingError, match="^form matrix over another ring than the form's$"):
                 build()
+
+
+def test_a_form_over_floats_is_refused_by_type():
+    for lam, mu, message in [([[2.0]], [1.0], "coefficient must be an integer, got float"),
+                             ([[2]], [1.0], "coefficient must be an integer, got float"),
+                             ([[2]], [True], "coefficient must be an integer, got bool")]:
+        with pytest.raises(SchemaError) as err:
+            quadratic_form(Z, 1, lam, mu)
+        assert str(err.value) == message
+    assert quadratic_form(Z, 1, [[2]], [1]).lam == mx.int_matrix([[2]])

@@ -56,6 +56,15 @@ def frozen_matrix(rng, ring, rows, cols, lo=-2, hi=2):
                                          for _ in range(rows)])
 
 
+def frozen_element(rng, ring, lo=-2, hi=2):
+    if ring.kind == "Z":
+        return rings.from_int(ring, rng.randint(lo, hi))
+    out = rings.zero(ring)
+    for k in range(ring.m) if ring.kind == "cyclic" else (-1, 0, 1):
+        out = rings.add(out, rings.monomial(ring, k, rng.randint(lo, hi)))
+    return out
+
+
 def frozen_shears(rng, ring, k, steps):
     p = mx.identity_matrix(ring, k)
     for _ in range(steps):
@@ -208,6 +217,16 @@ def test_the_random_matrix_draws_as_it_did(ring):
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+def test_the_random_element_draws_as_it_did(ring):
+    """The same element and generator state, as the entry of a 1 x 1 matrix draw."""
+    for seed in range(40):
+        for lo, hi in ((-2, 2), (-1, 1), (0, 0), (1, 0)):
+            new, old = random.Random(seed), random.Random(seed)
+            assert outcome(generators.element, new, ring, lo, hi) == outcome(frozen_element, old, ring, lo, hi)
+            assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
 def test_the_shears_draw_as_they_did(ring):
     """The same product and generator state; k = 0 draws nothing or fails as it did."""
     for k in range(-1, 6):
@@ -267,10 +286,12 @@ def test_a_warm_pass_of_the_acceptance_suite_does_this_much_work(monkeypatch):
     """Per pass, once the memo holds the hyperbolic forms: 18,716 integer products,
     1,233 split-to-quadratic conversions and 38,112 ring elements before the known
     answers; 12,379 products and 25,342 ring elements before the lagrangian
-    constructions were certified by their witness."""
+    constructions were certified by their witness; 10,989 products and 24,092 ring
+    elements before the group-ring draws went straight to coefficient windows and the
+    cobordism constructions read slices in place of products with [I; 0]."""
     acceptance.run_all()
     products = count_calls(monkeypatch, _intlat, "matmul")
     conversions = count_calls(monkeypatch, forms, "split_to_quadratic")
     elements = count_calls(monkeypatch, rings.RingElement, "__init__")
     acceptance.run_all()
-    assert (len(products), len(conversions), len(elements)) == (10989, 450, 24092)
+    assert (len(products), len(conversions), len(elements)) == (10761, 450, 19212)

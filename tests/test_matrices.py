@@ -1,8 +1,10 @@
 """Exact matrix algebra and the integer lattice kernel."""
 
+import os
 import pickle
 import random
 import time
+from functools import reduce
 from itertools import combinations
 from math import gcd
 from unittest import mock
@@ -16,7 +18,7 @@ from surgery_algebra import rings
 from surgery_algebra import serialize as sz
 from surgery_algebra.errors import SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.rings import AbelianGroup
-from surgery_algebra.generators import matrix as random_matrix
+from surgery_algebra.generators import element as random_element, matrix as random_matrix
 
 from conftest import random_unimodular
 
@@ -913,3 +915,138 @@ def test_a_negative_zero_matrix_shape_is_refused_by_name(rows, cols):
 def test_a_negative_identity_size_is_refused_by_name():
     with pytest.raises(SchemaError, match=r"^identity_matrix: n must be at least 0, got -1$"):
         mx.identity_matrix(rings.cyclic(3), -1)
+
+
+# -- one builder from coefficient windows to grids --------------------------------
+
+WINDOW_RINGS = [Z, rings.cyclic(1), rings.cyclic(3), C4, L]
+
+
+@st.composite
+def windows(draw, ring):
+    """(rows, cols, windows): each window (k, coefficients) inside the exponents of ring,
+    zeros and empty windows included."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    coeff = st.integers(-2, 2) | st.integers(-2**70, 2**70)
+    out = []
+    for _ in range(rows * cols):
+        if ring.kind == "laurent":
+            out.append((draw(st.integers(-5, 5)), draw(st.lists(coeff, max_size=4))))
+        else:
+            top = ring.m or 1
+            k = draw(st.integers(0, top))
+            out.append((k, draw(st.lists(coeff, max_size=top - k))))
+    return rows, cols, out
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+@pytest.mark.parametrize("ring", WINDOW_RINGS, ids=str)
+def test_windows_fill_one_grid_per_exponent_with_a_nonzero_coefficient(ring, data):
+    rows, cols, ws = data.draw(windows(ring))
+    m = mx.from_windows(ring, rows, cols, ws)
+    want = {}
+    for at, (k, cs) in enumerate(ws):
+        for t, c in enumerate(cs, k):
+            if c:
+                want.setdefault(t, [[0] * cols for _ in range(rows)])[at // cols][at % cols] = c
+    assert (m.ring, m.rows, m.cols, m._grids) == (ring, rows, cols, want)  # no zero grid is kept
+    sums = [reduce(rings.add, (rings.monomial(ring, t, c) for t, c in enumerate(cs, k)), rings.zero(ring))
+            for k, cs in ws]
+    assert [e for row in m.entries for e in row] == sums
+
+
+@pytest.mark.parametrize("ring", WINDOW_RINGS, ids=str)
+def test_ring_elements_build_through_their_windows(ring):
+    rng = random.Random(7)
+    for rows, cols in ((0, 0), (0, 3), (2, 0), (2, 3)):
+        entries = [[random_element(rng, ring) for _ in range(cols)] for _ in range(rows)]
+        flat = [(e.shift, e.coeffs) for row in entries for e in row]
+        assert mx.FormMatrix(ring, rows, cols, entries)._grids == mx.from_windows(ring, rows, cols, flat)._grids
+
+
+@pytest.mark.parametrize("rows, cols, ws", [
+    (-1, 0, []), (-1, -1, []), (2, -1, []), (1, 2, [(0, [1])]), (1, 1, [(0, [1]), (0, [2])]),
+])
+def test_windows_that_do_not_fill_the_shape_are_refused(rows, cols, ws):
+    with pytest.raises(SchemaError, match="^matrix entry grid does not match declared shape$"):
+        mx.from_windows(Z, rows, cols, ws)
+
+
+@pytest.mark.parametrize("ring, window", [
+    (Z, (1, [1])), (Z, (0, [1, 1])), (Z, (-1, [1])), (C4, (0, [0, 0, 0, 0, 1])), (C4, (-1, [1])),
+])
+def test_windows_beyond_the_exponents_of_the_ring_are_refused(ring, window):
+    with pytest.raises(SchemaError, match="^no grid at exponent -?[0-9]+ over "):
+        mx.from_windows(ring, 1, 1, [window])
+    k, cs = window
+    assert mx.from_windows(ring, 1, 1, [(k, [0] * len(cs))])._grids == {}  # zeros make no grid
+
+
+def test_an_all_zero_draw_keeps_no_grid():
+    for ring in WINDOW_RINGS:
+        m = random_matrix(random.Random(1), ring, 2, 3, 0, 0)
+        assert m._grids == {} and m.is_zero() and m == mx.zero_matrix(ring, 2, 3)
+        assert hash(m) == hash(mx.zero_matrix(ring, 2, 3))
+
+
+# -- exact coefficients only ---------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mx.int_matrix([[1.5, 0], [0, 1]]), "coefficient must be an integer, got float"),
+    (lambda: mx.int_matrix([[1.0]]), "coefficient must be an integer, got float"),
+    (lambda: mx.int_matrix([[1, True]]), "coefficient must be an integer, got bool"),
+    (lambda: mx.matrix(rings.cyclic(3), [[1, "x"]]), "coefficient must be an integer, got str"),
+    (lambda: mx.matrix(C4, [[rings.one(C4), None], [1.5, 2]]), "coefficient must be an integer, got NoneType"),
+    (lambda: rings.from_int(Z, 0.5), "coefficient must be an integer, got float"),
+    (lambda: rings.from_int(C4, False), "coefficient must be an integer, got bool"),
+    (lambda: rings.monomial(L, 1, 0.5), "coefficient must be an integer, got float"),
+    (lambda: rings.monomial(C4, 1.0), "exponent must be an integer, got float"),
+], ids=["int_matrix-float", "int_matrix-one-float", "int_matrix-bool", "matrix-str", "matrix-none",
+        "from_int-float", "from_int-bool", "monomial-coeff", "monomial-exponent"])
+def test_coefficients_that_are_no_ints_are_refused_by_type(build, message):
+    with pytest.raises(SchemaError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_int_subclasses_are_coefficients_as_the_file_reader_takes_them():
+    class Int(int):
+        pass
+
+    assert mx.int_matrix([[Int(2), 0]]) == mx.int_matrix([[2, 0]])
+    assert mx.matrix(C4, [[rings.one(C4), Int(3)]]) == mx.matrix(C4, [[rings.one(C4), 3]])
+    assert rings.from_int(L, Int(-1)) == rings.from_int(L, -1)
+    assert rings.monomial(C4, Int(5), Int(2)) == rings.monomial(C4, 1, 2)
+
+
+# -- who writes the grid layout ------------------------------------------------------
+
+def test_only_the_matrices_module_writes_the_grid_layout():
+    pkg = os.path.dirname(mx.__file__)
+    names = sorted(n for n in os.listdir(pkg) if n.endswith(".py") and n != "matrices.py")
+    assert "serialize.py" in names and "generators.py" in names
+    offenders = {}
+    for name in names:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            text = fh.read()
+        found = [word for word in ("_grid_matrix", "._grids", "_intlat.zeros") if word in text]
+        if found:
+            offenders[name] = found
+    assert offenders == {}
+
+
+# -- complements of primitive sublattices ----------------------------------------------
+
+@settings(max_examples=300)
+@given(st.integers(0, 5), st.integers(0, 5), st.sampled_from([(-2, 2), (-1, 1), (0, 1)]), st.integers(0, 2**32))
+def test_a_complement_is_refused_exactly_when_the_columns_are_no_split_injection(rows, cols, span, seed):
+    b = random_matrix(random.Random(seed), Z, rows, cols, *span)
+    try:
+        comp, proj = mx.complement_of_primitive(b)
+    except SingularMatrixError:
+        assert not mx.is_split_injection(b)
+        return
+    assert mx.is_split_injection(b)
+    assert (comp.rows, comp.cols, proj.rows, proj.cols) == (rows, rows - cols, rows - cols, rows)
+    assert proj.mul(b).is_zero() and proj.mul(comp) == mx.identity_matrix(Z, rows - cols)
