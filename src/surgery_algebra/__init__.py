@@ -108,6 +108,6 @@ from .unitary import (
     unitary_from_matrix,
     unitary_membership,
 )
-from .witt import arf, signature, symplectic_basis, witt_class
+from .witt import arf, signature, witt_class
 
 __version__ = "0.1.0"

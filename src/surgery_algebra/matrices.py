@@ -98,16 +98,9 @@ class FormMatrix:
         return tuple(tuple(self.entry(i, j) for j in range(self.cols)) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> RingElement:
-        ring = self.ring
-        if ring.kind == "Z":  # the common case, kept to one lookup
-            g = self._grids.get(0)
-            return RingElement(ring, (g[i][j] if g else 0,))
-        if ring.kind == "cyclic":
-            get = self._grids.get
-            return RingElement(ring, tuple([g[i][j] if (g := get(k)) else 0 for k in range(ring.m)]))
         terms = {k: g[i][j] for k, g in self._grids.items() if g[i][j]}
         lo, hi = (min(terms), max(terms)) if terms else (0, -1)
-        return rings._mk(ring, [terms.get(k, 0) for k in range(lo, hi + 1)], lo)
+        return rings._mk(self.ring, [terms.get(k, 0) for k in range(lo, hi + 1)], lo)
 
     def column(self, j: int) -> "FormMatrix":
         return self.submatrix(range(self.rows), (j,))
@@ -346,11 +339,20 @@ def matrix(ring: RingSpec, data) -> FormMatrix:
 
 def upper_triangle(m: FormMatrix, diagonal) -> FormMatrix:
     """The strict upper triangle of the square m, copied grid by grid, with the ring
-    elements diagonal on its diagonal."""
-    d = FormMatrix(m.ring, 1, m.rows, [diagonal])._grids
-    grids = {k: [[0] * i + [d[k][0][i] if k in d else 0] + row[i + 1:] for i, row in enumerate(_grid(m, k))]
-             for k in m._grids.keys() | d.keys()}
-    return _grid_matrix(m.ring, m.rows, m.rows, grids)
+    elements diagonal on its diagonal, each written from its window."""
+    n = m.rows
+    if len(diagonal) != n:
+        raise SchemaError("matrix entry grid does not match declared shape")
+    if any(e.ring != m.ring for e in diagonal):
+        raise WrongRingError("entry over wrong ring")
+    grids = {k: [[0] * (i + 1) + row[i + 1:] for i, row in enumerate(g)] for k, g in m._grids.items()}
+    for i, e in enumerate(diagonal):
+        for k, c in enumerate(e.coeffs, e.shift):
+            if c:
+                if k not in grids:
+                    grids[k] = _intlat.zeros(n, n)
+                grids[k][i][i] = c
+    return _grid_matrix(m.ring, n, n, grids)
 
 
 def int_matrix(data) -> FormMatrix:

@@ -7,14 +7,24 @@ Three coefficient rings are supported, all with exact integer arithmetic:
   twisted by an orientation character w: the generator g maps to w * g^-1.
 * ``LaurentRing`` -- Z[z, z^-1] with the involution z -> z^-1.
 
-Elements are immutable coefficient vectors.  The quotient groups
-Q_eps = Lambda / {a - eps * conj(a)} get canonical coset representatives by
-folding: the subgroup is spanned by g^k - eps * w^k * g^-k, so each orbit
-{k, -k} of exponents folds onto one kept exponent e, which carries
-a_e + eps * w^e * a_-e.  The kept exponents are e >= 0 over Z[z, z^-1] and
-0 and ceil(m/2), ..., m-1 over Z[Z/m].  A self-conjugate exponent (0, and
-m/2 when m is even) keeps a_e when eps * w^e = 1 and a_e mod 2 when
-eps * w^e = -1.  Equality of classes is equality of representatives.
+Elements are immutable coefficient windows in one normal form, which ``_mk``
+alone builds: over Z[z, z^-1] a window (shift, coeffs) trimmed of its zero
+ends, the zero element being the empty window at shift 0; over Z[Z/m] the m
+coefficients of g^0, ..., g^(m-1), into which any window folds mod m; and
+over Z, which is Z[Z/1], its one coefficient.  So each ring operation is
+written once, as window arithmetic passed to ``_mk``, and Z needs no case of
+its own beyond ``monomial``'s refusal of an exponent k != 0: it is the order-1
+case of every fold.  Every function that takes eps refuses any value other
+than +1 and -1 with DomainError.
+
+The quotient groups Q_eps = Lambda / {a - eps * conj(a)} get canonical coset
+representatives by folding: the subgroup is spanned by g^k - eps * w^k *
+g^-k, so each orbit {k, -k} of exponents folds onto one kept exponent e,
+which carries a_e + eps * w^e * a_-e.  The kept exponents are e >= 0 over
+Z[z, z^-1] and 0 and ceil(m/2), ..., m-1 over Z[Z/m].  A self-conjugate
+exponent (0, and m/2 when m is even) keeps a_e when eps * w^e = 1 and a_e
+mod 2 when eps * w^e = -1.  Equality of classes is equality of
+representatives.
 """
 
 from __future__ import annotations
@@ -33,26 +43,26 @@ class RingSpec:
     w: int = 1
 
     def __post_init__(self):
-        if self.kind == "Z" or self.kind == "laurent":
+        if self.kind not in ("Z", "cyclic", "laurent"):
+            raise ValueError(f"unknown ring kind {self.kind!r}")
+        if self.kind != "cyclic":
             if self.m != 0 or self.w != 1:
                 raise ValueError("m and w are only meaningful for cyclic group rings")
-        elif self.kind == "cyclic":
+        else:
             if self.m < 1:
                 raise ValueError("cyclic group order must be at least 1")
             if self.w not in (1, -1):
                 raise ValueError("orientation character must be +1 or -1")
             if self.w == -1 and self.m % 2 == 1:
                 raise ValueError("w = -1 needs even group order, else w^m != 1")
-        else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
 
     def __str__(self):
-        if self.kind == "Z":
-            return "Z"
         if self.kind == "laurent":
             return "Z[z,z^-1]"
-        sign = "+" if self.w == 1 else "-"
-        return f"Z[Z/{self.m}]^{sign}"
+        if self.kind == "cyclic":
+            sign = "+" if self.w == 1 else "-"
+            return f"Z[Z/{self.m}]^{sign}"
+        return "Z"
 
 
 def integers() -> RingSpec:
@@ -72,13 +82,13 @@ Z = integers()
 
 @dataclass(frozen=True)
 class RingElement:
-    """Element of a RingSpec ring as an exact coefficient vector.
+    """Element of a RingSpec ring as an exact coefficient vector, built only by ``_mk``.
 
     For Integers, coeffs is a single-entry tuple.  For a cyclic group ring of
     order m, coeffs has length m and index k holds the coefficient of g^k.
     For the Laurent ring, coeffs holds a trimmed window of coefficients and
     shift is the exponent of the first one; the zero element is the empty
-    window with shift 0.
+    window with shift 0.  Over Z and Z[Z/m] shift is 0.
     """
 
     ring: RingSpec
@@ -87,6 +97,8 @@ class RingElement:
 
 
 def _mk(ring: RingSpec, coeffs, shift: int = 0) -> RingElement:
+    """sum_t coeffs[t] g^(shift + t) in normal form: over Z[z, z^-1] the window trimmed of
+    its zero ends, over Z[Z/m] (and Z = Z[Z/1]) the window folded mod m."""
     if ring.kind == "laurent":
         lo = 0
         hi = len(coeffs)
@@ -97,15 +109,17 @@ def _mk(ring: RingSpec, coeffs, shift: int = 0) -> RingElement:
         if lo == hi:
             return RingElement(ring, (), 0)
         return RingElement(ring, tuple(coeffs[lo:hi]), shift + lo)
-    return RingElement(ring, tuple(coeffs), 0)
+    m = ring.m or 1
+    if shift == 0 and len(coeffs) == m:
+        return RingElement(ring, tuple(coeffs))
+    v = [0] * m
+    for k, c in enumerate(coeffs, shift):
+        v[k % m] += c
+    return RingElement(ring, tuple(v))
 
 
 def zero(ring: RingSpec) -> RingElement:
-    if ring.kind == "Z":
-        return RingElement(ring, (0,))
-    if ring.kind == "cyclic":
-        return RingElement(ring, (0,) * ring.m)
-    return RingElement(ring, ())
+    return _mk(ring, ())
 
 
 def _check_int(v, what: str):
@@ -114,13 +128,14 @@ def _check_int(v, what: str):
         raise SchemaError(f"{what} must be an integer, got {type(v).__name__}")
 
 
+def _check_epsilon(epsilon):
+    if epsilon not in (1, -1):
+        raise DomainError("epsilon must be +1 or -1")
+
+
 def from_int(ring: RingSpec, n: int) -> RingElement:
     _check_int(n, "coefficient")
-    if ring.kind == "Z":
-        return RingElement(ring, (n,))
-    if ring.kind == "cyclic":
-        return _mk(ring, (n,) + (0,) * (ring.m - 1))
-    return _mk(ring, (n,), 0)
+    return _mk(ring, (n,))
 
 
 def one(ring: RingSpec) -> RingElement:
@@ -131,14 +146,8 @@ def monomial(ring: RingSpec, k: int, coeff: int = 1) -> RingElement:
     """coeff * g^k (cyclic), coeff * z^k (Laurent), or plain coeff over Z (k must be 0)."""
     _check_int(k, "exponent")
     _check_int(coeff, "coefficient")
-    if ring.kind == "Z":
-        if k != 0:
-            raise DomainError("the integers have no nontrivial monomials")
-        return RingElement(ring, (coeff,))
-    if ring.kind == "cyclic":
-        v = [0] * ring.m
-        v[k % ring.m] = coeff
-        return _mk(ring, v)
+    if ring.kind == "Z" and k != 0:
+        raise DomainError("the integers have no nontrivial monomials")
     return _mk(ring, (coeff,), k)
 
 
@@ -149,25 +158,21 @@ def _check_same_ring(a: RingElement, b: RingElement):
 
 def add(a: RingElement, b: RingElement) -> RingElement:
     _check_same_ring(a, b)
-    ring = a.ring
-    if ring.kind != "laurent":
-        return _mk(ring, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    # the Laurent zero's shift is no exponent: taken into the window, it could widen it to any size
     if not a.coeffs:
         return b
     if not b.coeffs:
         return a
     lo = min(a.shift, b.shift)
-    hi = max(a.shift + len(a.coeffs), b.shift + len(b.coeffs))
-    v = [0] * (hi - lo)
-    for i, c in enumerate(a.coeffs):
-        v[a.shift - lo + i] += c
-    for i, c in enumerate(b.coeffs):
-        v[b.shift - lo + i] += c
-    return _mk(ring, v, lo)
+    v = [0] * (max(a.shift + len(a.coeffs), b.shift + len(b.coeffs)) - lo)
+    for x in (a, b):
+        for i, c in enumerate(x.coeffs, x.shift - lo):
+            v[i] += c
+    return _mk(a.ring, v, lo)
 
 
 def neg(a: RingElement) -> RingElement:
-    return RingElement(a.ring, tuple(-c for c in a.coeffs), a.shift)
+    return _mk(a.ring, [-c for c in a.coeffs], a.shift)
 
 
 def sub(a: RingElement, b: RingElement) -> RingElement:
@@ -176,26 +181,14 @@ def sub(a: RingElement, b: RingElement) -> RingElement:
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
     _check_same_ring(a, b)
-    ring = a.ring
-    if ring.kind == "Z":
-        return RingElement(ring, (a.coeffs[0] * b.coeffs[0],))
-    if ring.kind == "cyclic":
-        m = ring.m
-        v = [0] * m
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        v[(i + j) % m] += x * y
-        return _mk(ring, v)
     if not a.coeffs or not b.coeffs:
-        return zero(ring)
+        return zero(a.ring)
     v = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
         if x:
-            for j, y in enumerate(b.coeffs):
-                v[i + j] += x * y
-    return _mk(ring, v, a.shift + b.shift)
+            for j, y in enumerate(b.coeffs, i):
+                v[j] += x * y
+    return _mk(a.ring, v, a.shift + b.shift)
 
 
 def is_zero(a: RingElement) -> bool:
@@ -203,31 +196,19 @@ def is_zero(a: RingElement) -> bool:
 
 
 def involute(a: RingElement) -> RingElement:
-    """The involution a -> conj(a) of the ring."""
-    ring = a.ring
-    if ring.kind == "Z":
+    """The involution a -> conj(a): g^k -> w^k g^-k reverses the window onto -top, ..., -shift."""
+    if a.shift == 0 and len(a.coeffs) <= 1:  # zero and the constants are their own conjugates
         return a
-    if ring.kind == "cyclic":
-        m = ring.m
-        v = [0] * m
-        for k, c in enumerate(a.coeffs):
-            v[(m - k) % m] += (ring.w ** k) * c
-        return _mk(ring, v)
-    if not a.coeffs:
-        return a
-    return _mk(ring, tuple(reversed(a.coeffs)), -(a.shift + len(a.coeffs) - 1))
+    cs = a.coeffs if a.ring.w == 1 else [-c if k % 2 else c for k, c in enumerate(a.coeffs, a.shift)]
+    return _mk(a.ring, cs[::-1], 1 - a.shift - len(cs))
 
 
 def symmetrize(a: RingElement, epsilon: int) -> RingElement:
     """a + epsilon * conj(a), the image of a under 1 + T_eps."""
+    _check_epsilon(epsilon)
     if epsilon == 1:
         return add(a, involute(a))
     return sub(a, involute(a))
-
-
-def _pairs(m: int):
-    """The orbits {p, m - p} of exponents mod m with p < m - p, as (p, m - p)."""
-    return [(p, m - p) for p in range(1, (m + 1) // 2)]
 
 
 def _self_conjugate(m: int):
@@ -244,17 +225,13 @@ def symmetrize_preimage(a: RingElement, epsilon: int):
     orbit pair, over Z[z, z^-1] the exponents k >= 0, and a self-conjugate
     exponent carries a_e / 2.
     """
+    _check_epsilon(epsilon)
     ring = a.ring
-    if ring.kind == "Z":
-        n = a.coeffs[0]
-        if epsilon == 1:
-            return from_int(ring, n // 2) if n % 2 == 0 else None
-        return zero(ring) if n == 0 else None
-    if ring.kind == "cyclic":
-        m, c = ring.m, a.coeffs
+    if ring.kind != "laurent":
+        m, c = ring.m or 1, a.coeffs
         x = [0] * m
-        for p, e in _pairs(m):
-            if c[e] != epsilon * ring.w ** p * c[p]:
+        for p in range(1, (m + 1) // 2):  # each orbit {p, m - p} with p < m - p
+            if c[m - p] != epsilon * ring.w ** p * c[p]:
                 return None
             x[p] = c[p]
         for e in _self_conjugate(m):
@@ -300,21 +277,16 @@ def q_eps_reduce(a: RingElement, epsilon: int) -> QEpsilonClass:
     Costs O(m) over Z[Z/m]; over Z[z, z^-1] it allocates only the folded
     window [min |e|, max |e|] of the support of a.
     """
+    _check_epsilon(epsilon)
     ring = a.ring
-    if epsilon not in (1, -1):
-        raise DomainError("epsilon must be +1 or -1")
-    if ring.kind == "Z":
-        n = a.coeffs[0]
-        rep = a if epsilon == 1 else from_int(ring, n % 2)
-        return QEpsilonClass(ring, epsilon, rep)
-    if ring.kind == "cyclic":
-        m, c = ring.m, a.coeffs
+    if ring.kind != "laurent":
+        m, c = ring.m or 1, a.coeffs
         v = [0] * m
-        for p, e in _pairs(m):
-            v[e] = c[e] + epsilon * ring.w ** e * c[p]
+        for p in range(1, (m + 1) // 2):  # each orbit {p, m - p} folds onto m - p; w^(m-p) = w^p
+            v[m - p] = c[m - p] + epsilon * ring.w ** p * c[p]
         for e in _self_conjugate(m):
             v[e] = c[e] if epsilon * ring.w ** e == 1 else c[e] % 2
-        return QEpsilonClass(ring, epsilon, _mk(ring, v))
+        return QEpsilonClass(ring, epsilon, a if tuple(v) == c else _mk(ring, v))
     if not a.coeffs:
         return QEpsilonClass(ring, epsilon, a)
     lo, hi = a.shift, a.shift + len(a.coeffs) - 1
@@ -371,10 +343,10 @@ def q_eps_group(ring: RingSpec, epsilon: int, window: int | None = None) -> Abel
     supported on [-window, window], that is window pairs and the exponent 0,
     which is the whole story for any fixed finite computation.
     """
-    if ring.kind == "Z":
-        ring = cyclic(1)
-    if ring.kind == "cyclic":
-        pairs, signs = len(_pairs(ring.m)), [epsilon * ring.w ** e for e in _self_conjugate(ring.m)]
+    _check_epsilon(epsilon)
+    if ring.kind != "laurent":
+        m = ring.m or 1
+        pairs, signs = (m - 1) // 2, [epsilon * ring.w ** e for e in _self_conjugate(m)]
     else:
         if window is None:
             raise DomainError("Q_eps of the Laurent ring needs an exponent window bound")

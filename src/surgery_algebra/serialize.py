@@ -108,7 +108,7 @@ def element_from_obj(ring: RingSpec, obj) -> RingElement:
             raise SchemaError(
                 f"cyclic group ring element must be a list of {ring.m} integers"
             )
-        return RingElement(ring, tuple(_require_int(v, "group ring coefficient") for v in obj))
+        return rings._mk(ring, [_require_int(v, "group ring coefficient") for v in obj])
     _require_keys(obj, ("origin", "coeffs"), "Laurent element")
     origin = _require_int(obj["origin"], "origin")
     if not isinstance(obj["coeffs"], list):

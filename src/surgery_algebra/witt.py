@@ -13,18 +13,16 @@ tests |det| = 1 from the pass that gives it the signature.  The Arf
 invariant depends only on (lambda, mu) mod 2 (Arf 1941): after one integer
 determinant has shown lambda unimodular, it is read off a symplectic
 reduction over F_2 on int bitmask rows, O(k^2) word operations with no
-integer growth.  The integer symplectic basis is built only when a caller
-asks for it.
+integer growth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _intlat, forms, matrices, rings
+from . import _intlat, forms, rings
 from .errors import DomainError, SchemaError, SingularMatrixError, WrongRingError
 from .forms import QuadraticForm
-from .matrices import FormMatrix
 
 
 def _int_symmetric(form, epsilon: int, what: str) -> list[list[int]]:
@@ -89,47 +87,6 @@ def signature_and_det(form) -> tuple[int, int]:
                 gr[k] = (d * gr[k] - c * gp[k]) // prev
         prev = d
     return sig, prev
-
-
-def _symplectic_pairs(g: list[list[int]]) -> list[list[int]]:
-    """Grid B with columns u_1..u_m, v_1..v_m and B'·g·B = [[0, I], [-I, 0]].
-
-    Each level pairs u = e_1 with a v solving row 1 of g against 1.  The rows
-    u'g and v'g cut out the orthogonal complement of the pair, with primitive
-    kernel basis comp, and the next level's live block is its Gram matrix
-    comp'·g·comp, two ranks smaller.  The deeper pairs come back as the
-    columns of S in comp's coordinates, so one product comp·S lifts them all
-    to the original coordinates.
-    """
-    k = len(g)
-    if k == 0:
-        return []
-    if k % 2 == 1:
-        raise SingularMatrixError("an odd-rank antisymmetric form is singular")
-    sol = _intlat.solve([g[0]], [[1]])
-    if sol is None:
-        raise SingularMatrixError("no vector pairs to a unit: the form is not unimodular")
-    v = [x for (x,) in sol]
-    comp = _intlat.kernel_basis([g[0], _intlat.matmul([v], g)[0]])
-    sub = _intlat.matmul(_intlat.transpose(comp), _intlat.matmul(g, comp))
-    lifted = _intlat.matmul(comp, _symplectic_pairs(sub))
-    h = k // 2 - 1
-    return [[int(r == 0)] + lifted[r][:h] + [v[r]] + lifted[r][h:] for r in range(k)]
-
-
-def symplectic_basis(form) -> FormMatrix:
-    """Change of basis B with B'·lambda·B = [[0, I], [-I, 0]].
-
-    Column i pairs with column i+m to the value 1.  Requires a unimodular
-    antisymmetric form over the integers.  This is the O(k^4) integer basis,
-    one Smith form and k x k products per pair, whose entries grow with the
-    rank; it is kept for callers that need the basis itself, and the Arf
-    invariant does not use it.
-    """
-    grid = _int_symmetric(form, -1, "the symplectic basis")
-    if not _intlat.is_unimodular(grid):
-        raise SingularMatrixError("the symplectic basis needs a unimodular form")
-    return matrices.int_matrix(_symplectic_pairs(grid))
 
 
 def arf(q: QuadraticForm) -> int:

@@ -841,6 +841,14 @@ def frozen_upper_triangle(m, diagonal):
     return mx.FormMatrix(m.ring, k, k, rows)
 
 
+def frozen_grid_upper_triangle(m, diagonal):
+    """The triangle that read the diagonal's grids off a 1 x n matrix of it, frozen here."""
+    d = mx.FormMatrix(m.ring, 1, m.rows, [diagonal])._grids
+    grids = {k: [[0] * i + [d[k][0][i] if k in d else 0] + row[i + 1:] for i, row in enumerate(mx._grid(m, k))]
+             for k in m._grids.keys() | d.keys()}
+    return mx._grid_matrix(m.ring, m.rows, m.rows, grids)
+
+
 def frozen_is_eps_symmetric(m, sign):
     """M - sign·M* = 0 through a dual, a scaled copy and a difference, frozen here."""
     return m.sub(m.star().scale(rings.from_int(m.ring, sign))).is_zero()
@@ -872,6 +880,21 @@ def test_grid_symmetry_test_and_upper_triangle_match_the_ring_elements(data, rin
     got = mx.upper_triangle(m, diagonal)
     assert got == frozen_upper_triangle(m, diagonal)
     assert got.entries == frozen_upper_triangle(m, diagonal).entries
+    assert got._grids == frozen_grid_upper_triangle(m, diagonal)._grids
+
+
+@pytest.mark.parametrize("ring", [Z, C3, C4, L], ids=str)
+def test_upper_triangle_refuses_a_diagonal_of_another_length_or_ring(ring):
+    m = mx.identity_matrix(ring, 2)
+    other = rings.one(C2)
+    for diagonal, error, message in (([rings.one(ring)], SchemaError, "matrix entry grid does not match declared shape"),
+                                     ([rings.one(ring)] * 3, SchemaError, "matrix entry grid does not match declared shape"),
+                                     ([rings.one(ring), other], WrongRingError, "entry over wrong ring"),
+                                     ([other], SchemaError, "matrix entry grid does not match declared shape")):
+        for build in (mx.upper_triangle, frozen_grid_upper_triangle):
+            with pytest.raises(error) as err:
+                build(m, diagonal)
+            assert (err.type, str(err.value)) == (error, message)
 
 
 def test_symmetry_of_non_square_and_empty_matrices():

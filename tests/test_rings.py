@@ -1,5 +1,7 @@
 """Involution arithmetic and the quadratic quotient groups."""
 
+import inspect
+import os
 import time
 from functools import lru_cache
 
@@ -17,6 +19,7 @@ from surgery_algebra.rings import (
     class_neg,
     class_twist,
     cyclic,
+    desymmetrize,
     from_int,
     in_symmetrize_image,
     integers,
@@ -318,3 +321,287 @@ def test_a_far_exponent_folds_in_bounded_time():
     assert q_eps_reduce(el(L, [(1, -n), (2, 1 - n)]), 1).rep == el(L, [(2, n - 1), (1, n)])
     assert symmetrize_preimage(monomial(L, -n), 1) is None
     assert time.process_time() - start < 0.5
+
+
+# -- one normal form: the ring operations against verbatim copies of their per-ring branches --
+
+def frozen_pairs(m):
+    return [(p, m - p) for p in range(1, (m + 1) // 2)]
+
+
+def frozen_self_conjugate(m):
+    return (0, m // 2) if m % 2 == 0 else (0,)
+
+
+def frozen_mk(ring, coeffs, shift=0):
+    if ring.kind == "laurent":
+        lo = 0
+        hi = len(coeffs)
+        while lo < hi and coeffs[lo] == 0:
+            lo += 1
+        while hi > lo and coeffs[hi - 1] == 0:
+            hi -= 1
+        if lo == hi:
+            return RingElement(ring, (), 0)
+        return RingElement(ring, tuple(coeffs[lo:hi]), shift + lo)
+    return RingElement(ring, tuple(coeffs), 0)
+
+
+def frozen_zero(ring):
+    if ring.kind == "Z":
+        return RingElement(ring, (0,))
+    if ring.kind == "cyclic":
+        return RingElement(ring, (0,) * ring.m)
+    return RingElement(ring, ())
+
+
+def frozen_from_int(ring, n):
+    if ring.kind == "Z":
+        return RingElement(ring, (n,))
+    if ring.kind == "cyclic":
+        return frozen_mk(ring, (n,) + (0,) * (ring.m - 1))
+    return frozen_mk(ring, (n,), 0)
+
+
+def frozen_monomial(ring, k, coeff=1):
+    if ring.kind == "Z":
+        if k != 0:
+            raise DomainError("the integers have no nontrivial monomials")
+        return RingElement(ring, (coeff,))
+    if ring.kind == "cyclic":
+        v = [0] * ring.m
+        v[k % ring.m] = coeff
+        return frozen_mk(ring, v)
+    return frozen_mk(ring, (coeff,), k)
+
+
+def frozen_add(a, b):
+    ring = a.ring
+    if ring.kind != "laurent":
+        return frozen_mk(ring, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    if not a.coeffs:
+        return b
+    if not b.coeffs:
+        return a
+    lo = min(a.shift, b.shift)
+    hi = max(a.shift + len(a.coeffs), b.shift + len(b.coeffs))
+    v = [0] * (hi - lo)
+    for i, c in enumerate(a.coeffs):
+        v[a.shift - lo + i] += c
+    for i, c in enumerate(b.coeffs):
+        v[b.shift - lo + i] += c
+    return frozen_mk(ring, v, lo)
+
+
+def frozen_neg(a):
+    return RingElement(a.ring, tuple(-c for c in a.coeffs), a.shift)
+
+
+def frozen_mul(a, b):
+    ring = a.ring
+    if ring.kind == "Z":
+        return RingElement(ring, (a.coeffs[0] * b.coeffs[0],))
+    if ring.kind == "cyclic":
+        m = ring.m
+        v = [0] * m
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        v[(i + j) % m] += x * y
+        return frozen_mk(ring, v)
+    if not a.coeffs or not b.coeffs:
+        return frozen_zero(ring)
+    v = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                v[i + j] += x * y
+    return frozen_mk(ring, v, a.shift + b.shift)
+
+
+def frozen_involute(a):
+    ring = a.ring
+    if ring.kind == "Z":
+        return a
+    if ring.kind == "cyclic":
+        m = ring.m
+        v = [0] * m
+        for k, c in enumerate(a.coeffs):
+            v[(m - k) % m] += (ring.w ** k) * c
+        return frozen_mk(ring, v)
+    if not a.coeffs:
+        return a
+    return frozen_mk(ring, tuple(reversed(a.coeffs)), -(a.shift + len(a.coeffs) - 1))
+
+
+def frozen_symmetrize(a, epsilon):
+    if epsilon == 1:
+        return frozen_add(a, frozen_involute(a))
+    return frozen_add(a, frozen_neg(frozen_involute(a)))
+
+
+def frozen_symmetrize_preimage(a, epsilon):
+    ring = a.ring
+    if ring.kind == "Z":
+        n = a.coeffs[0]
+        if epsilon == 1:
+            return frozen_from_int(ring, n // 2) if n % 2 == 0 else None
+        return frozen_zero(ring) if n == 0 else None
+    if ring.kind == "cyclic":
+        m, c = ring.m, a.coeffs
+        x = [0] * m
+        for p, e in frozen_pairs(m):
+            if c[e] != epsilon * ring.w ** p * c[p]:
+                return None
+            x[p] = c[p]
+        for e in frozen_self_conjugate(m):
+            if epsilon * ring.w ** e == 1 and c[e] % 2 == 0:
+                x[e] = c[e] // 2
+            elif c[e]:
+                return None
+        return frozen_mk(ring, x)
+    if not a.coeffs:
+        return a
+    b = a.shift + len(a.coeffs) - 1
+    if a.shift != -b:
+        return None
+    c = a.coeffs
+    if any(c[b - k] != epsilon * c[b + k] for k in range(1, b + 1)):
+        return None
+    if c[b] % 2 if epsilon == 1 else c[b]:
+        return None
+    return frozen_mk(ring, (c[b] // 2,) + c[b + 1:], 0)
+
+
+def frozen_q_eps_reduce(a, epsilon):
+    ring = a.ring
+    if ring.kind == "Z":
+        n = a.coeffs[0]
+        return a if epsilon == 1 else frozen_from_int(ring, n % 2)
+    if ring.kind == "cyclic":
+        m, c = ring.m, a.coeffs
+        v = [0] * m
+        for p, e in frozen_pairs(m):
+            v[e] = c[e] + epsilon * ring.w ** e * c[p]
+        for e in frozen_self_conjugate(m):
+            v[e] = c[e] if epsilon * ring.w ** e == 1 else c[e] % 2
+        return frozen_mk(ring, v)
+    if not a.coeffs:
+        return a
+    lo, hi = a.shift, a.shift + len(a.coeffs) - 1
+    base = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    v = [0] * (max(abs(lo), abs(hi)) - base + 1)
+    for i, c in enumerate(a.coeffs):
+        e = lo + i
+        if e >= 0:
+            v[e - base] += c
+        else:
+            v[-e - base] += epsilon * c
+    if base == 0 and epsilon == -1:
+        v[0] %= 2
+    return frozen_mk(ring, v, base)
+
+
+def frozen_q_eps_group(ring, epsilon, window=None):
+    if ring.kind == "Z":
+        ring = cyclic(1)
+    if ring.kind == "cyclic":
+        pairs, signs = len(frozen_pairs(ring.m)), [epsilon * ring.w ** e for e in frozen_self_conjugate(ring.m)]
+    else:
+        pairs, signs = window, [epsilon]
+    return AbelianGroup(pairs + signs.count(1), (2,) * signs.count(-1))
+
+
+def window_of(a):
+    """Everything an element holds, so that equal means the same coefficients at the same shift."""
+    return None if a is None else (a.ring, type(a.coeffs), a.coeffs, a.shift)
+
+
+def element_over(ring):
+    """Elements of ring: any coefficients over Z and Z[Z/m]; over Z[z, z^-1] windows below,
+    straddling and above 0, and the zero element, whose shift 0 is no exponent."""
+    if ring.kind == "laurent":
+        return st.one_of(laurent_windows(), st.just(frozen_zero(L)))
+    m = ring.m or 1
+    return st.lists(st.integers(-9, 9), min_size=m, max_size=m).map(lambda cs: frozen_mk(ring, cs))
+
+
+EVERY_RING = st.one_of(st.just(Z), st.sampled_from(ALL_CYCLIC), st.just(L))
+
+
+@st.composite
+def ring_triples(draw):
+    ring = draw(EVERY_RING)
+    return tuple(draw(element_over(ring)) for _ in range(3))
+
+
+@settings(max_examples=500)
+@given(ring_triples(), st.integers(-40, 40), st.integers(-9, 9), st.sampled_from([1, -1]))
+def test_each_ring_operation_gives_what_its_per_ring_branches_gave(elements, k, n, eps):
+    a, b, _ = elements
+    ring = a.ring
+    assert window_of(rings.zero(ring)) == window_of(frozen_zero(ring))
+    assert window_of(from_int(ring, n)) == window_of(frozen_from_int(ring, n))
+    if ring != Z or k == 0:
+        assert window_of(monomial(ring, k, n)) == window_of(frozen_monomial(ring, k, n))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert window_of(add(x, y)) == window_of(frozen_add(x, y))
+        assert window_of(sub(x, y)) == window_of(frozen_add(x, frozen_neg(y)))
+        assert window_of(mul(x, y)) == window_of(frozen_mul(x, y))
+    for x in (a, b, symmetrize(a, eps), symmetrize(a, -eps)):
+        assert window_of(rings.neg(x)) == window_of(frozen_neg(x))
+        assert window_of(involute(x)) == window_of(frozen_involute(x))
+        assert window_of(symmetrize(x, eps)) == window_of(frozen_symmetrize(x, eps))
+        assert window_of(symmetrize_preimage(x, eps)) == window_of(frozen_symmetrize_preimage(x, eps))
+        assert window_of(desymmetrize(x, eps)) == window_of(frozen_symmetrize_preimage(x, -eps))
+        assert window_of(q_eps_reduce(x, eps).rep) == window_of(frozen_q_eps_reduce(x, eps))
+    window = abs(k) if ring == L else None
+    assert q_eps_group(ring, eps, window) == frozen_q_eps_group(ring, eps, window)
+
+
+@settings(max_examples=300)
+@given(ring_triples())
+def test_addition_and_multiplication_satisfy_the_ring_axioms(elements):
+    a, b, c = elements
+    ring = a.ring
+    zero, unit = rings.zero(ring), one(ring)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+    assert add(a, zero) == a == add(zero, a) and mul(a, unit) == a == mul(unit, a)
+    assert mul(a, zero) == zero and sub(a, a) == zero and rings.is_zero(add(a, rings.neg(a)))
+
+
+@pytest.mark.parametrize("eps", [0, 2, -3])
+@pytest.mark.parametrize("ring", [Z, cyclic(1), C2, cyclic(3), C4, L], ids=str)
+def test_an_epsilon_other_than_plus_or_minus_one_is_refused(ring, eps):
+    a = one(ring)
+    calls = {
+        "symmetrize": lambda: symmetrize(a, eps),
+        "symmetrize_preimage": lambda: symmetrize_preimage(a, eps),
+        "desymmetrize": lambda: desymmetrize(a, eps),
+        "in_symmetrize_image": lambda: in_symmetrize_image(a, eps),
+        "q_eps_reduce": lambda: q_eps_reduce(a, eps),
+        "q_eps_group": lambda: q_eps_group(ring, eps, window=2),
+        "q_eps_group without a window": lambda: q_eps_group(ring, eps),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (name, str(err.value)) == (name, "epsilon must be +1 or -1")
+
+
+def test_only_the_normal_form_builds_a_ring_element():
+    pkg = os.path.dirname(rings.__file__)
+    names = sorted(n for n in os.listdir(pkg) if n.endswith(".py"))
+    assert {"rings.py", "matrices.py", "serialize.py"} <= set(names)
+    builds = {}
+    for name in names:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            count = fh.read().count("RingElement(")
+        if count:
+            builds[name] = count
+    assert builds == {"rings.py": inspect.getsource(rings._mk).count("RingElement(")}

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import matrices as mx, rings, unitary
 from surgery_algebra.errors import DomainError, SchemaError, SingularMatrixError, WrongRingError
@@ -18,7 +19,9 @@ from surgery_algebra.unitary import (
     unitary_from_matrix,
     unitary_membership,
 )
-from surgery_algebra.generators import hessian_corner, word as random_word
+from surgery_algebra.generators import hessian_corner, shears, word as random_word
+
+from test_closed_forms import ALL_RINGS
 
 Z = rings.integers()
 
@@ -149,3 +152,29 @@ def test_a_block_over_another_ring_is_a_wrong_ring_error():
             UnitaryAutomorphism(Z, 1, *blocks)
     with pytest.raises(SchemaError, match="^block beta must be 1x1$"):
         UnitaryAutomorphism(Z, 1, one, mx.identity_matrix(rings.cyclic(3), 2), one, other)
+
+
+# -- the group laws over every ring ---------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, -1]), st.integers(0, 2**32))
+def test_the_generators_obey_the_group_laws(ring, k, eps, seed):
+    """sigma^2 = eps I; the elementary corners add and the diagonal blocks multiply, in that
+    order; u composed with its inverse is the identity, and membership is closed under
+    both.  Every membership test desymmetrizes the diagonals of two corners over the ring."""
+    rng = random.Random(seed)
+    x, y = hessian_corner(rng, ring, k, eps), hessian_corner(rng, ring, k, eps)
+    b1, b2 = shears(rng, ring, k, 4), shears(rng, ring, k, 4)
+    sig = sigma_eps(ring, eps, k)
+    assert compose(sig, sig).matrix() == mx.identity_matrix(ring, 2 * k).scale_int(eps)
+    for elementary in (elementary_lower, elementary_upper):
+        assert compose(elementary(x, eps), elementary(y, eps)) == elementary(x.add(y), eps)
+    assert compose(elementary_diag(b1, eps), elementary_diag(b2, eps)) == elementary_diag(b1.mul(b2), eps)
+    u = compose(compose(elementary_lower(x, eps), elementary_diag(b1, eps)), elementary_upper(y, eps))
+    v = compose(sig, elementary_diag(b2, eps))
+    ident = identity_unitary(ring, eps, k)
+    for w in (u, v, compose(u, v), compose(v, u)):
+        assert unitary_membership(w) and unitary_membership(inverse(w))
+        assert compose(w, inverse(w)) == ident == compose(inverse(w), w)

@@ -19,7 +19,7 @@ from surgery_algebra.forms import (
     symmetric_form,
 )
 from surgery_algebra.lagrangians import surgery_on_form
-from surgery_algebra.witt import WittClass, arf, signature, symplectic_basis, witt_class
+from surgery_algebra.witt import WittClass, arf, signature, witt_class
 
 from conftest import random_split, random_unimodular
 from test_forms import arf_form
@@ -27,6 +27,50 @@ from test_closed_forms import outcome
 from test_matrices import E8_ROWS
 
 Z = rings.integers()
+
+
+# -- the integer symplectic basis, the reference for the mod-2 Arf invariant ----
+
+
+def _symplectic_pairs(g: list[list[int]]) -> list[list[int]]:
+    """Grid B with columns u_1..u_m, v_1..v_m and B'·g·B = [[0, I], [-I, 0]].
+
+    Each level pairs u = e_1 with a v solving row 1 of g against 1.  The rows
+    u'g and v'g cut out the orthogonal complement of the pair, with primitive
+    kernel basis comp, and the next level's live block is its Gram matrix
+    comp'·g·comp, two ranks smaller.  The deeper pairs come back as the
+    columns of S in comp's coordinates, so one product comp·S lifts them all
+    to the original coordinates.
+    """
+    k = len(g)
+    if k == 0:
+        return []
+    if k % 2 == 1:
+        raise SingularMatrixError("an odd-rank antisymmetric form is singular")
+    sol = _intlat.solve([g[0]], [[1]])
+    if sol is None:
+        raise SingularMatrixError("no vector pairs to a unit: the form is not unimodular")
+    v = [x for (x,) in sol]
+    comp = _intlat.kernel_basis([g[0], _intlat.matmul([v], g)[0]])
+    sub = _intlat.matmul(_intlat.transpose(comp), _intlat.matmul(g, comp))
+    lifted = _intlat.matmul(comp, _symplectic_pairs(sub))
+    h = k // 2 - 1
+    return [[int(r == 0)] + lifted[r][:h] + [v[r]] + lifted[r][h:] for r in range(k)]
+
+
+def symplectic_basis(form) -> mx.FormMatrix:
+    """Change of basis B with B'·lambda·B = [[0, I], [-I, 0]].
+
+    Column i pairs with column i+m to the value 1.  Requires a unimodular
+    antisymmetric form over the integers.  This is the O(k^4) integer basis,
+    one Smith form and k x k products per pair, whose entries grow with the
+    rank.  Nothing in the package needs the basis itself, so it lives here as
+    the reference for the mod-2 Arf invariant, ``witt._arf_mod2``.
+    """
+    grid = witt._int_symmetric(form, -1, "the symplectic basis")
+    if not _intlat.is_unimodular(grid):
+        raise SingularMatrixError("the symplectic basis needs a unimodular form")
+    return mx.int_matrix(_symplectic_pairs(grid))
 
 
 def e8_quadratic():
@@ -397,7 +441,10 @@ def test_the_symmetric_witt_class_reads_det_off_the_signature_pass(monkeypatch):
 def test_witt_class_and_arf_never_build_the_symplectic_basis(monkeypatch):
     q = transported(direct_sum(arf_form(), hyperbolic_quadratic(Z, -1, 3)),
                     random_unimodular(random.Random(42), Z, 8))
-    monkeypatch.setattr(witt, "_symplectic_pairs", lambda g: pytest.fail("the basis was built"))
+    assert not hasattr(witt, "_symplectic_pairs") and not hasattr(witt, "symplectic_basis")
+    # each level of the basis solves for its v and takes the kernel of the pair's rows
+    for name in ("solve", "kernel_basis"):
+        monkeypatch.setattr(_intlat, name, lambda *a, name=name: pytest.fail(f"_intlat.{name} was called"))
     assert witt_class(q) == WittClass(-1, 1)
     assert arf(q) == 1
 
