@@ -347,9 +347,7 @@ def hermite_column_basis(a: list[list[int]]):
 
 
 def same_span(a: list[list[int]], b: list[list[int]]) -> bool:
-    """True iff the columns of a and b span the same sublattice."""
-    if len(a) != len(b):
-        return False
+    """True iff the columns of a and b, of one height, span the same sublattice."""
     ha, _ = hermite_column_basis(a)
     hb, _ = hermite_column_basis(b)
     return ha == hb

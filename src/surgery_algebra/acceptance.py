@@ -34,32 +34,6 @@ def fixture_names(prefix: str) -> list[str]:
     return sorted(out)
 
 
-def _random_minus_eps_form(rng: random.Random, eps: int, k: int,
-                           singular: bool) -> forms.QuadraticForm:
-    """A (-eps)-quadratic form over Z, optionally a visibly singular one."""
-    ep = -eps
-    lam = [[0] * k for _ in range(k)]
-    mu = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = rng.randint(-3, 3)
-            lam[i][j] = v
-            lam[j][i] = ep * v
-    for i in range(k):
-        if ep == 1:
-            m = rng.randint(-2, 2)
-            lam[i][i] = 2 * m
-            mu.append(m)
-        else:
-            mu.append(rng.randint(0, 1))
-    if singular and k > 0:
-        for j in range(k):
-            lam[k - 1][j] = 0
-            lam[j][k - 1] = 0
-        mu[k - 1] = 0
-    return forms.quadratic_form(Z, ep, lam, mu)
-
-
 # --- criteria -------------------------------------------------------------
 
 
@@ -274,7 +248,7 @@ def criterion_10():
         k = rng.randint(0, 3)
         singular = trial % 3 == 0 and k > 0
         singular_count += singular
-        kform = _random_minus_eps_form(rng, eps, k, singular)
+        kform = gen.minus_eps_form(rng, eps, k, singular)
         c, cob = fm.null_cobordism_of_boundary(kform)
         if not cx.validate_cobordism(c, cx.zero_complex(Z, c.parity), cob):
             return False, f"boundary trial {trial}: null-cobordism does not validate"
@@ -295,10 +269,7 @@ def criterion_11():
         c = fm.formation_to_complex(fm.formation_from_automorphism(u))
         s = None
         for attempt in range(200):
-            m = rng.choice([1, k])
-            j = gen.matrix(rng, Z, m, k, -1, 1)
-            delta = gen.matrix(rng, Z, m, m, -1, 1)
-            cand = cx.SurgeryData(j, delta)
+            cand = gen.surgery_data(rng, k, [1, k], 1)
             if cx.surgery_admissible(c, cand):
                 s = cand
                 break

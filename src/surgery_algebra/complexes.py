@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _intlat, forms, lagrangians, matrices, rings, unitary
+from . import _intlat, forms, lagrangians, matrices, unitary
 from .errors import DomainError, SchemaError, SingularMatrixError, WrongRingError
 from .matrices import FormMatrix
 from .rings import AbelianGroup, RingSpec
@@ -57,8 +57,7 @@ class OddComplex:
 
 
 def odd_complex(ring: RingSpec, parity: int, d, psi0, psi1) -> OddComplex:
-    conv = lambda m: m if isinstance(m, FormMatrix) else matrices.matrix(ring, m)
-    return OddComplex(ring, parity, conv(d), conv(psi0), conv(psi1))
+    return OddComplex(ring, parity, *(matrices.matrix(ring, m) for m in (d, psi0, psi1)))
 
 
 def zero_complex(ring: RingSpec, parity: int) -> OddComplex:
@@ -141,33 +140,44 @@ def _as_map_pair(f):
     return top, bottom
 
 
-def _solve_chi0(n: FormMatrix, dprime: FormMatrix, epsilon: int):
-    """chi0 with (chi0 - eps*chi0')·dprime' = n, over the integers, or None."""
-    t = dprime.cols
-    ds, n_grid = dprime.star().to_int_grid(), n.to_int_grid()
-    rows_n, cols_n = n.rows, n.cols
+def _chi_solvable(d: FormMatrix, n0: FormMatrix, r1, epsilon: int, chi1_free: bool) -> bool:
+    """Whether integer matrices chi0 and, when chi1_free, chi1 solve
+    (chi0 - eps*chi0')·d' = n0 and, unless r1 is None, d·chi0·d' - s = r1, with
+    s = chi1 + eps*chi1' when chi1_free and s = 0 otherwise.  That is one integer system,
+    a column per unknown entry and a row per entry of n0 and r1, decided by one Smith form."""
+    t, b = d.cols, d.rows
+    dg = d.to_int_grid()
     cols = []
-    for a in range(t):
-        for b in range(t):
-            ent = [[0] * t for _ in range(t)]
-            ent[a][b] += 1
-            ent[b][a] -= epsilon
-            img = _intlat.matmul(ent, ds)
-            cols.append([img[i][j] for i in range(rows_n) for j in range(cols_n)])
-    a_grid = [[cols[v][e] for v in range(t * t)] for e in range(rows_n * cols_n)]
-    b_grid = [[n_grid[i][j]] for i in range(rows_n) for j in range(cols_n)]
-    sol = _intlat.solve(a_grid, b_grid)
-    if sol is None:
-        return None
-    return matrices.int_matrix([[sol[a * t + b][0] for b in range(t)] for a in range(t)])
+    for i in range(t):
+        for j in range(t):  # the entry chi0_ij
+            col = [0] * (t * b)
+            for s in range(b):
+                col[i * b + s] += dg[s][j]
+                col[j * b + s] -= epsilon * dg[s][i]
+            if r1 is not None:
+                col += [dg[r][i] * dg[s][j] for r in range(b) for s in range(b)]
+            cols.append(col)
+    if chi1_free and r1 is not None:
+        for i in range(b):
+            for j in range(b):  # the entry chi1_ij
+                col = [0] * (t * b + b * b)
+                col[t * b + i * b + j] -= 1
+                col[t * b + j * b + i] -= epsilon
+                cols.append(col)
+    rhs = [x for g in (n0, r1) if g is not None for row in g.to_int_grid() for x in row]
+    if not any(rhs):
+        return True
+    return bool(cols) and _intlat.solve([list(r) for r in zip(*cols)], [[x] for x in rhs]) is not None
 
 
 def verify_map(f, chi0, chi1, source: OddComplex, target: OddComplex, weak: bool = False) -> bool:
     """Chain map plus the two quadratic identities; weak drops the psi1 one.
 
-    chi0 = None asks for a canonical solution (computed over the integers,
-    otherwise the zero candidate is tried); chi1 = None tests solvability
-    of its identity locally.
+    chi0 = None asks whether some chi0 exists.  Which chi0 satisfies the psi1 identity
+    depends on that identity, so over the integers ``_chi_solvable`` decides chi0 together
+    with that identity, and with chi1 when chi1 = None, in one integer system.  Off the
+    integers chi0 = 0 is tried, and a WrongRingError asks for a chi0 witness when it fails
+    an identity the call checks.  chi1 = None asks whether some chi1 exists.
     """
     if source.ring != target.ring or source.parity != target.parity:
         return False
@@ -180,27 +190,24 @@ def verify_map(f, chi0, chi1, source: OddComplex, target: OddComplex, weak: bool
     if not target.d.mul(f_top).sub(f_bot.mul(source.d)).is_zero():
         return False
     n0 = f_top.mul(source.psi0).mul(f_bot.star()).sub(target.psi0)
-    if chi0 is None:
-        if n0.is_zero():
-            chi0 = matrices.zero_matrix(source.ring, target.rank_top, target.rank_top)
-        elif source.ring.kind == "Z":
-            chi0 = _solve_chi0(n0, target.d, eps)
-            if chi0 is None:
-                return False
+    n1 = None if weak else f_bot.mul(source.psi1).mul(f_bot.star()).sub(target.psi1)
+    if chi0 is None and source.ring.kind == "Z":
+        if n1 is not None:  # the psi1 identity as d·chi0·d' - s = r1, s the unknown chi1's part
+            n1 = n1.neg() if chi1 is None else chi1.add(chi1.star().scale_int(eps)).sub(n1)
+        return _chi_solvable(target.d, n0, n1, eps, chi1 is None)
+    guessed = chi0 is None
+    if guessed:
+        chi0 = matrices.zero_matrix(source.ring, target.rank_top, target.rank_top)
+    holds = n0.sub(chi0.sub(chi0.star().scale_int(eps)).mul(target.d.star())).is_zero()
+    if holds and n1 is not None:
+        m = n1.add(target.d.mul(chi0).mul(target.d.star()))
+        if chi1 is not None:
+            holds = m.sub(chi1.add(chi1.star().scale_int(eps))).is_zero()
         else:
-            raise WrongRingError("supply a chi0 witness over this ring")
-    cob0 = chi0.sub(chi0.star().scale_int(eps)).mul(target.d.star())
-    if not n0.sub(cob0).is_zero():
-        return False
-    if weak:
-        return True
-    n1 = f_bot.mul(source.psi1).mul(f_bot.star()).sub(target.psi1)
-    m = n1.add(target.d.mul(chi0).mul(target.d.star()))
-    if chi1 is not None:
-        return m.sub(chi1.add(chi1.star().scale_int(eps))).is_zero()
-    if not m.is_eps_symmetric(eps):
-        return False
-    return all(rings.in_symmetrize_image(m.entry(i, i), eps) for i in range(m.rows))
+            holds = forms.split_hessian_witness(m, -eps) is not None
+    if guessed and not holds:
+        raise WrongRingError("supply a chi0 witness over this ring")
+    return holds
 
 
 def is_homotopy_equivalence(f, source: OddComplex, target: OddComplex,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import complexes, forms, lagrangians, matrices, rings
+from . import complexes, forms, lagrangians, matrices, rings, unitary
 from .errors import DomainError, PreconditionError, SchemaError, WrongRingError
 from .forms import FormIsometry, QuadraticForm
 from .matrices import FormMatrix
@@ -45,8 +45,7 @@ class Formation:
 
 
 def formation(ring: RingSpec, epsilon: int, q: QuadraticForm, f, g) -> Formation:
-    conv = lambda m: m if isinstance(m, FormMatrix) else matrices.matrix(ring, m)
-    return Formation(ring, epsilon, q, conv(f), conv(g))
+    return Formation(ring, epsilon, q, matrices.matrix(ring, f), matrices.matrix(ring, g))
 
 
 def formation_violations(phi: Formation) -> tuple[str, ...]:
@@ -275,8 +274,6 @@ def _boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, For
 
 def formation_from_automorphism(u) -> Formation:
     """(H_eps(k); first summand, image of the first block column of u)."""
-    from . import unitary
-
     if not unitary.unitary_membership(u):
         raise DomainError("the blocks do not satisfy the hyperbolic automorphism conditions")
     q = forms.hyperbolic_quadratic(u.ring, u.epsilon, u.k)

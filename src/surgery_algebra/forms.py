@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 from . import matrices, rings
-from .errors import DomainError, PreconditionError, SchemaError, WrongRingError
+from .errors import PreconditionError, SchemaError, WrongRingError
 from .matrices import FormMatrix
 from .rings import QEpsilonClass, RingSpec
 
@@ -28,8 +28,7 @@ from .rings import QEpsilonClass, RingSpec
 def _check_form(ring: RingSpec, epsilon: int, m: FormMatrix):
     """What every form class refuses, at every rank: eps other than +-1, a matrix over
     another ring than the form's, a matrix that is not square."""
-    if epsilon not in (1, -1):
-        raise DomainError("epsilon must be +1 or -1")
+    rings._check_epsilon(epsilon)
     if m.ring != ring:
         raise WrongRingError("form matrix over another ring than the form's")
     if m.rows != m.cols:
@@ -120,7 +119,6 @@ def symmetric_form(ring: RingSpec, epsilon: int, lam_rows) -> SymmetricForm:
 
 
 def quadratic_form(ring: RingSpec, epsilon: int, lam_rows, mu_entries) -> QuadraticForm:
-    lam = lam_rows if isinstance(lam_rows, FormMatrix) else matrices.matrix(ring, lam_rows)
     mus = []
     for m in mu_entries:
         if isinstance(m, QEpsilonClass):
@@ -129,12 +127,11 @@ def quadratic_form(ring: RingSpec, epsilon: int, lam_rows, mu_entries) -> Quadra
             mus.append(rings.q_eps_reduce(m, epsilon))
         else:
             mus.append(rings.q_eps_reduce(rings.from_int(ring, m), epsilon))
-    return QuadraticForm(ring, epsilon, lam, tuple(mus))
+    return QuadraticForm(ring, epsilon, matrices.matrix(ring, lam_rows), tuple(mus))
 
 
 def split_form(ring: RingSpec, epsilon: int, psi_rows) -> SplitForm:
-    psi = psi_rows if isinstance(psi_rows, FormMatrix) else matrices.matrix(ring, psi_rows)
-    return SplitForm(ring, epsilon, psi)
+    return SplitForm(ring, epsilon, matrices.matrix(ring, psi_rows))
 
 
 def _memoized(build):
@@ -193,10 +190,9 @@ def quadratic_to_split(q: QuadraticForm) -> SplitForm:
 
 
 def is_even(s: SymmetricForm) -> bool:
-    """True iff each diagonal value is a symmetrisation, i.e. the form is even."""
-    return all(
-        rings.in_symmetrize_image(s.lam.entry(i, i), s.epsilon) for i in range(s.rank)
-    )
+    """True iff each diagonal value is a symmetrisation, i.e. the form is even: as lambda
+    is eps-symmetric, iff lambda has a split hessian witness at -eps."""
+    return split_hessian_witness(s.lam, -s.epsilon) is not None
 
 
 def is_nonsingular(form) -> bool:

@@ -16,7 +16,8 @@ drew, in the same order, and keep the declared shape, a 0 x k draw included.
 from __future__ import annotations
 
 from . import matrices, rings, unitary
-from .forms import SplitForm
+from .complexes import SurgeryData
+from .forms import QuadraticForm, SplitForm, quadratic_form
 from .matrices import FormMatrix
 
 
@@ -92,3 +93,38 @@ def transport(rng, s: SplitForm, p: FormMatrix) -> SplitForm:
     chi = matrix(rng, s.ring, p.cols, p.cols, -1, 1)
     psi = p.star().mul(s.psi).mul(p).add(chi.sub(chi.star().scale_int(s.epsilon)))
     return SplitForm(s.ring, s.epsilon, psi)
+
+
+def minus_eps_form(rng, eps, k, singular=False) -> QuadraticForm:
+    """A (-eps)-quadratic form of rank k over Z: lambda_ij for i < j drawn in [-3, 3] row by
+    row, then each mu_i in [-2, 2] (lambda_ii = 2 mu_i) for -eps = 1 and in [0, 1] for -eps = -1.
+    singular (with k > 0) then zeroes the last row and column of lambda and the last mu."""
+    ep = -eps
+    lam = [[0] * k for _ in range(k)]
+    mu = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            v = rng.randint(-3, 3)
+            lam[i][j] = v
+            lam[j][i] = ep * v
+    for i in range(k):
+        if ep == 1:
+            m = rng.randint(-2, 2)
+            lam[i][i] = 2 * m
+            mu.append(m)
+        else:
+            mu.append(rng.randint(0, 1))
+    if singular and k > 0:
+        for j in range(k):
+            lam[k - 1][j] = 0
+            lam[j][k - 1] = 0
+        mu[k - 1] = 0
+    return quadratic_form(rings.Z, ep, lam, mu)
+
+
+def surgery_data(rng, k, sizes, bound) -> SurgeryData:
+    """Surgery data on a complex with C_(n+1) of rank k, over Z: the rank m of the new
+    module by ``rng.choice(sizes)``, then j (m x k, entries in [-bound, bound]) and
+    delta_psi0 (m x m, entries in [-1, 1]), each drawn as ``matrix`` draws."""
+    m = rng.choice(sizes)
+    return SurgeryData(matrix(rng, rings.Z, m, k, -bound, bound), matrix(rng, rings.Z, m, m, -1, 1))

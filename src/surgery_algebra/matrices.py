@@ -204,15 +204,15 @@ _set = object.__setattr__
 
 
 def _exponent(ring: RingSpec, k: int) -> int:
-    """The key of g^k: k mod m over Z[Z/m], k itself over Z[z,z^-1] (and Z, where k = 0)."""
-    return k % ring.m if ring.m else k
+    """The key of g^k: k mod m over Z[Z/m] and Z = Z[Z/1], k itself over Z[z,z^-1]."""
+    return k if ring.kind == "laurent" else k % (ring.m or 1)
 
 
 def _grid_matrix(ring: RingSpec, rows: int, cols: int, grids: dict) -> FormMatrix:
     """A matrix that takes ownership of its grids, which nobody may mutate afterwards."""
     # plain loops: this runs on every result, mostly of small matrices
     for k, g in grids.items():
-        if k and (k != _exponent(ring, k) or ring.kind == "Z"):
+        if k and k != _exponent(ring, k):
             raise SchemaError(f"no grid at exponent {k} over {ring}")
         if len(g) != rows:
             raise SchemaError("matrix entry grid does not match declared shape")
@@ -327,8 +327,10 @@ def from_windows(ring: RingSpec, rows: int, cols: int, windows) -> FormMatrix:
 
 
 def matrix(ring: RingSpec, data) -> FormMatrix:
-    """Build a matrix from rows of RingElements or ints; ``rings.from_int`` refuses any
-    other entry, a bool included."""
+    """Build a matrix from rows of RingElements or ints, or return a FormMatrix as it is;
+    ``rings.from_int`` refuses any other entry, a bool included."""
+    if isinstance(data, FormMatrix):
+        return data
     rows = len(data)
     cols = len(data[0]) if rows else 0
     if set(map(type, chain.from_iterable(data))) <= {int}:  # plain ints are grid 0
@@ -613,25 +615,23 @@ def _packing(m: FormMatrix):
 
 
 def _packed_elimination(m: FormMatrix, b: list[list[int]], packing=None):
-    """(width, rlo, clo, d, x) with P x = d b and d = +-det P != 0, else None, for P
-    from ``_packing``.  The Bareiss elimination of [P | b] runs on P packed at
-    z = 2^width, a ring map Z[z] -> Z: each exact division of polynomials is an
-    exact division of ints, and a polynomial is zero iff its image is.  d and x
-    are packed the same way."""
+    """(width, rlo, clo, d, x) with P x = d b and d = +-det P != 0, for P from ``_packing``.
+    The Bareiss elimination of [P | b] runs on P packed at z = 2^width, a ring map
+    Z[z] -> Z: each exact division of polynomials is an exact division of ints, and a
+    polynomial is zero iff its image is.  d and x are packed the same way.  d is never 0:
+    every caller has shown det m(1) = +-1 (``_augmentation_is_unit``), and P(1) = m(1), so
+    det P != 0, and d, its image, is nonzero as each of its coefficients is one digit."""
     width, rlo, clo, p, size = packing or _packing(m)
     if size > MAX_ELIMINATION_SIZE:
         raise SchemaError(f"a {m.rows}x{m.cols} matrix over {m.ring} packs into integers of up to "
                           f"{size // m.rows ** 2} bits, rank^2 * bits {size} beyond {MAX_ELIMINATION_SIZE}")
     d, x = _intlat.bareiss(p, b)
-    return (width, rlo, clo, d, x) if d else None
+    return width, rlo, clo, d, x
 
 
 def _laurent_elimination(m: FormMatrix, b: list[list[int]]):
     """(width, rlo, clo, k, x) with P x = z^k b when det m = +-z^(k + sum rlo + sum clo), else None."""
-    found = _packed_elimination(m, b)
-    if found is None:
-        return None
-    width, rlo, clo, d, x = found
+    width, rlo, clo, d, x = _packed_elimination(m, b)
     e = abs(d)
     k, r = divmod(e.bit_length() - 1, width)
     if r or e & (e - 1):  # only +-2^(width k), the image of +-z^k, is a unit
@@ -659,14 +659,12 @@ def _folded(ring: RingSpec, grid: list[list[int]], width: int, shifts) -> FormMa
 
 def _cyclic_elimination(m: FormMatrix, b: list[list[int]], packing=None):
     """(width, rlo, clo, u, x) as from the packed elimination of m's lift, with u
-    the 1 x 1 matrix det P mod g^m - 1, which is a unit iff m is invertible; else None."""
+    the 1 x 1 matrix det P mod g^m - 1, which is a unit iff m is invertible; None when
+    ``_refused_mod_p`` shows m no unit first."""
     packing = packing or _packing(m)
     if _refused_mod_p(m, packing[4] >= 2 ** 20):
         return None
-    found = _packed_elimination(m, b, packing)
-    if found is None:
-        return None
-    width, rlo, clo, d, x = found
+    width, rlo, clo, d, x = _packed_elimination(m, b, packing)
     return width, rlo, clo, _folded(m.ring, [[d]], width, [[0]]), x
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import forms, matrices
+from . import forms, matrices, rings
 from .errors import DomainError, SchemaError, WrongRingError
 from .matrices import FormMatrix
 from .rings import RingSpec
@@ -32,8 +32,7 @@ class UnitaryAutomorphism:
     delta: FormMatrix
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise DomainError("epsilon must be +1 or -1")
+        rings._check_epsilon(self.epsilon)
         k = self.alpha.rows
         for name in ("alpha", "beta", "gamma", "delta"):
             b = getattr(self, name)
@@ -98,12 +97,15 @@ def elementary_diag(beta: FormMatrix, epsilon: int) -> UnitaryAutomorphism:
     return UnitaryAutomorphism(beta.ring, epsilon, beta, z, z, inv_star)
 
 
+def _check_corner(n: FormMatrix, epsilon: int):
+    """The one test of both elementary generators: n is a hessian difference theta - eps*theta'."""
+    if forms.split_hessian_witness(n, epsilon) is None:
+        raise DomainError("corner matrix is not of the form theta - eps*conj_transpose(theta)")
+
+
 def elementary_lower(n: FormMatrix, epsilon: int) -> UnitaryAutomorphism:
     """[[1, 0], [n, 1]]; the corner must be a hessian difference theta - eps*theta'."""
-    if forms.split_hessian_witness(n, epsilon) is None:
-        raise DomainError(
-            "corner matrix is not of the form theta - eps*conj_transpose(theta)"
-        )
+    _check_corner(n, epsilon)
     i = matrices.identity_matrix(n.ring, n.rows)
     z = matrices.zero_matrix(n.ring, n.rows, n.rows)
     return UnitaryAutomorphism(n.ring, epsilon, i, z, n, i)
@@ -133,9 +135,6 @@ def inverse(u: UnitaryAutomorphism) -> UnitaryAutomorphism:
 
 def elementary_upper(n: FormMatrix, epsilon: int) -> UnitaryAutomorphism:
     """[[1, n], [0, 1]] in closed form; the corner must again be a hessian difference."""
-    if forms.split_hessian_witness(n, epsilon) is None:
-        raise DomainError(
-            "corner matrix is not of the form theta - eps*conj_transpose(theta)"
-        )
+    _check_corner(n, epsilon)
     i = matrices.identity_matrix(n.ring, n.rows)
     return UnitaryAutomorphism(n.ring, epsilon, i, n, matrices.zero_matrix(n.ring, n.rows, n.rows), i)

@@ -140,8 +140,7 @@ class WittClass:
     value: int
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise DomainError("epsilon must be +1 or -1")
+        rings._check_epsilon(self.epsilon)
         if self.epsilon == -1 and self.value not in (0, 1):
             raise SchemaError("the antisymmetric class is a single bit")
 

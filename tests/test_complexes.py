@@ -250,3 +250,75 @@ def test_the_trace_of_a_surgery_is_a_cobordism(seed, parity, k):
 def test_a_trace_glued_to_its_reversal_is_a_cobordism(seed, parity, k):
     c, effect, trace = surgery_draw(seed, parity, k)
     assert validate_cobordism(c, c, union_cobordisms(c, effect, c, trace, reverse_cobordism(trace)))
+
+
+def shifted_copy(rng, parity):
+    """(c, c', chi): a random complex c and c' = c with its quadratic structure moved by
+    chi, so that the identity is a map c -> c' with chi0 = chi and chi1 = 0."""
+    c = random_complex(rng, parity, 2, 3)
+    chi = random_matrix(rng, Z, c.rank_top, c.rank_top)
+    cob = chi.sub(chi.star().scale_int(c.epsilon))
+    return c, OddComplex(Z, parity, c.d, c.psi0.sub(cob.mul(c.d.star())),
+                         c.psi1.add(c.d.mul(chi).mul(c.d.star()))), chi
+
+
+def identity_pair(ring, c):
+    return mx.identity_matrix(ring, c.rank_top), mx.identity_matrix(ring, c.rank_bottom)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32))
+def test_a_map_is_decided_without_a_chi0_witness_over_the_integers(parity, seed):
+    """Which chi0 the psi0 identity admits matters to the psi1 identity, so a missing chi0 is
+    solved for together with chi1; a chi0 fixed first fails some of these maps at eps = +1."""
+    c, shifted, chi = shifted_copy(random.Random(seed), parity)
+    ident = identity_pair(Z, c)
+    assert verify_map(ident, None, None, c, shifted)
+    assert verify_map(ident, None, mx.zero_matrix(Z, c.rank_bottom, c.rank_bottom), c, shifted)
+    assert verify_map(ident, None, None, c, shifted, weak=True)
+    assert is_homotopy_equivalence(ident, c, shifted)
+    assert verify_map(ident, chi, mx.zero_matrix(Z, c.rank_bottom, c.rank_bottom), c, shifted)
+
+
+def test_the_smallest_map_whose_chi0_is_not_zero():
+    # d = 1, and psi1 moves from 0 to 1: only chi0 = 1 (with chi1 = 0) makes the identity a map
+    c, cprime = odd_complex(Z, 0, [[1]], [[0]], [[0]]), odd_complex(Z, 0, [[1]], [[0]], [[1]])
+    ident = identity_pair(Z, c)
+    assert verify_map(ident, mx.int_matrix([[1]]), None, c, cprime)
+    assert verify_map(ident, None, None, c, cprime)
+    assert is_homotopy_equivalence(ident, c, cprime)
+    # with a chi1 witness: chi0 = 1, chi1 = 0 holds and chi1 = 1 does not; with chi0 missing,
+    # chi1 = 1 is completed by chi0 = 3, since 3 - 1 = 1 + 1
+    assert verify_map(ident, mx.int_matrix([[1]]), mx.int_matrix([[0]]), c, cprime)
+    assert not verify_map(ident, mx.int_matrix([[1]]), mx.int_matrix([[1]]), c, cprime)
+    assert not verify_map(ident, mx.int_matrix([[0]]), None, c, cprime)
+    assert verify_map(ident, None, mx.int_matrix([[1]]), c, cprime)
+    assert verify_map(ident, mx.int_matrix([[3]]), mx.int_matrix([[1]]), c, cprime)
+
+
+def test_a_map_that_no_chi0_rescues_is_refused():
+    # d = 0: chi0 cannot reach psi1, which moves by 1, an odd diagonal that is no symmetrisation
+    c, cprime = odd_complex(Z, 0, [[0]], [[1]], [[0]]), odd_complex(Z, 0, [[0]], [[1]], [[1]])
+    ident = identity_pair(Z, c)
+    assert not verify_map(ident, None, None, c, cprime)
+    assert verify_map(ident, None, None, c, cprime, weak=True)
+    assert not is_homotopy_equivalence(ident, c, cprime)
+    for k in range(-2, 3):
+        assert not verify_map(ident, mx.int_matrix([[k]]), None, c, cprime)
+    # an even move of psi1, by 2, is the symmetrisation chi1 + chi1' of chi1 = -1: the system finds it
+    moved = odd_complex(Z, 0, [[0]], [[1]], [[2]])
+    assert verify_map(ident, None, None, c, moved)
+    assert verify_map(ident, None, mx.int_matrix([[-1]]), c, moved)
+    assert not verify_map(ident, None, mx.int_matrix([[0]]), c, moved)
+
+
+def test_off_the_integers_a_failed_zero_chi0_asks_for_a_witness():
+    ring = rings.cyclic(2)
+    c, cprime = odd_complex(ring, 0, [[1]], [[0]], [[0]]), odd_complex(ring, 0, [[1]], [[0]], [[1]])
+    ident = identity_pair(ring, c)
+    with pytest.raises(WrongRingError, match="supply a chi0 witness"):
+        verify_map(ident, None, None, c, cprime)
+    assert verify_map(ident, None, None, c, cprime, weak=True)
+    assert verify_map(ident, mx.matrix(ring, [[1]]), None, c, cprime)
+    assert verify_map(ident, None, None, c, c)

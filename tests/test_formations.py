@@ -263,3 +263,14 @@ def test_a_formation_part_over_another_ring_is_a_wrong_ring_error():
     for a, b in ((phi, other), (phi, trivial_formation(Z, -1, 1))):
         with pytest.raises(WrongRingError, match="^formation sum needs one ring and one epsilon$"):
             direct_sum_formation(a, b)
+
+
+def test_a_direct_sum_off_the_standard_hyperbolic_form_is_valid_and_adds_homology():
+    phi = negate_formation(boundary_formation(quadratic_form(Z, -1, [[0]], [1])))
+    psi = boundary_formation(quadratic_form(Z, -1, [[0, 3], [-3, 0]], [0, 0]))
+    s = direct_sum_formation(phi, psi)
+    assert s.q == forms.direct_sum(phi.q, psi.q)  # -H is no standard hyperbolic form
+    assert validate_formation(s)
+    assert formation_homology(phi) == (AbelianGroup(1, ()), 1)
+    assert formation_homology(psi) == (AbelianGroup(0, (3, 3)), 0)
+    assert formation_homology(s) == (AbelianGroup(1, (3, 3)), 1)

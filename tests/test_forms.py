@@ -308,3 +308,19 @@ def test_a_form_over_floats_is_refused_by_type():
             quadratic_form(Z, 1, lam, mu)
         assert str(err.value) == message
     assert quadratic_form(Z, 1, [[2]], [1]).lam == mx.int_matrix([[2]])
+
+
+def test_the_symmetric_form_of_a_quadratic_form_keeps_lambda():
+    q = quadratic_form(Z, -1, [[0, 3], [-3, 0]], [1, 0])
+    s = q.symmetric()
+    assert (s.ring, s.epsilon, s.lam) == (q.ring, q.epsilon, q.lam)
+    assert is_even(s)
+
+
+def test_an_isometry_needs_its_determinant_when_lambda_is_singular():
+    # f = 2 on the rank-1 zero form preserves lambda = 0 and mu = 0, so only det f = 2 refuses it
+    zero = quadratic_form(Z, 1, [[0]], [0])
+    f = mx.int_matrix([[2]])
+    assert forms.is_quadratic_morphism(f, zero, zero)
+    assert not is_isometry(FormIsometry(f), zero, zero)
+    assert is_isometry(FormIsometry(mx.int_matrix([[-1]])), zero, zero)

@@ -1073,3 +1073,27 @@ def test_a_complement_is_refused_exactly_when_the_columns_are_no_split_injection
     assert mx.is_split_injection(b)
     assert (comp.rows, comp.cols, proj.rows, proj.cols) == (rows, rows - cols, rows - cols, rows)
     assert proj.mul(b).is_zero() and proj.mul(comp) == mx.identity_matrix(Z, rows - cols)
+
+
+PACKED_RINGS = [L] + CYCLIC_RINGS
+
+
+@given(st.sampled_from(PACKED_RINGS), st.integers(1, 5), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=200)
+def test_the_packed_elimination_never_meets_a_zero_pivot_after_z_to_1(ring, n, seed, unit):
+    """A matrix that passes z -> 1 has det P(1) = +-1, so the last Bareiss pivot +-det P is not 0:
+    units from the generators' elements, and non-units with a row times 2 - g^e, e != 0 mod m,
+    which passes z -> 1 while its determinant has norm 2^d - 1 > 1 for d the order of g^e."""
+    rng = random.Random(seed)
+    m = random_unimodular(rng, ring, n)
+    if not unit:
+        e = rng.choice((-1, 1)) * rng.randrange(1, 4) if ring == L else rng.randrange(1, ring.m)
+        rows, i = [list(r) for r in m.entries], rng.randrange(n)
+        rows[i] = [rings.mul(cyclic_element(ring, [(2, 0), (-1, e)]), x) for x in rows[i]]
+        m = mx.matrix(ring, rows)
+    assert mx._augmentation_is_unit(m)
+    for b in ([[]] * n, _intlat.identity(n)):
+        width, rlo, clo, d, x = mx._packed_elimination(m, b)
+        assert d != 0 and x is not None
+    assert mx.is_unimodular(m) == unit
+    assert (mx.try_inverse(m) is not None) == unit

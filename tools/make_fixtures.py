@@ -64,8 +64,7 @@ def search_surgery(rng: random.Random, c: cx.OddComplex, contractible: bool, bud
     k = c.rank_top
     sizes, bound = ([max(1, k - 1), k, k, k + 1, k + 2], 2) if contractible else ([1, k], 1)
     for _ in range(budget):
-        m = rng.choice(sizes)
-        s = cx.SurgeryData(gen.matrix(rng, Z, m, k, -bound, bound), gen.matrix(rng, Z, m, m, -1, 1))
+        s = gen.surgery_data(rng, k, sizes, bound)
         try:  # admissibility is tested once, by surgery_effect, and draws nothing
             effect, cob = cx.surgery_on_complex(c, s)
         except DomainError:
