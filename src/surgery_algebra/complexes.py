@@ -140,34 +140,35 @@ def _as_map_pair(f):
     return top, bottom
 
 
-def _chi_solvable(d: FormMatrix, n0: FormMatrix, r1, epsilon: int, chi1_free: bool) -> bool:
-    """Whether integer matrices chi0 and, when chi1_free, chi1 solve
-    (chi0 - eps*chi0')·d' = n0 and, unless r1 is None, d·chi0·d' - s = r1, with
-    s = chi1 + eps*chi1' when chi1_free and s = 0 otherwise.  That is one integer system,
-    a column per unknown entry and a row per entry of n0 and r1, decided by one Smith form."""
+def _chi_solvable(d: FormMatrix, n0: FormMatrix, n1, chi1, epsilon: int) -> bool:
+    """Whether an integer chi0 solves (chi0 - eps*chi0')·d' = n0 and, unless n1 is None,
+    makes m = n1 + d·chi0·d' equal chi1 + eps*chi1', for the given chi1 or for some.
+
+    Where the first identity holds, m - eps*m' = n1 - eps*n1' + d·n0 whatever chi0 is.  So
+    some chi1 exists iff that is 0 and, at eps = +1, m's diagonal is even: a row per
+    diagonal entry, with a slack column of 2.  With d of shape b x t, that is one integer
+    system of at most tb + b rows and t^2 + b columns, decided by one Smith form; a given
+    chi1 asks for all b^2 entries of d·chi0·d' and no slack."""
     t, b = d.cols, d.rows
-    dg = d.to_int_grid()
-    cols = []
-    for i in range(t):
-        for j in range(t):  # the entry chi0_ij
-            col = [0] * (t * b)
-            for s in range(b):
-                col[i * b + s] += dg[s][j]
-                col[j * b + s] -= epsilon * dg[s][i]
-            if r1 is not None:
-                col += [dg[r][i] * dg[s][j] for r in range(b) for s in range(b)]
-            cols.append(col)
-    if chi1_free and r1 is not None:
-        for i in range(b):
-            for j in range(b):  # the entry chi1_ij
-                col = [0] * (t * b + b * b)
-                col[t * b + i * b + j] -= 1
-                col[t * b + j * b + i] -= epsilon
-                cols.append(col)
-    rhs = [x for g in (n0, r1) if g is not None for row in g.to_int_grid() for x in row]
+    pairs, r1, free = [], None, chi1 is None
+    if n1 is not None and not free:
+        pairs = [(r, s) for r in range(b) for s in range(b)]
+        r1 = chi1.add(chi1.star().scale_int(epsilon)).sub(n1).to_int_grid()
+    elif n1 is not None:
+        if not n1.sub(n1.star().scale_int(epsilon)).add(d.mul(n0)).is_zero():
+            return False
+        pairs, r1 = [(r, r) for r in range(b) if epsilon == 1], n1.neg().to_int_grid()
+    dg, slack = d.to_int_grid(), len(pairs) if free else 0
+    # a column per entry chi0_pq, then the slacks; a row per entry (i, s) of (chi0 - eps*chi0')·d',
+    # then per entry (r, s) of d·chi0·d', less 2 times its slack
+    rows = [[(p == i) * dg[s][q] - epsilon * (q == i) * dg[s][p] for p in range(t) for q in range(t)]
+            + [0] * slack for i in range(t) for s in range(b)]
+    rows += [[dg[r][p] * dg[s][q] for p in range(t) for q in range(t)] + [-2 * (k == l) for l in range(slack)]
+             for k, (r, s) in enumerate(pairs)]
+    rhs = [x for row in n0.to_int_grid() for x in row] + [r1[r][s] for r, s in pairs]
     if not any(rhs):
         return True
-    return bool(cols) and _intlat.solve([list(r) for r in zip(*cols)], [[x] for x in rhs]) is not None
+    return t * t + slack > 0 and _intlat.solve(rows, [[x] for x in rhs]) is not None
 
 
 def verify_map(f, chi0, chi1, source: OddComplex, target: OddComplex, weak: bool = False) -> bool:
@@ -175,9 +176,11 @@ def verify_map(f, chi0, chi1, source: OddComplex, target: OddComplex, weak: bool
 
     chi0 = None asks whether some chi0 exists.  Which chi0 satisfies the psi1 identity
     depends on that identity, so over the integers ``_chi_solvable`` decides chi0 together
-    with that identity, and with chi1 when chi1 = None, in one integer system.  Off the
-    integers chi0 = 0 is tried, and a WrongRingError asks for a chi0 witness when it fails
-    an identity the call checks.  chi1 = None asks whether some chi1 exists.
+    with that identity, and with chi1 when chi1 = None, in one integer system.  Its Smith
+    form is the cost: for C_(n+1) of rank t and C_n of rank b it has t^2 + b columns, where
+    a given chi0 costs a few matrix products.  Off the integers chi0 = 0 is tried, and a
+    WrongRingError asks for a chi0 witness when it fails an identity the call checks.
+    chi1 = None asks whether some chi1 exists.
     """
     if source.ring != target.ring or source.parity != target.parity:
         return False
@@ -192,9 +195,7 @@ def verify_map(f, chi0, chi1, source: OddComplex, target: OddComplex, weak: bool
     n0 = f_top.mul(source.psi0).mul(f_bot.star()).sub(target.psi0)
     n1 = None if weak else f_bot.mul(source.psi1).mul(f_bot.star()).sub(target.psi1)
     if chi0 is None and source.ring.kind == "Z":
-        if n1 is not None:  # the psi1 identity as d·chi0·d' - s = r1, s the unknown chi1's part
-            n1 = n1.neg() if chi1 is None else chi1.add(chi1.star().scale_int(eps)).sub(n1)
-        return _chi_solvable(target.d, n0, n1, eps, chi1 is None)
+        return _chi_solvable(target.d, n0, n1, chi1, eps)
     guessed = chi0 is None
     if guessed:
         chi0 = matrices.zero_matrix(source.ring, target.rank_top, target.rank_top)

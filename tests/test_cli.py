@@ -566,6 +566,21 @@ def test_form_info_reads_evenness_off_the_validated_form(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_form_info_states_evenness_without_testing_it(tmp_path, monkeypatch):
+    # is_even and verify_map read the diagonal rule through split_hessian_witness
+    group_ring = tmp_path / "group-ring.json"
+    group_ring.write_text(json.dumps(transported_non_unit_form(3, 2, 1)), encoding="utf-8")
+    paths = [str(acceptance.fixture_path(name)) for name in ("e8.json", "arf.json", "hyperbolic-plus-1.json")]
+    paths.append(str(group_ring))
+    calls = []
+    for name in ("is_even", "split_hessian_witness"):
+        monkeypatch.setattr(forms, name, lambda *a, name=name: calls.append(name))
+    for src in paths:
+        status, report = run(["form-info", "--in", src, "--out", str(tmp_path / "report.json")])
+        assert (status, report["result"]["even"]) == (0, True)
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", [0, None, True, 1.5, "x", [], {}], ids=json.dumps)
 @pytest.mark.parametrize("verb", sorted(cli.NEEDS_INPUT))
 def test_no_top_level_json_value_ends_in_a_traceback(tmp_path, verb, value):

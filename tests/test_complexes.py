@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from surgery_algebra import complexes as cx, matrices as mx, rings
+from surgery_algebra import _intlat, complexes as cx, matrices as mx, rings
 from surgery_algebra.complexes import (
     Cobordism,
     OddComplex,
@@ -322,3 +322,65 @@ def test_off_the_integers_a_failed_zero_chi0_asks_for_a_witness():
     assert verify_map(ident, None, None, c, cprime, weak=True)
     assert verify_map(ident, mx.matrix(ring, [[1]]), None, c, cprime)
     assert verify_map(ident, None, None, c, c)
+
+
+def dense_chi_solvable(d, n0, n1, eps, chi1=None):
+    """Whether integer chi0 and, when chi1 is None, chi1 solve (chi0 - eps*chi0')·d' = n0 and
+    n1 + d·chi0·d' = chi1 + eps*chi1', with every entry of each unknown a column and every
+    entry of both identities a row."""
+    t, b = d.cols, d.rows
+    fixed = mx.zero_matrix(Z, b, b) if chi1 is None else chi1.add(chi1.star().scale_int(eps))
+    width = t * t + (b * b if chi1 is None else 0)
+    dg = d.to_int_grid()
+    rows, rhs = [], []
+    for i in range(t):
+        for s in range(b):
+            row = [0] * width
+            for j in range(t):
+                row[i * t + j] += dg[s][j]
+                row[j * t + i] -= eps * dg[s][j]
+            rows.append(row)
+            rhs.append(n0.to_int_grid()[i][s])
+    for r in range(b):
+        for s in range(b):
+            row = [dg[r][p] * dg[s][q] for p in range(t) for q in range(t)] + [0] * (width - t * t)
+            if chi1 is None:
+                row[t * t + r * b + s] -= 1
+                row[t * t + s * b + r] -= eps
+            rows.append(row)
+            rhs.append(fixed.sub(n1).to_int_grid()[r][s])
+    return _intlat.solve(rows, [[x] for x in rhs]) is not None
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32))
+def test_a_missing_chi0_is_decided_as_by_the_dense_system(parity, seed):
+    """With chi1 free only the parity of the psi1 identity's diagonal depends on chi0: the reduced
+    system agrees with the one that takes every entry of chi0 and chi1 as an unknown, and with
+    chi1 given, with the one that takes every entry of chi0."""
+    rng = random.Random(seed)
+    c, shifted, _ = shifted_copy(rng, parity)
+    b = c.rank_bottom
+    chi1 = move = random_matrix(rng, Z, b, b, -1, 1)
+    if rng.random() < 0.5:  # a move by the symmetrisation of chi1 keeps the identity a map
+        move = move.add(move.star().scale_int(c.epsilon))
+    shifted = OddComplex(Z, parity, c.d, shifted.psi0, shifted.psi1.add(move))
+    ident = identity_pair(Z, c)
+    n0 = c.psi0.sub(shifted.psi0)
+    n1 = c.psi1.sub(shifted.psi1)
+    assert verify_map(ident, None, None, c, shifted) == dense_chi_solvable(c.d, n0, n1, c.epsilon)
+    if rng.random() < 0.5:  # one entry off: d·chi0·d' must make it up, off the diagonal too
+        r, s = rng.randrange(b), rng.randrange(b)
+        chi1 = chi1.add(mx.int_matrix([[int((i, j) == (r, s)) for j in range(b)] for i in range(b)]))
+    assert verify_map(ident, None, chi1, c, shifted) == dense_chi_solvable(c.d, n0, n1, c.epsilon, chi1)
+
+
+@pytest.mark.parametrize("parity, maps, refused", [(0, [[0, 1], [1, 0]], [[0, 2], [0, 0]]),
+                                                   (1, [[0, 1], [-1, 0]], [[0, 1], [1, 0]])])
+def test_psi1_moves_by_an_eps_symmetric_matrix_or_not_at_all(parity, maps, refused):
+    # d = 0: chi0 cannot reach psi1, and a move that is not eps-symmetric is no chi1 + eps*chi1'
+    c = odd_complex(Z, parity, [[0], [0]], [[0, 0]], [[0, 0], [0, 0]])
+    ident = identity_pair(Z, c)
+    assert verify_map(ident, None, None, c, odd_complex(Z, parity, [[0], [0]], [[0, 0]], maps))
+    assert not verify_map(ident, None, None, c, odd_complex(Z, parity, [[0], [0]], [[0, 0]], refused))
