@@ -24,7 +24,7 @@ except ImportError:  # not built in, or renamed (Python 3.12 has _sha2)
 
 from . import __version__, acceptance, complexes as cx, formations as fm, forms, lagrangians
 from . import plumbing, rings, serialize as sz, witt
-from .errors import DomainError, SchemaError, SurgeryAlgebraError
+from .errors import SchemaError, SurgeryAlgebraError
 
 # the largest hyperbolic form the CLI writes: rank 2048, about 8 MB of JSON
 MAX_HYPERBOLIC_ELL = 1024
@@ -317,6 +317,13 @@ def _read(path: str):
         return None
 
 
+def _failed(report: dict, e: BaseException, message: str, status: int) -> int:
+    """status, once report records the failure e: its message, its kind by the exit status
+    (2 for schema, 1 for domain) and where in the package it was raised."""
+    report.update(error=message, kind="schema" if status == 2 else "domain", where=acceptance._package_frame(e))
+    return status
+
+
 def main(argv=None) -> int:
     # the parser is built once and holds no verb functions; look each up here
     args = build_parser().parse_args(argv)
@@ -328,16 +335,8 @@ def main(argv=None) -> int:
     try:
         result = VERBS[args.verb][0](args)
         status = 0
-    except SchemaError as e:
-        report["error"] = str(e)
-        report["kind"] = "schema"
-        report["where"] = acceptance._package_frame(e)
-        status = 2
-    except (DomainError, SurgeryAlgebraError) as e:
-        report["error"] = str(e)
-        report["kind"] = "domain"
-        report["where"] = acceptance._package_frame(e)
-        status = 1
+    except SurgeryAlgebraError as e:
+        status = _failed(report, e, str(e), 2 if isinstance(e, SchemaError) else 1)
     if status == 0:
         report["result"] = result
         if args.verb == "suite" and not result["passed"]:
@@ -351,10 +350,15 @@ def main(argv=None) -> int:
     report["seconds"] = round(time.monotonic() - start, 3)
     text = sz.dumps_canonical(report)
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return status
+        except OSError as e:  # the report goes to stdout instead, as a schema error
+            report.pop("result", None)
+            status = _failed(report, e, f"cannot write the report to {args.output}: {e.strerror}", 2)
+            text = sz.dumps_canonical(report)
+    sys.stdout.write(text)
     return status
 
 

@@ -136,7 +136,7 @@ def _is_standard_hyperbolic(q: QuadraticForm) -> bool:
 def formation_homology(phi: Formation) -> tuple[AbelianGroup, int]:
     """(Q/(F+G) as an abelian group, rank of F cap G)."""
     if phi.ring.kind != "Z":
-        raise DomainError("formation homology is computed over the integers")
+        raise WrongRingError("formation homology is computed over the integers")
     coker, rank = matrices.cokernel(matrices.hstack(phi.f, phi.g))
     return coker, phi.f.cols + phi.g.cols - rank
 

@@ -25,8 +25,10 @@ being recognised by its structure (one grid, at exponent 0, equal to I), and a
 sum or difference with a matrix that keeps no grids returns the first summand.
 Both come after the ring and shape checks, and the result shares the operand's
 grids, which is safe as nobody mutates a grid once a matrix owns it.  Only this
-module writes grids: ``from_windows`` fills them from each entry's coefficient
-window for the constructor, the file reader and the seeded builders alike.
+module writes grids, each rows x cols and keyed by k = ``_exponent(ring, k)``.  That is
+checked where grids enter: ``from_windows`` (the constructor, the file reader and the
+seeded builders), ``matrix`` on int rows and ``upper_triangle`` on its diagonal.  Every
+other grid is built from checked operands, so ``_grid_matrix`` checks nothing.
 
 Integer lattice questions (Smith form, kernels, splitness) are answered
 exactly over the integers by the ``_intlat`` kernels, which read the stored
@@ -209,16 +211,8 @@ def _exponent(ring: RingSpec, k: int) -> int:
 
 
 def _grid_matrix(ring: RingSpec, rows: int, cols: int, grids: dict) -> FormMatrix:
-    """A matrix that takes ownership of its grids, which nobody may mutate afterwards."""
-    # plain loops: this runs on every result, mostly of small matrices
-    for k, g in grids.items():
-        if k and k != _exponent(ring, k):
-            raise SchemaError(f"no grid at exponent {k} over {ring}")
-        if len(g) != rows:
-            raise SchemaError("matrix entry grid does not match declared shape")
-        for r in g:
-            if len(r) != cols:
-                raise SchemaError("matrix entry grid does not match declared shape")
+    """A matrix that owns its grids, which nobody may mutate afterwards.  It checks nothing:
+    the caller vouches that each grid is rows x cols and each key k is ``_exponent(ring, k)``."""
     m = object.__new__(FormMatrix)
     _set(m, "ring", ring)
     _set(m, "rows", rows)
@@ -319,6 +313,8 @@ def from_windows(ring: RingSpec, rows: int, cols: int, windows) -> FormMatrix:
             if c:
                 f = flat.get(k)
                 if f is None:
+                    if k != _exponent(ring, k):
+                        raise SchemaError(f"no grid at exponent {k} over {ring}")
                     f = flat[k] = [0] * n
                 f[at] = c
             k += 1
@@ -334,14 +330,16 @@ def matrix(ring: RingSpec, data) -> FormMatrix:
     rows = len(data)
     cols = len(data[0]) if rows else 0
     if set(map(type, chain.from_iterable(data))) <= {int}:  # plain ints are grid 0
+        if any(len(r) != cols for r in data):
+            raise SchemaError("matrix entry grid does not match declared shape")
         return _grid_matrix(ring, rows, cols, {0: [list(r) for r in data]})
     ents = [[e if isinstance(e, RingElement) else rings.from_int(ring, e) for e in row] for row in data]
     return FormMatrix(ring, rows, cols, ents)
 
 
 def upper_triangle(m: FormMatrix, diagonal) -> FormMatrix:
-    """The strict upper triangle of the square m, copied grid by grid, with the ring
-    elements diagonal on its diagonal, each written from its window."""
+    """The strict upper triangle of the square m, copied grid by grid, with the ring elements
+    diagonal on its diagonal, each written from its window (SchemaError beyond the ring's)."""
     n = m.rows
     if len(diagonal) != n:
         raise SchemaError("matrix entry grid does not match declared shape")
@@ -352,6 +350,8 @@ def upper_triangle(m: FormMatrix, diagonal) -> FormMatrix:
         for k, c in enumerate(e.coeffs, e.shift):
             if c:
                 if k not in grids:
+                    if k != _exponent(m.ring, k):
+                        raise SchemaError(f"no grid at exponent {k} over {m.ring}")
                     grids[k] = _intlat.zeros(n, n)
                 grids[k][i][i] = c
     return _grid_matrix(m.ring, n, n, grids)

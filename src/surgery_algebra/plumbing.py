@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import forms, matrices, witt
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, WrongRingError
 from .forms import QuadraticForm
 from .rings import AbelianGroup, Z
 
@@ -72,7 +72,7 @@ def boundary_homology(q: QuadraticForm) -> tuple[AbelianGroup, int]:
     homotopy sphere.  One Bareiss determinant settles that case without a
     Smith form; any other form pays the Smith form as well."""
     if q.ring.kind != "Z":
-        raise DomainError("boundary homology is only computed over the integers")
+        raise WrongRingError("boundary homology is only computed over the integers")
     if matrices.is_unimodular(q.lam):
         return AbelianGroup(0, ()), 0
     coker, rank = matrices.cokernel(q.lam)

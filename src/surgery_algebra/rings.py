@@ -258,10 +258,6 @@ def desymmetrize(a: RingElement, epsilon: int):
     return symmetrize_preimage(a, -epsilon)
 
 
-def in_symmetrize_image(a: RingElement, epsilon: int) -> bool:
-    return symmetrize_preimage(a, epsilon) is not None
-
-
 @dataclass(frozen=True)
 class QEpsilonClass:
     """Canonical coset representative in Q_eps = Lambda / {a - eps*conj(a)}."""

@@ -197,6 +197,19 @@ def test_provenance_carries_input_digests_and_the_package_version(tmp_path):
     assert report["provenance"]["sha256"] == [] and report["provenance"]["version"] == "0.1.0"
 
 
+@pytest.mark.parametrize("verb", ["milnor", "form-info"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_written_is_reported_on_stdout(tmp_path, capsys, verb, target):
+    out = tmp_path / "no-such-directory" / "report.json" if target == "missing-directory" else tmp_path
+    args = ["milnor", "--ell", "3"] if verb == "milnor" else ["form-info", "--in", e8_path()]
+    status = cli.main(args + ["--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert (status, report["verb"], report["kind"]) == (2, verb, "schema")
+    assert report["where"].startswith("surgery_algebra.cli:main:")
+    assert report["error"].startswith(f"cannot write the report to {out}: ") and "result" not in report
+    assert not (tmp_path / "no-such-directory").exists()
+
+
 @pytest.mark.parametrize("content, message", [
     (b'{"epsilon": 1, "lambda": [[2]], "mu": ["\xff"]}', "not valid JSON ('utf-8' codec can't decode"),
     (b"[" * 400_000, "not valid JSON (maximum recursion depth exceeded"),
@@ -546,24 +559,6 @@ def test_form_info_on_a_transported_non_unit_is_quick(tmp_path, order, n, size):
     assert time.process_time() - start < 0.5
     assert (status, report["result"]) == (0, {"ring": {"ring": "cyclic", "m": order, "w": 1}, "epsilon": 1,
                                               "rank": n, "nonsingular": False, "even": True})
-
-
-def test_form_info_reads_evenness_off_the_validated_form(tmp_path, monkeypatch):
-    group_ring = tmp_path / "group-ring.json"
-    group_ring.write_text(json.dumps(transported_non_unit_form(3, 2, 1)), encoding="utf-8")
-    paths = [str(acceptance.fixture_path(name)) for name in ("e8.json", "arf.json", "hyperbolic-plus-1.json")]
-    paths.append(str(group_ring))
-    wants = []
-    for src in paths:
-        q = serialize.form_from_obj(serialize.read_json(src))
-        wants.append({"ring": serialize.ring_to_obj(q.ring), "epsilon": q.epsilon, "rank": q.rank,
-                      "nonsingular": forms.is_nonsingular(q), "even": forms.is_even(q)})
-    calls = []
-    monkeypatch.setattr(rings, "in_symmetrize_image", lambda *a: calls.append(a) or True)
-    for src, want in zip(paths, wants):
-        status, report = run(["form-info", "--in", src, "--out", str(tmp_path / "report.json")])
-        assert (status, report["result"]) == (0, want)
-    assert calls == []
 
 
 def test_form_info_states_evenness_without_testing_it(tmp_path, monkeypatch):

@@ -731,14 +731,15 @@ def test_construction_checks_shape_and_ring():
         mx.FormMatrix(C4, 1, 1, ((rings.monomial(C2, 1),),))
     with pytest.raises(WrongRingError):
         mx.matrix(C4, [[rings.one(Z)]])
-    with pytest.raises(SchemaError):
-        mx._grid_matrix(C4, 1, 1, {4: [[1]]})  # a grid at exponent m over Z[Z/m]
-    with pytest.raises(SchemaError):
-        mx._grid_matrix(C4, 1, 1, {-1: [[1]]})
-    with pytest.raises(SchemaError):
-        mx._grid_matrix(Z, 1, 1, {1: [[1]]})  # a nonzero exponent over Z
-    with pytest.raises(SchemaError):
-        mx._grid_matrix(Z, 2, 1, {0: [[1], [2, 3]]})
+    # the grid constructor checks nothing; the three places where grids enter refuse
+    with pytest.raises(SchemaError, match=r"^no grid at exponent 4 over Z\[Z/4\]\^-$"):
+        mx.from_windows(C4, 1, 1, [(4, [1])])  # a grid at exponent m over Z[Z/m]
+    with pytest.raises(SchemaError, match=r"^no grid at exponent -1 over Z\[Z/4\]\^-$"):
+        mx.upper_triangle(mx.zero_matrix(C4, 1, 1), [rings.RingElement(C4, (1,), -1)])
+    with pytest.raises(SchemaError, match="^no grid at exponent 1 over Z$"):
+        mx.upper_triangle(mx.zero_matrix(Z, 1, 1), [rings.RingElement(Z, (1,), 1)])  # a nonzero exponent over Z
+    with pytest.raises(SchemaError, match="^matrix entry grid does not match declared shape$"):
+        mx.matrix(Z, [[1], [2, 3]])
     with pytest.raises(WrongRingError):
         mx.matrix(C4, [[x]]).scale(rings.one(Z))
     with pytest.raises(WrongRingError):
@@ -1057,6 +1058,58 @@ def test_only_the_matrices_module_writes_the_grid_layout():
         if found:
             offenders[name] = found
     assert offenders == {}
+
+
+# -- the grid contract ---------------------------------------------------------------
+
+# both w, and orders 8 and 6 so that try_inverse takes the packed cyclic path from n = 3 or 4
+CONTRACT_RINGS = [Z, C3, C4, rings.cyclic(6, -1), rings.cyclic(8), rings.cyclic(8, -1), L]
+
+
+def assert_grid_contract(m):
+    """What ``_grid_matrix`` takes on trust: every grid rows x cols, every key its own exponent."""
+    assert isinstance(m, mx.FormMatrix)
+    for k, g in m._grids.items():
+        assert k == mx._exponent(m.ring, k), (m.ring, k)
+        assert len(g) == m.rows and all(len(r) == m.cols for r in g), (m.rows, m.cols, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(CONTRACT_RINGS), SIZES, SIZES, SIZES, st.integers(0, 2**32))
+def test_every_result_keeps_the_grid_contract(data, ring, rows, cols, inner, seed):
+    rng = random.Random(seed)
+    a, b, c = draw_matrix(data, ring, rows, cols), draw_matrix(data, ring, rows, cols), draw_matrix(data, ring, cols, inner)
+    square = draw_matrix(data, ring, rows, rows)
+    support = data.draw(st.sets(exponents(ring), max_size=3))
+    diagonal = [draw_element(data, ring, support) for _ in range(rows)]
+    picks = [data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else [] for n in (rows, cols)]
+    wr, wc, ws = data.draw(windows(ring))
+    unit = random_unimodular(rng, ring, data.draw(st.integers(0, 4)))
+    results = [a.add(b), a.sub(b), a.neg(), a.mul(c), a.scale(draw_element(data, ring, support)),
+               a.scale_int(data.draw(st.integers(-3, 3))), a.star(), a.submatrix(*picks),
+               mx.hstack(a, b), mx.vstack(a, b), mx.block_diagonal(a, c), mx.upper_triangle(square, diagonal),
+               mx.from_windows(ring, wr, wc, ws), mx.matrix(ring, [[rng.randint(-2, 2)] * cols] * rows),
+               mx.try_inverse(unit), mx.try_inverse(square), mx.identity_matrix(ring, rows)]
+    if ring == Z:  # the lattice wrappers, on grids from _intlat
+        r = data.draw(st.integers(0, rows))
+        results += [*mx.smith_normal_form(a), mx.kernel_basis(a), mx.solve_right(a, a.mul(c)),
+                    mx.completion_of_primitive_vector(unit.column(0)) if unit.rows else unit]
+        results += mx.complement_of_primitive(random_unimodular(rng, Z, rows).submatrix(range(rows), range(r)))
+    for m in results:
+        if m is not None:
+            assert_grid_contract(m)
+
+
+@pytest.mark.parametrize("ring, n, path", [(Z, 3, "regular"), (C4, 3, "regular"), (rings.cyclic(8), 3, "packed"),
+                                           (rings.cyclic(8, -1), 4, "packed"), (L, 3, "laurent")], ids=str)
+def test_each_inverse_path_keeps_the_grid_contract(ring, n, path):
+    assert (ring.kind == "laurent", ring.kind == "cyclic" and mx._packs_cyclic(n, ring.m)) == \
+        (path == "laurent", path == "packed")
+    rng = random.Random(n)
+    for _ in range(10):
+        inv = mx.try_inverse(random_unimodular(rng, ring, n))
+        assert inv is not None
+        assert_grid_contract(inv)
 
 
 # -- complements of primitive sublattices ----------------------------------------------

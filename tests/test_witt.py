@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surgery_algebra import _intlat, formations, forms, lagrangians, matrices as mx, rings, witt
+from surgery_algebra import _intlat, complexes, formations, forms, generators, lagrangians, matrices as mx
+from surgery_algebra import plumbing, rings, witt
 from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.forms import (
     FormIsometry,
@@ -487,3 +488,68 @@ def test_a_witt_class_refuses_any_other_epsilon_as_the_forms_do(eps):
         assert exc.type is DomainError
     with pytest.raises(SchemaError, match="^the antisymmetric class is a single bit$"):
         WittClass(-1, 2)
+
+
+# -- one error for "only over the integers" ---------------------------------------------
+
+
+@pytest.mark.parametrize("ring", [rings.cyclic(2), rings.laurent()], ids=str)
+@pytest.mark.parametrize("name", ["formation_homology", "boundary_homology", "complex_homology",
+                                  "union_cobordisms", "signature", "arf", "witt_class"])
+def test_every_integers_only_entry_point_refuses_another_ring_with_a_wrong_ring_error(ring, name):
+    zero = complexes.zero_complex(ring, 0)
+    none = mx.zero_matrix(ring, 0, 0)
+    calls = {
+        "formation_homology": lambda: formations.formation_homology(formations.trivial_formation(ring, 1, 1)),
+        "boundary_homology": lambda: plumbing.boundary_homology(hyperbolic_quadratic(ring, 1, 1)),
+        "complex_homology": lambda: complexes.complex_homology(complexes.odd_complex(ring, 0, [[0]], [[1]], [[0]])),
+        "union_cobordisms": lambda: complexes.union_cobordisms(zero, zero, zero, *[complexes.Cobordism(none, none, none)] * 2),
+        "signature": lambda: signature(hyperbolic_quadratic(ring, 1, 1)),
+        "arf": lambda: arf(hyperbolic_quadratic(ring, -1, 1)),
+        "witt_class": lambda: witt_class(hyperbolic_quadratic(ring, 1, 1)),
+    }
+    with pytest.raises(WrongRingError, match="over the integers$") as err:
+        calls[name]()
+    assert err.type is WrongRingError
+
+
+# -- laws of the Witt class over Z -----------------------------------------------------
+
+
+def witt_base(rng, eps):
+    """(k, H_eps(k) + X) for k = 1..3, with X nothing, E8 or -E8 at eps = +1 and nothing
+    or the Arf form at eps = -1; the hyperbolic block comes first, so e_1 .. e_k span a
+    lagrangian of it."""
+    k = rng.randint(1, 3)
+    extras = [None, e8_quadratic, lambda: negate(e8_quadratic())] if eps == 1 else [None, arf_form]
+    extra = rng.choice(extras)
+    h = hyperbolic_quadratic(Z, eps, k)
+    return k, h if extra is None else direct_sum(h, extra())
+
+
+def witt_sum(eps, a, b):
+    """The class of a direct sum: the signatures add at eps = +1, the Arf bits at eps = -1."""
+    return a.value + b.value if eps == 1 else a.value ^ b.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds)
+@pytest.mark.parametrize("eps", [1, -1])
+def test_the_witt_class_laws_over_the_integers(eps, seed):
+    rng = random.Random(seed)
+    k, q = witt_base(rng, eps)
+    want = witt_class(q)
+    assert witt_class(hyperbolic_quadratic(Z, eps, k)).value == 0
+    # transported along shears P, with a coboundary: q' = P* q P, so P x = e_i for x = P^-1 e_i
+    p = generators.shears(rng, Z, q.rank, 2 * q.rank)
+    s = generators.transport(rng, forms.quadratic_to_split(q), p)
+    moved = forms.split_to_quadratic(s)
+    assert witt_class(moved) == want
+    _, other = witt_base(rng, eps)
+    assert witt_class(direct_sum(moved, other)) == WittClass(eps, witt_sum(eps, want, witt_class(other)))
+    pinv = mx.inverse(p)
+    assert witt_class(surgery_on_form(moved, pinv.column(0))) == want
+    r = rng.randint(1, k)
+    residual, _ = lagrangians.sublagrangian_reduction(s, pinv.submatrix(range(q.rank), range(r)))
+    assert residual.rank == q.rank - 2 * r
+    assert witt_class(forms.split_to_quadratic(residual)) == want
