@@ -334,7 +334,9 @@ def _package_frame(exc: BaseException) -> str:
     """module:function:line of the innermost traceback frame inside this package."""
     where = "unknown"
     for frame, line in traceback.walk_tb(exc.__traceback__):
-        module = frame.f_globals.get("__name__", "")
+        # a module run as a script (python -m) is named "__main__"; its spec keeps its name
+        spec = frame.f_globals.get("__spec__")
+        module = spec.name if spec else frame.f_globals.get("__name__", "")
         if module.split(".")[0] == __package__:
             where = f"{module}:{frame.f_code.co_name}:{line}"
     return where

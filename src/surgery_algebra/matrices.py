@@ -40,7 +40,9 @@ representation R(M), with M invertible iff det R(M) = +-1; it serves Z, and
 Z[Z/m] off the packed shapes.  The packed one lifts M to Z[z], shifts each row
 and column down to exponent 0 and packs the result at z = 2^B (``_packing``);
 over Z[z,z^-1] M is invertible iff det P = +-z^k, over Z[Z/m] iff det P folded
-mod g^m - 1 is a unit.  Each operation has its own shape rule over Z[Z/m],
+mod g^m - 1 is a unit.  A Laurent inverse is checked on the packed ints it
+came from, P x = 2^(B k) I, within a bound (see ``try_inverse``); every other
+inverse by M M^-1 = I.  Each operation has its own shape rule over Z[Z/m],
 read off the ladder in CHANGES.md: ``_packs_cyclic`` for ``try_inverse`` and
 ``_packs_cyclic_det`` for ``is_unimodular``.  Two exact tests may answer "no"
 first: det M(1) = +-1 (z -> 1 maps units to units), before either layout, and
@@ -278,11 +280,12 @@ def _pack(grids: dict, lows, width: int, cols: int) -> list[list[int]]:
 
 
 def _unpack(grid: list[list[int]], width: int, lo: int) -> dict:
-    """{k: M_k} from a packed grid whose signed base-2^width digits, each of absolute value
-    under 2^(width-1), are the coefficients of z^lo, z^(lo+1), ...; only nonzero grids."""
+    """{k: M_k} from a packed grid whose signed base-2^width digits, each in [-2^(width-1),
+    2^(width-1)), are the coefficients of z^lo, z^(lo+1), ...; only nonzero grids.  Every
+    int has d such digits once |x| < 2^(width d - 2)."""
     size = width // 8
     rows, cols = _intlat.dims(grid)
-    digits = _max_abs((grid,)).bit_length() // width + 1
+    digits = (_max_abs((grid,)).bit_length() + 1) // width + 1
     nbytes = size * digits
     bias = _intlat._bias(size, digits)
     flat = [(x + bias) ^ bias for row in grid for x in row]
@@ -629,9 +632,9 @@ def _packed_elimination(m: FormMatrix, b: list[list[int]], packing=None):
     return width, rlo, clo, d, x
 
 
-def _laurent_elimination(m: FormMatrix, b: list[list[int]]):
+def _laurent_elimination(m: FormMatrix, b: list[list[int]], packing=None):
     """(width, rlo, clo, k, x) with P x = z^k b when det m = +-z^(k + sum rlo + sum clo), else None."""
-    width, rlo, clo, d, x = _packed_elimination(m, b)
+    width, rlo, clo, d, x = _packed_elimination(m, b, packing)
     e = abs(d)
     k, r = divmod(e.bit_length() - 1, width)
     if r or e & (e - 1):  # only +-2^(width k), the image of +-z^k, is a unit
@@ -676,9 +679,14 @@ def try_inverse(m: FormMatrix):
     elimination of [P | I]: x = d P^-1 over Z[z], so over Z[z,z^-1], where
     d = +-z^k, m^-1 = diag(z^-clo) z^-k x diag(z^-rlo), and over Z[Z/m], where
     u = d mod g^m - 1 must be a unit, m^-1 = u^-1 diag(g^-clo) x diag(g^-rlo)
-    folded mod g^m - 1, with u^-1 the 1 x 1 inverse read off R(u)^-1.  Either
-    result is checked by m m^-1 = I.  A matrix whose packed elimination would
-    exceed ``MAX_ELIMINATION_SIZE`` raises SchemaError.
+    folded mod g^m - 1, with u^-1 the 1 x 1 inverse read off R(u)^-1.  A matrix
+    whose packed elimination would exceed ``MAX_ELIMINATION_SIZE`` raises SchemaError.
+
+    The Laurent result is certified by P x = 2^(B k) I on the ints, B the width,
+    when |m| |m^-1| n min(grids of m, of m^-1) < 2^(B-1) - 1 (|.| the largest
+    coefficient): X(2^B) = x for X the polynomial of x's digits, and every
+    coefficient of P X - z^k I is then under 2^(B-1), so it is 0 iff its value at
+    2^B is.  Past that bound, and over Z[Z/m], m m^-1 = I checks the result.
     """
     if m.rows != m.cols or (m.ring.kind != "Z" and not _augmentation_is_unit(m)):
         return None
@@ -686,15 +694,20 @@ def try_inverse(m: FormMatrix):
         return m
     n, ring = m.rows, m.ring
     if ring.kind == "laurent":
-        found = _laurent_elimination(m, _intlat.identity(n))
+        packing = _packing(m)
+        found = _laurent_elimination(m, _intlat.identity(n), packing)
         if found is None:
             return None
         width, rlo, clo, k, x = found
         # entry (i, j) moves up by z^(top - clo[i] - rlo[j]), never down, so that
         # every entry starts at z^(-k - top)
         top = max(clo) + max(rlo)
-        x = [[v << width * (top - c - r) for v, r in zip(row, rlo)] for row, c in zip(x, clo)]
-        out = _grid_matrix(ring, n, n, _unpack(x, width, -k - top))
+        shifted = [[v << width * (top - c - r) for v, r in zip(row, rlo)] for row, c in zip(x, clo)]
+        out = _grid_matrix(ring, n, n, _unpack(shifted, width, -k - top))
+        a, b = m._grids, out._grids
+        if _max_abs(a.values()) * _max_abs(b.values()) * n * min(len(a), len(b)) < (1 << width - 1) - 1:
+            eye = [[v << width * k for v in r] for r in _intlat.identity(n)]
+            return out if _intlat.matmul(packing[3], x) == eye else None
     elif ring.kind == "cyclic" and _packs_cyclic(n, ring.m):
         found = _cyclic_elimination(m, _intlat.identity(n))
         uinv = found and _regular_inverse(found[3])

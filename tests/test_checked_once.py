@@ -4,6 +4,7 @@ code that tested the same facts again, on inputs that reach every failure."""
 import operator
 import random
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from surgery_algebra.lagrangians import LagrangianInclusion
 
 from conftest import random_complex, random_split_and_transport, random_unimodular
 from test_closed_forms import ALL_RINGS, outcome
-from test_matrices import cyclic_element, unit_lu
+from test_matrices import cyclic_element, unit_lu, wide_unit
 
 Z = rings.integers()
 EPS = st.sampled_from([1, -1])
@@ -441,6 +442,20 @@ def test_group_ring_invertibility_matches_the_old_paths(ring, n, seed, kind):
     m = group_ring_draw(random.Random(seed), ring, n, kind)
     assert outcome(mx.is_unimodular, m) == outcome(frozen_is_unimodular, m)
     assert outcome(mx.try_inverse, m) == outcome(frozen_try_inverse, m)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 10), seeds, st.sampled_from(["unit", "wide", "non-unit", "augmentation", "singular", "dense"]),
+       st.sampled_from([mx.MAX_ELIMINATION_SIZE, 2 ** 10]))
+def test_laurent_invertibility_matches_the_product_checked_path(n, seed, kind, cap):
+    """Laurent inverses certified on the packed ints against the path that checked each by
+    m m^-1 = I; "wide" units' larger coefficients send some to the product check past the
+    bound, and the lower cap brings in refusals."""
+    rng = random.Random(seed)
+    m = wide_unit(rng, n, 4) if kind == "wide" else group_ring_draw(rng, rings.laurent(), n, kind)
+    with mock.patch.object(mx, "MAX_ELIMINATION_SIZE", cap):
+        assert outcome(mx.is_unimodular, m) == outcome(frozen_is_unimodular, m)
+        assert outcome(mx.try_inverse, m) == outcome(frozen_try_inverse, m)
 
 
 # -- one Smith form per complex, one elimination per trivializer, one split-to-quadratic constructor

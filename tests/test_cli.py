@@ -1,10 +1,12 @@
-"""The command-line front end: exit codes and reports, run in process."""
+"""The command-line front end: exit codes and reports, run in process and once as python -m."""
 
 import builtins
 import hashlib
 import json
 import linecache
+import os
 import random
+import subprocess
 import sys
 import time
 
@@ -263,6 +265,17 @@ def test_an_error_report_names_the_innermost_package_frame(tmp_path, verb, form,
     assert (where_module, where_function) == (module, function)
     source = linecache.getline(sys.modules[module].__file__, int(line))
     assert "raise" in source and raised in source
+
+
+def test_an_error_report_names_the_package_frame_under_python_dash_m():
+    """Run as python -m, the CLI's frames are named "__main__"; the report names the module all the same."""
+    src = os.path.dirname(os.path.dirname(surgery_algebra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "surgery_algebra.cli", "hyperbolic", "--epsilon", "1", "--ell", "-1"],
+                          capture_output=True, text=True, env=env, timeout=60, check=False)
+    report = json.loads(done.stdout)
+    assert (done.returncode, report["kind"]) == (2, "schema")
+    assert report["where"].startswith("surgery_algebra.cli:verb_hyperbolic:")
 
 
 @pytest.mark.parametrize("eps", [0, 2, -3])

@@ -422,6 +422,112 @@ def test_dense_laurent_inverse_at_rank_12():
     assert_two_sided_inverse(m, mx.inverse(m))
 
 
+# -- the certificate of a Laurent inverse: P x = 2^(width k) I on the packed ints ---------
+
+@given(st.sampled_from(range(8, 73, 8)), st.data())
+def test_unpacked_digits_rebuild_every_int(width, data):
+    """The packed check reads x as X(2^width), X the polynomial of x's digits, so the
+    balanced digits of ``_unpack`` must give back every int, however far beyond one digit."""
+    half = 1 << width - 1
+    # +-2^(width t + width - 1) + d: the edges of t + 1 digits, 0x7f..ff among them
+    edges = st.builds(lambda s, t, d: s * (half << width * t) + d, st.sampled_from([1, -1]), st.integers(0, 6),
+                      st.integers(-1, 1))
+    entry = st.one_of(st.integers(-1, 1), edges, st.integers(-4 * half, 4 * half), st.integers(-2 ** 600, 2 ** 600))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    grid = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    digits = mx._unpack(grid, width, 0)
+    assert all(-half <= d < half for g in digits.values() for row in g for d in row)
+    assert [[sum(g[i][j] << width * t for t, g in digits.items()) for j in range(cols)] for i in range(rows)] == grid
+    assert mx._pack(digits, [0] * rows, width, cols) == grid
+
+
+def wide_unit(rng, n, bound):
+    """L·U with unit diagonals and off-diagonal coefficients of z^-1, 1, z in [-bound, bound]:
+    a unit whose inverse soon has coefficients past one 8-bit digit."""
+    lower, upper = (random_matrix(rng, L, n, n, -bound, bound).entries for _ in range(2))
+    return mx.matrix(L, [[lower[i][j] if j < i else int(i == j) for j in range(n)] for i in range(n)]).mul(
+        mx.matrix(L, [[upper[i][j] if j > i else int(i == j) for j in range(n)] for i in range(n)]))
+
+
+def narrowed_packing(shrink):
+    """``_packing`` with its width w replaced by shrink(w): a mis-derived width bound."""
+    real_packing, real_width = mx._packing, mx._width
+
+    def packing(m):
+        with mock.patch.object(mx, "_width", lambda bound: shrink(real_width(bound))):
+            return real_packing(m)
+    return packing
+
+
+@pytest.mark.parametrize("shrink", [lambda w: 8, lambda w: max(8, w - 8)], ids=["8-bit", "one-byte-narrower"])
+def test_a_too_narrow_packing_width_never_yields_a_wrong_inverse(shrink):
+    """At too narrow a width the digits of x are no longer the coefficients of m^-1, yet
+    P x = 2^(width k) I still holds on the ints; the bound sends those to the product check."""
+    rng, seen = random.Random(26), set()
+    for _ in range(80):
+        n = rng.randint(2, 4)
+        m = wide_unit(rng, n, 4)
+        if rng.random() < 0.5:  # a row times 2, 1 + z, 2z - 1 or z^-1 - 1 + z: no unit
+            rows = [list(r) for r in m.entries]
+            rows[0] = [rings.mul(cyclic_element(L, rng.choice(NON_UNITS)), x) for x in rows[0]]
+            m = mx.matrix(L, rows)
+        want = mx.try_inverse(m)
+        with mock.patch.object(mx, "_packing", narrowed_packing(shrink)):
+            got = mx.try_inverse(m)
+        assert got is None or got == want
+        seen.add((want is not None, got is not None))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_a_coefficient_summed_from_many_small_products_is_left_to_the_product_check():
+    """m^-1 = [[1, -f, f g], [0, 1, -g], [0, 0, 1]] for f = sum z^(i^2), g = sum z^(-i^2), i < 130:
+    f g has the constant coefficient 130 and small others.  At 8 bits x holds it as the digit
+    -126 and a carry, so |m| |x's digits| = 126 is under 2^7 - 1, and only the factor
+    n min(grids) of the bound keeps the wrong candidate from the packed check."""
+    top = 129 ** 2
+    squares = [int(int(k ** 0.5) ** 2 == k) for k in range(top + 1)]
+    f, g = (mx.from_windows(L, 1, 1, [w]).entry(0, 0) for w in [(0, squares), (-top, squares[::-1])])
+    m = mx.matrix(L, [[1, f, 0], [0, 1, g], [0, 0, 1]])
+    with mock.patch.object(mx, "_packing", narrowed_packing(lambda w: 8)):
+        assert mx.try_inverse(m) is None
+
+
+def count_products(monkeypatch):
+    calls = []
+    real = mx.FormMatrix.mul
+    monkeypatch.setattr(mx.FormMatrix, "mul", lambda a, b: calls.append((a, b)) or real(a, b))
+    return calls
+
+
+def test_a_10_by_10_laurent_inverse_is_certified_on_the_packed_ints(monkeypatch):
+    m = unit_lu(random.Random(10), L, 10)
+    calls = count_products(monkeypatch)
+    inv = mx.try_inverse(m)
+    assert inv is not None and not calls
+    assert_two_sided_inverse(m, inv)
+
+
+def test_the_packed_check_refuses_a_wrong_x(monkeypatch):
+    m = unit_lu(random.Random(10), L, 10)
+    real = mx._laurent_elimination
+
+    def off_by_one(*args):
+        width, rlo, clo, k, x = real(*args)
+        return width, rlo, clo, k, [[x[0][0] + 1] + x[0][1:]] + x[1:]
+    monkeypatch.setattr(mx, "_laurent_elimination", off_by_one)
+    calls = count_products(monkeypatch)
+    assert mx.try_inverse(m) is None and not calls
+
+
+def test_a_laurent_inverse_past_the_bound_is_checked_by_the_product(monkeypatch):
+    # |m| |m^-1| n min(grids) = 20 * 20 * 2 * 1 is past 2^7 - 1, and Hadamard's bound gives 8 bits
+    m = mx.matrix(L, [[1, rings.monomial(L, 1, 20)], [0, 1]])
+    assert mx._packing(m)[0] == 8
+    calls = count_products(monkeypatch)
+    assert mx.try_inverse(m) == mx.matrix(L, [[1, rings.monomial(L, 1, -20)], [0, 1]])
+    assert len(calls) == 1
+
+
 # -- the two cyclic paths: the packed lift and the regular representation -------
 
 
