@@ -408,8 +408,7 @@ def cobordism_from_automorphism(u: unitary.UnitaryAutomorphism) -> tuple[OddComp
     lower-triangular generators but not on upper-triangular ones, and
     zero in its place makes the duality matrix singular there.
     """
-    if not unitary.unitary_membership(u):
-        raise DomainError("the blocks do not satisfy the hyperbolic automorphism conditions")
+    unitary._require_member(u)
     eps = u.epsilon
     parity = 0 if eps == 1 else 1
     theta = forms.split_hessian_witness(u.alpha.star().mul(u.gamma), eps)

@@ -102,14 +102,15 @@ def direct_sum_formation(a: Formation, b: Formation) -> Formation:
         raise WrongRingError("formation sum needs one ring and one epsilon")
     ka = a.rank // 2
     kb = b.rank // 2
-    # interleave so the result is again based on the standard hyperbolic
+    # interleave so the result is again based on the standard hyperbolic; a standard
+    # hyperbolic form has even rank, so there ka and kb are exact halves
     def stack(ma, mb):
         ca, cb = range(ma.cols), range(mb.cols)
         top = matrices.block_diagonal(ma.submatrix(range(ka), ca), mb.submatrix(range(kb), cb))
         bottom = matrices.block_diagonal(ma.submatrix(range(ka, 2 * ka), ca), mb.submatrix(range(kb, 2 * kb), cb))
         return matrices.vstack(top, bottom)
 
-    if a.rank == 2 * ka and b.rank == 2 * kb and _is_standard_hyperbolic(a.q) and _is_standard_hyperbolic(b.q):
+    if _is_standard_hyperbolic(a.q) and _is_standard_hyperbolic(b.q):
         q = forms.hyperbolic_quadratic(a.ring, a.epsilon, ka + kb)
         return Formation(a.ring, a.epsilon, q, stack(a.f, b.f), stack(a.g, b.g))
     q = forms.direct_sum(a.q, b.q)
@@ -274,8 +275,7 @@ def _boundary_witness(phi: Formation, h: FormMatrix) -> tuple[QuadraticForm, For
 
 def formation_from_automorphism(u) -> Formation:
     """(H_eps(k); first summand, image of the first block column of u)."""
-    if not unitary.unitary_membership(u):
-        raise DomainError("the blocks do not satisfy the hyperbolic automorphism conditions")
+    unitary._require_member(u)
     q = forms.hyperbolic_quadratic(u.ring, u.epsilon, u.k)
     g = matrices.vstack(u.alpha, u.gamma)
     return Formation(u.ring, u.epsilon, q, _standard_f(u.ring, u.k), g)

@@ -485,9 +485,8 @@ def same_span(a: FormMatrix, b: FormMatrix) -> bool:
 def complement_of_primitive(b: FormMatrix):
     """(complement, projection) for a primitive sublattice basis."""
     grid = _z_grid(b, "complementing a sublattice")
-    if b.rows == 0 and b.cols > 0:
-        raise SingularMatrixError("columns do not span a primitive sublattice")
-    res = _intlat.complement_of_primitive(grid)
+    # more columns than rows spans no primitive sublattice; the int grid of a 0-row b cannot say so
+    res = _intlat.complement_of_primitive(grid) if b.cols <= b.rows else None
     if res is None:
         raise SingularMatrixError("columns do not span a primitive sublattice")
     comp, proj = res

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import forms, matrices, witt
+from . import forms, matrices, rings, witt
 from .errors import DomainError, SchemaError, WrongRingError
 from .forms import QuadraticForm
 from .rings import AbelianGroup, Z
@@ -25,10 +25,15 @@ class PlumbingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        rings._check_int(self.parity, "parity")
         if self.parity not in (0, 1):
             raise SchemaError("parity must be 0 or 1")
+        for w in self.weights:
+            rings._check_int(w, "weight")
         k = len(self.weights)
         for i, j in self.edges:
+            rings._check_int(i, "edge end")
+            rings._check_int(j, "edge end")
             if i == j:
                 raise DomainError(f"loop edge at vertex {i} is not allowed")
             if not (0 <= i < k and 0 <= j < k):
@@ -40,8 +45,7 @@ class PlumbingGraph:
 
 
 def plumbing_graph(parity: int, weights, edges) -> PlumbingGraph:
-    return PlumbingGraph(parity, tuple(int(w) for w in weights),
-                         tuple((int(i), int(j)) for i, j in edges))
+    return PlumbingGraph(parity, tuple(weights), tuple((i, j) for i, j in edges))
 
 
 def e8_graph() -> PlumbingGraph:

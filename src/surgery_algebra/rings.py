@@ -44,17 +44,17 @@ class RingSpec:
 
     def __post_init__(self):
         if self.kind not in ("Z", "cyclic", "laurent"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise SchemaError(f"unknown ring kind {self.kind!r}")
         if self.kind != "cyclic":
             if self.m != 0 or self.w != 1:
-                raise ValueError("m and w are only meaningful for cyclic group rings")
+                raise SchemaError("m and w are only meaningful for cyclic group rings")
         else:
             if self.m < 1:
-                raise ValueError("cyclic group order must be at least 1")
+                raise SchemaError("cyclic group order must be at least 1")
             if self.w not in (1, -1):
-                raise ValueError("orientation character must be +1 or -1")
+                raise SchemaError("orientation character must be +1 or -1")
             if self.w == -1 and self.m % 2 == 1:
-                raise ValueError("w = -1 needs even group order, else w^m != 1")
+                raise SchemaError("w = -1 needs even group order, else w^m != 1")
 
     def __str__(self):
         if self.kind == "laurent":

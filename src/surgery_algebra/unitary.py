@@ -71,10 +71,9 @@ def unitary_membership(u: UnitaryAutomorphism) -> bool:
     return forms.split_hessian_witness(u.beta.star().mul(u.delta), u.epsilon) is not None
 
 
-def _require_member(u: UnitaryAutomorphism, what: str) -> UnitaryAutomorphism:
+def _require_member(u: UnitaryAutomorphism) -> None:
     if not unitary_membership(u):
-        raise DomainError(f"{what} is not an automorphism of the hyperbolic form")
-    return u
+        raise DomainError("the blocks do not satisfy the hyperbolic automorphism conditions")
 
 
 def identity_unitary(ring: RingSpec, epsilon: int, k: int) -> UnitaryAutomorphism:
@@ -124,7 +123,7 @@ def compose(outer: UnitaryAutomorphism, inner: UnitaryAutomorphism) -> UnitaryAu
 
 def inverse(u: UnitaryAutomorphism) -> UnitaryAutomorphism:
     """[[delta', eps*beta'], [eps*gamma', alpha']]; exact for members."""
-    _require_member(u, "the matrix to invert")
+    _require_member(u)
     e = u.epsilon
     return UnitaryAutomorphism(
         u.ring, e,

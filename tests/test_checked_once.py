@@ -1,15 +1,18 @@
 """Each fact checked once: the rewritten checks against verbatim copies of the
 code that tested the same facts again, on inputs that reach every failure."""
 
+import json
 import operator
 import random
+import re
 from functools import reduce
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surgery_algebra import _intlat, complexes as cx, forms, formations as fm, lagrangians, matrices as mx, rings
+from surgery_algebra import _intlat, cli, complexes as cx, forms, formations as fm, lagrangians, matrices as mx, rings
+from surgery_algebra import serialize as sz, unitary
 from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.forms import FormIsometry
 from surgery_algebra.generators import hessian_corner, matrix as random_matrix, word as random_word
@@ -821,3 +824,102 @@ def test_surgery_on_a_complex_matches_the_old_ring_check(parity, k, m, ring, see
         c = cx.OddComplex(cyc, parity, *(mx.matrix(cyc, x.to_int_grid()) for x in (c.d, c.psi0, c.psi1)))
     s = cx.SurgeryData(random_matrix(rng, c.ring, m, k, -1, 1), random_matrix(rng, c.ring, m, m, -1, 1))
     assert outcome(cx.surgery_on_complex, c, s) == outcome(frozen_surgery_on_complex, c, s)
+
+
+# -- refusals stated once, by the object that owns the invariant -------------------
+
+def frozen_direct_sum_formation(a, b):
+    if a.ring != b.ring or a.epsilon != b.epsilon:
+        raise WrongRingError("formation sum needs one ring and one epsilon")
+    ka = a.rank // 2
+    kb = b.rank // 2
+
+    def stack(ma, mb):
+        ca, cb = range(ma.cols), range(mb.cols)
+        top = mx.block_diagonal(ma.submatrix(range(ka), ca), mb.submatrix(range(kb), cb))
+        bottom = mx.block_diagonal(ma.submatrix(range(ka, 2 * ka), ca), mb.submatrix(range(kb, 2 * kb), cb))
+        return mx.vstack(top, bottom)
+
+    if a.rank == 2 * ka and b.rank == 2 * kb and fm._is_standard_hyperbolic(a.q) and fm._is_standard_hyperbolic(b.q):
+        q = forms.hyperbolic_quadratic(a.ring, a.epsilon, ka + kb)
+        return fm.Formation(a.ring, a.epsilon, q, stack(a.f, b.f), stack(a.g, b.g))
+    q = forms.direct_sum(a.q, b.q)
+    return fm.Formation(a.ring, a.epsilon, q, mx.block_diagonal(a.f, b.f), mx.block_diagonal(a.g, b.g))
+
+
+def odd_rank_formation(rng, eps, rank):
+    """Shape-valid formation data on a random eps-form of odd rank, which no standard hyperbolic form has."""
+    chi = random_matrix(rng, Z, rank, rank, -2, 2)
+    q = forms.quadratic_form(Z, eps, chi.add(chi.star().scale_int(eps)), [chi.entry(i, i) for i in range(rank)])
+    return fm.Formation(Z, eps, q, random_matrix(rng, Z, rank, rank // 2), random_matrix(rng, Z, rank, rank // 2))
+
+
+@settings(max_examples=40)
+@given(EPS, st.integers(0, 2), st.integers(0, 2), st.sampled_from(["boundary", "automorphism", "odd"]),
+       st.sampled_from(["boundary", "automorphism", "odd"]), seeds)
+def test_the_formation_sum_matches_the_one_that_tested_rank_parity(eps, ka, kb, kind_a, kind_b, seed):
+    """_is_standard_hyperbolic is false on odd rank, so the sum needs no parity test of its own."""
+    rng = random.Random(seed)
+    a, b = (odd_rank_formation(rng, eps, 2 * k + 1) if kind == "odd" else draw_formation(rng, kind, eps, k)[0]
+            for kind, k in ((kind_a, ka), (kind_b, kb)))
+    assert fm.direct_sum_formation(a, b) == frozen_direct_sum_formation(a, b)
+
+
+CX = {"d": [[1]], "parity": 0, "psi0": [[0]], "psi1": [[0]]}
+NON_MEMBER = {"epsilon": 1, "alpha": [[2]], "beta": [[0]], "gamma": [[0]], "delta": [[1]]}
+NOT_MEMBER = "the blocks do not satisfy the hyperbolic automorphism conditions"
+
+
+@pytest.mark.parametrize("verb, obj, read, error, status, where", [
+    ("plumb", {"parity": 2, "weights": [1], "edges": []}, sz.graph_from_obj,
+     "invalid plumbing graph: parity must be 0 or 1", 2, "serialize:graph_from_obj"),
+    ("complex-validate", dict(CX, parity=2), sz.complex_from_obj,
+     "invalid complex data: parity must be 0 or 1", 2, "serialize:complex_from_obj"),
+    ("formation-from-aut", dict(NON_MEMBER, alpha=[[1, 0]]), sz.unitary_from_obj,
+     "block alpha must be 1x1", 2, "unitary:__post_init__"),
+    ("formation-from-aut", NON_MEMBER, lambda obj: fm.formation_from_automorphism(sz.unitary_from_obj(obj)),
+     NOT_MEMBER, 1, "unitary:_require_member"),
+    ("surgery-complex", {"complex": CX, "surgeries": [{"j": [[0]], "delta_psi0": [[0, 0]]}]},
+     lambda obj: sz.surgery_from_obj(obj["surgeries"][0]),
+     "delta_psi0 must be square on the target of j", 2, "complexes:__post_init__"),
+    ("cobordism-validate", {"source": CX, "target": CX,
+                            "cobordism": {"j": [[0]], "jprime": [[0]], "delta_psi0": [[0, 0]]}},
+     lambda obj: sz.cobordism_from_obj(Z, obj["cobordism"]),
+     "delta_psi0 must be square on the shared target", 2, "complexes:__post_init__"),
+    ("form-info", {"ring": {"ring": "cyclic", "m": 0, "w": 1}, "epsilon": 1, "lambda": [], "mu": []},
+     sz.form_from_obj, "cyclic group order must be at least 1", 2, "rings:__post_init__"),
+    ("form-info", {"ring": {"ring": "cyclic", "m": 3, "w": -1}, "epsilon": 1, "lambda": [], "mu": []},
+     sz.form_from_obj, "w = -1 needs even group order, else w^m != 1", 2, "rings:__post_init__"),
+], ids=["graph-parity", "complex-parity", "wide-alpha", "non-member", "surgery-delta", "cobordism-delta",
+        "order-0", "odd-order-w"])
+def test_a_file_the_owner_refuses_keeps_its_error_class_and_exit_status(tmp_path, verb, obj, read, error,
+                                                                        status, where):
+    """Each of these was refused by a second copy of its rule in the reader or builder;
+    the object's constructor or unitary._require_member now refuses it alone, with the
+    same class and exit status (2 for SchemaError, 1 for DomainError)."""
+    src, out = tmp_path / "input.json", tmp_path / "report.json"
+    src.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main([verb, "--in", str(src), "--out", str(out)]) == status
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["kind"], report["error"]) == ("schema" if status == 2 else "domain", error)
+    assert report["where"].startswith(f"surgery_algebra.{where}:")
+    with pytest.raises(SchemaError if status == 2 else DomainError, match=f"^{re.escape(error)}$"):
+        read(obj)
+
+
+@pytest.mark.parametrize("call, cls, message", [
+    (lambda: unitary.inverse(sz.unitary_from_obj(NON_MEMBER)), DomainError, NOT_MEMBER),
+    (lambda: cx.cobordism_from_automorphism(sz.unitary_from_obj(NON_MEMBER)), DomainError, NOT_MEMBER),
+    (lambda: mx.complement_of_primitive(mx.zero_matrix(Z, 0, 1)), SingularMatrixError,
+     "columns do not span a primitive sublattice"),
+    (lambda: mx.complement_of_primitive(mx.matrix(Z, [[1, 0]])), SingularMatrixError,
+     "columns do not span a primitive sublattice"),
+    (lambda: rings.cyclic(0), SchemaError, "cyclic group order must be at least 1"),
+    (lambda: rings.cyclic(3, -1), SchemaError, r"w = -1 needs even group order, else w\^m != 1"),
+    (lambda: rings.RingSpec("Q"), SchemaError, "unknown ring kind 'Q'"),
+], ids=["inverse", "cobordism", "no-rows", "wide", "order-0", "odd-order-w", "unknown-kind"])
+def test_a_library_call_the_owner_refuses_raises_one_error(call, cls, message):
+    """unitary.inverse said "the matrix to invert is not an automorphism of the hyperbolic
+    form" before membership was refused in one place; a RingSpec raised ValueError."""
+    with pytest.raises(cls, match=f"^{message}$"):
+        call()

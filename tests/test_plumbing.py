@@ -62,6 +62,21 @@ def test_graph_validation():
         plumbing_graph(2, (0,), [])
 
 
+@pytest.mark.parametrize("parity, weights, edges, message", [
+    (0, [1.7, True], [(0.9, 1)], "weight must be an integer, got float"),
+    (0, [1, True], [(0, 1)], "weight must be an integer, got bool"),
+    (0, [1, 1], [(0.9, 1)], "edge end must be an integer, got float"),
+    (0, [1, 1], [(0, True)], "edge end must be an integer, got bool"),
+    (True, [1], [], "parity must be an integer, got bool"),
+    (0.0, [1], [], "parity must be an integer, got float"),
+], ids=["weights-and-edge", "bool-weight", "float-edge-end", "bool-edge-end", "bool-parity", "float-parity"])
+def test_a_graph_refuses_non_integers_by_type(parity, weights, edges, message):
+    """int() once truncated these, so that weights (1.7, True) and the edge (0.9, 1) read
+    as the A2 graph and its form [[2, 1], [1, 2]]."""
+    with pytest.raises(SchemaError, match=rf"^{message}$"):
+        plumbing_graph(parity, weights, edges)
+
+
 def test_diagonal_rule_and_symmetry():
     rng = random.Random(31)
     for _ in range(25):
