@@ -35,12 +35,6 @@ def _load(args, name: str = "input"):
     return sz.read_json(path, args.raw[path])
 
 
-def _require(obj, key, what):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{what} needs a {key!r} key")
-    return obj[key]
-
-
 # --- verb implementations ---------------------------------------------------
 
 
@@ -89,9 +83,9 @@ def verb_split(args):
 
 
 def verb_surgery_form(args):
-    obj = _load(args)
-    q = sz.form_from_obj(_require(obj, "form", "surgery input"))
-    xdata = _require(obj, "x", "surgery input")
+    obj = sz._require_keys(_load(args), ("form", "x"), "surgery input")
+    q = sz.form_from_obj(obj["form"])
+    xdata = obj["x"]
     if not isinstance(xdata, list):
         raise SchemaError("x must be a list of entries")
     x = sz.matrix_from_obj(q.ring, [[v] for v in xdata], rows=q.rank, cols=1)
@@ -169,9 +163,10 @@ def verb_formation(args):
         phi = fm.complex_to_formation(sz.complex_from_obj(obj))
         return {"formation": sz.formation_to_obj(phi)}
     if "first" in keys or "second" in keys:
-        a = sz.formation_from_obj(_require(obj, "first", "stable comparison"))
-        b = sz.formation_from_obj(_require(obj, "second", "stable comparison"))
-        iso = sz.matrix_from_obj(a.ring, _require(obj, "isometry", "stable comparison"))
+        sz._require_keys(obj, ("first", "second", "isometry"), "stable comparison")
+        a = sz.formation_from_obj(obj["first"])
+        b = sz.formation_from_obj(obj["second"])
+        iso = sz.matrix_from_obj(a.ring, obj["isometry"])
         return {
             "stably_isomorphic": fm.verify_stable_isomorphism(a, b, iso, args.stabilize, args.stabilize),
             "pad": args.stabilize,
@@ -202,9 +197,9 @@ def verb_formation_from_aut(args):
 
 
 def verb_surgery_complex(args):
-    obj = _load(args)
-    c = sz.complex_from_obj(_require(obj, "complex", "surgery input"))
-    steps = _require(obj, "surgeries", "surgery input")
+    obj = sz._require_keys(_load(args), ("complex", "surgeries"), "surgery input")
+    c = sz.complex_from_obj(obj["complex"])
+    steps = obj["surgeries"]
     if not isinstance(steps, list):
         raise SchemaError("surgeries must be a list")
     current = c
@@ -222,23 +217,18 @@ def verb_surgery_complex(args):
 
 
 def verb_cobordism_validate(args):
-    obj = _load(args)
-    c = sz.complex_from_obj(_require(obj, "source", "cobordism input"))
-    cprime = sz.complex_from_obj(_require(obj, "target", "cobordism input"))
-    cob = sz.cobordism_from_obj(c.ring, _require(obj, "cobordism", "cobordism input"),
-                                source=c, target=cprime)
+    obj = sz._require_keys(_load(args), ("source", "target", "cobordism"), "cobordism input")
+    c = sz.complex_from_obj(obj["source"])
+    cprime = sz.complex_from_obj(obj["target"])
+    cob = sz.cobordism_from_obj(c.ring, obj["cobordism"], source=c, target=cprime)
     return {"valid": cx.validate_cobordism(c, cprime, cob)}
 
 
 def verb_union(args):
-    obj = _load(args)
-    left = sz.complex_from_obj(_require(obj, "left", "union input"))
-    middle = sz.complex_from_obj(_require(obj, "middle", "union input"))
-    right = sz.complex_from_obj(_require(obj, "right", "union input"))
-    first = sz.cobordism_from_obj(left.ring, _require(obj, "first", "union input"),
-                                  source=left, target=middle)
-    second = sz.cobordism_from_obj(left.ring, _require(obj, "second", "union input"),
-                                   source=middle, target=right)
+    obj = sz._require_keys(_load(args), ("left", "middle", "right", "first", "second"), "union input")
+    left, middle, right = (sz.complex_from_obj(obj[k]) for k in ("left", "middle", "right"))
+    first = sz.cobordism_from_obj(left.ring, obj["first"], source=left, target=middle)
+    second = sz.cobordism_from_obj(left.ring, obj["second"], source=middle, target=right)
     glued = cx.union_cobordisms(left, middle, right, first, second)
     return {
         "cobordism": sz.cobordism_to_obj(glued),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _intlat, forms, lagrangians, matrices, unitary
+from . import _intlat, forms, lagrangians, matrices, rings, unitary
 from .errors import DomainError, SchemaError, SingularMatrixError, WrongRingError
 from .matrices import FormMatrix
 from .rings import AbelianGroup, RingSpec
@@ -30,7 +30,7 @@ class OddComplex:
     psi1: FormMatrix
 
     def __post_init__(self):
-        if self.parity not in (0, 1):
+        if rings._check_int(self.parity, "parity") not in (0, 1):
             raise SchemaError("parity must be 0 or 1")
         c0, c1 = self.d.rows, self.d.cols
         if self.psi0.rows != c1 or self.psi0.cols != c0:

@@ -141,12 +141,13 @@ def _memoized(build):
     with k <= 8.  64 entries keep all of them with room for more rings and ranks.  The rank
     bound keeps what the memo holds under about 6 MB: a form's grids grow as k^2, and a
     split form with its quadratic form takes 0.1 MB at k = 32 and 72 MB at k = 1024.
-    A refusal is raised again on each call."""
+    A refusal is raised again on each call; a k that is no int is refused before the memo."""
     memo = lru_cache(maxsize=64, typed=True)(build)
+    what = f"{build.__name__}: k"
 
     @wraps(build)
     def memoized(ring: RingSpec, epsilon: int, k: int):
-        return (memo if k <= 32 else build)(ring, epsilon, k)
+        return (memo if rings._check_int(k, what) <= 32 else build)(ring, epsilon, k)
 
     memoized.memo = memo
     return memoized

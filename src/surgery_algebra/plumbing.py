@@ -25,8 +25,7 @@ class PlumbingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rings._check_int(self.parity, "parity")
-        if self.parity not in (0, 1):
+        if rings._check_int(self.parity, "parity") not in (0, 1):
             raise SchemaError("parity must be 0 or 1")
         for w in self.weights:
             rings._check_int(w, "weight")
@@ -114,7 +113,7 @@ def milnor_sphere(ell: int) -> tuple[int, bool]:
     characteristic number (45 + 4*ell^2)/7 is an integer, i.e. ell = +-1
     mod 7, and exactly then the boundary is the standard sphere.
     """
-    if ell % 2 == 0:
+    if rings._check_int(ell, "ell") % 2 == 0:
         raise DomainError("the sphere family is indexed by odd integers")
     cls = (ell * ell - 1) % 28
     exotic = (ell % 7) not in (1, 6)

@@ -14,8 +14,9 @@ coefficients of g^0, ..., g^(m-1), into which any window folds mod m; and
 over Z, which is Z[Z/1], its one coefficient.  So each ring operation is
 written once, as window arithmetic passed to ``_mk``, and Z needs no case of
 its own beyond ``monomial``'s refusal of an exponent k != 0: it is the order-1
-case of every fold.  Every function that takes eps refuses any value other
-than +1 and -1 with DomainError.
+case of every fold.  Every function that takes eps refuses an eps that is no
+int with SchemaError, by ``_check_int``, and any int other than +1 and -1 with
+DomainError.
 
 The quotient groups Q_eps = Lambda / {a - eps * conj(a)} get canonical coset
 representatives by folding: the subgroup is spanned by g^k - eps * w^k *
@@ -34,6 +35,14 @@ from dataclasses import dataclass
 from .errors import DomainError, SchemaError, WrongRingError
 
 
+def _check_int(v, what: str) -> int:
+    """v, once it is an int: the package's one int rule.  An int subclass passes; a bool,
+    a float or any other type is a SchemaError that names the type, never the value."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"{what} must be an integer, got {type(v).__name__}")
+    return v
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Descriptor of a supported ring with involution."""
@@ -45,6 +54,8 @@ class RingSpec:
     def __post_init__(self):
         if self.kind not in ("Z", "cyclic", "laurent"):
             raise SchemaError(f"unknown ring kind {self.kind!r}")
+        _check_int(self.m, "m")
+        _check_int(self.w, "w")
         if self.kind != "cyclic":
             if self.m != 0 or self.w != 1:
                 raise SchemaError("m and w are only meaningful for cyclic group rings")
@@ -122,20 +133,13 @@ def zero(ring: RingSpec) -> RingElement:
     return _mk(ring, ())
 
 
-def _check_int(v, what: str):
-    """Refuse v unless it is an int; an int subclass passes, a bool does not."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{what} must be an integer, got {type(v).__name__}")
-
-
 def _check_epsilon(epsilon):
-    if epsilon not in (1, -1):
+    if _check_int(epsilon, "epsilon") not in (1, -1):
         raise DomainError("epsilon must be +1 or -1")
 
 
 def from_int(ring: RingSpec, n: int) -> RingElement:
-    _check_int(n, "coefficient")
-    return _mk(ring, (n,))
+    return _mk(ring, (_check_int(n, "coefficient"),))
 
 
 def one(ring: RingSpec) -> RingElement:
@@ -346,7 +350,7 @@ def q_eps_group(ring: RingSpec, epsilon: int, window: int | None = None) -> Abel
     else:
         if window is None:
             raise DomainError("Q_eps of the Laurent ring needs an exponent window bound")
-        if window < 0:
+        if _check_int(window, "window") < 0:
             raise DomainError(f"the exponent window must be at least 0, got {window}")
         pairs, signs = window, [epsilon]
     return AbelianGroup(pairs + signs.count(1), (2,) * signs.count(-1))

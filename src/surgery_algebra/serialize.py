@@ -7,16 +7,17 @@ members of each composite object carry it).  Ring elements encode as a bare
 integer over the integers, a length-m coefficient list over a cyclic group
 ring, and {"origin": o, "coeffs": [...]} over the Laurent ring.
 
-A matrix is read without building ring elements: over Z its int rows go to
-``matrices.matrix``, and over Z[Z/m] and Z[z,z^-1] the coefficient window of
-each entry goes to ``matrices.from_windows`` once checked: (0, the m
-coefficients) over Z[Z/m], a row at a time, and (origin, coeffs) over
-Z[z,z^-1], an entry at a time.  Where a check fails, ``element_from_obj``
-reads the elements in order, so that the error names the first bad one.
+Each group-ring element format is read by ``_window`` alone, which
+``element_from_obj`` and ``matrix_from_obj`` share.  A matrix is read without
+building ring elements: over Z its rows go to ``matrices.matrix``, which
+refuses an entry that is no int, and over Z[Z/m] and Z[z,z^-1] the windows of
+its entries, read in row-major order so that an error names the first bad
+one, go to ``matrices.from_windows``.
 
-A reader checks types, the size caps below and the shapes it needs to parse
-(the dimensions one matrix takes from another); each object's constructor
-checks its own invariants, such as a parity in {0, 1} or a square block.
+A reader checks the size caps below and the shapes it needs to parse (the
+dimensions one matrix takes from another).  The constructors type their own
+ints, by ``rings._check_int``, and check their own invariants, such as a
+parity in {0, 1} or a square block.
 """
 
 from __future__ import annotations
@@ -31,15 +32,8 @@ from .matrices import FormMatrix
 from .rings import RingElement, RingSpec
 
 
-def _require_int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{what} must be an integer, got {v!r}")
-    return v
-
-
 def _require_sign(v, what: str) -> int:
-    v = _require_int(v, what)
-    if v not in (1, -1):
+    if rings._check_int(v, what) not in (1, -1):
         raise SchemaError(f"{what} must be +1 or -1, got {v}")
     return v
 
@@ -62,16 +56,10 @@ def ring_to_obj(ring: RingSpec):
 
 
 def ring_from_obj(obj) -> RingSpec:
-    _require_keys(obj, ("ring",), "ring descriptor")
-    kind = obj["ring"]
-    if kind == "Z":
-        return rings.integers()
-    if kind == "laurent":
-        return rings.laurent()
-    if kind == "cyclic":
-        _require_keys(obj, ("m", "w"), "cyclic ring descriptor")
-        return rings.cyclic(_require_int(obj["m"], "m"), _require_sign(obj["w"], "w"))
-    raise SchemaError(f"unknown ring kind {kind!r}")
+    if _require_keys(obj, ("ring",), "ring descriptor")["ring"] != "cyclic":
+        return RingSpec(obj["ring"])
+    _require_keys(obj, ("m", "w"), "cyclic ring descriptor")
+    return rings.cyclic(obj["m"], obj["w"])
 
 
 def element_to_obj(a: RingElement):
@@ -101,24 +89,33 @@ MAX_LAURENT_GRID_CELLS = 2 ** 18
 MAX_LAURENT_WINDOW_CELLS = 2 ** 19
 
 
-def element_from_obj(ring: RingSpec, obj) -> RingElement:
-    if ring.kind == "Z":
-        return rings.from_int(ring, _require_int(obj, "integer element"))
+def _window(ring: RingSpec, obj) -> tuple[int, list]:
+    """(origin, coeffs) of a group-ring element's encoding, the one statement of both formats:
+    a list of m ints over Z[Z/m], at origin 0; {"origin": o, "coeffs": [ints]} over Z[z,z^-1],
+    with every exponent within MAX_LAURENT_EXPONENT."""
     if ring.kind == "cyclic":
         if not isinstance(obj, list) or len(obj) != ring.m:
-            raise SchemaError(
-                f"cyclic group ring element must be a list of {ring.m} integers"
-            )
-        return rings._mk(ring, [_require_int(v, "group ring coefficient") for v in obj])
-    _require_keys(obj, ("origin", "coeffs"), "Laurent element")
-    origin = _require_int(obj["origin"], "origin")
-    if not isinstance(obj["coeffs"], list):
-        raise SchemaError("Laurent coefficients must be a list")
-    coeffs = [_require_int(c, "coefficient") for c in obj["coeffs"]]
-    if max(abs(origin), abs(origin + max(len(coeffs) - 1, 0))) > MAX_LAURENT_EXPONENT:
+            raise SchemaError(f"cyclic group ring element must be a list of {ring.m} integers")
+        origin, coeffs, what = 0, obj, "group ring coefficient"
+    else:
+        _require_keys(obj, ("origin", "coeffs"), "Laurent element")
+        origin, coeffs, what = rings._check_int(obj["origin"], "origin"), obj["coeffs"], "coefficient"
+        if not isinstance(coeffs, list):
+            raise SchemaError("Laurent coefficients must be a list")
+    if not set(map(type, coeffs)) <= {int}:  # one test for plain ints; the int rule names the first other
+        for c in coeffs:
+            rings._check_int(c, what)
+    if ring.kind == "laurent" and max(abs(origin), abs(origin + max(len(coeffs) - 1, 0))) > MAX_LAURENT_EXPONENT:
         raise SchemaError(f"Laurent exponents must lie in [-{MAX_LAURENT_EXPONENT}, "
                           f"{MAX_LAURENT_EXPONENT}], got origin {origin} with "
                           f"{len(coeffs)} coefficients")
+    return origin, coeffs
+
+
+def element_from_obj(ring: RingSpec, obj) -> RingElement:
+    if ring.kind == "Z":
+        return rings.from_int(ring, obj)
+    origin, coeffs = _window(ring, obj)
     return rings._mk(ring, coeffs, origin)
 
 
@@ -146,23 +143,10 @@ def matrix_from_obj(ring: RingSpec, obj, rows: int | None = None,
     if r == 0:
         return matrices.zero_matrix(ring, 0, c)
     if ring.kind == "Z":
-        return matrices.matrix(ring, [[_require_int(v, "integer element") for v in row] for row in obj])
+        return matrices.matrix(ring, obj)
+    terms = [_window(ring, v) for v in chain.from_iterable(obj)]
     if ring.kind == "cyclic":
-        for row in obj:
-            # one test per row for lists of m ints; the element reader names the first bad one
-            if c and not (set(map(type, row)) == {list} and set(map(len, row)) == {ring.m}
-                          and set(map(type, chain.from_iterable(row))) == {int}):
-                for v in row:
-                    element_from_obj(ring, v)
-        return matrices.from_windows(ring, r, c, [(0, v) for v in chain.from_iterable(obj)])
-    terms = []
-    for v in chain.from_iterable(obj):
-        if not (type(v) is dict and type(o := v.get("origin")) is int and type(cs := v.get("coeffs")) is list
-                and set(map(type, cs)) <= {int}
-                and -MAX_LAURENT_EXPONENT <= o <= MAX_LAURENT_EXPONENT - max(len(cs) - 1, 0)):
-            e = element_from_obj(ring, v)  # raises the error that names v
-            o, cs = e.shift, e.coeffs
-        terms.append((o, cs))
+        return matrices.from_windows(ring, r, c, terms)
     exponents = {k for o, cs in terms for k, x in enumerate(cs, o) if x}
     if len(exponents) * r * c > MAX_LAURENT_GRID_CELLS:
         raise SchemaError(f"a {r}x{c} matrix over {ring} with {len(exponents)} distinct exponents "
@@ -219,19 +203,14 @@ def graph_to_obj(g: plumbing.PlumbingGraph):
 
 def graph_from_obj(obj) -> plumbing.PlumbingGraph:
     _require_keys(obj, ("parity", "weights", "edges"), "plumbing graph file")
-    parity = _require_int(obj["parity"], "parity")
     if not isinstance(obj["weights"], list):
         raise SchemaError("weights must be a list")
-    weights = [_require_int(w, "weight") for w in obj["weights"]]
     if not isinstance(obj["edges"], list):
         raise SchemaError("edges must be a list of [i, j] pairs")
-    edges = []
-    for e in obj["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise SchemaError("each edge must be a pair [i, j]")
-        edges.append((_require_int(e[0], "edge end"), _require_int(e[1], "edge end")))
+    if any(not isinstance(e, list) or len(e) != 2 for e in obj["edges"]):
+        raise SchemaError("each edge must be a pair [i, j]")
     try:
-        return plumbing.plumbing_graph(parity, weights, edges)
+        return plumbing.plumbing_graph(obj["parity"], obj["weights"], obj["edges"])
     except Exception as e:
         raise SchemaError(f"invalid plumbing graph: {e}") from None
 
@@ -249,7 +228,6 @@ def complex_to_obj(c: complexes.OddComplex):
 def complex_from_obj(obj) -> complexes.OddComplex:
     _require_keys(obj, ("parity", "d", "psi0", "psi1"), "complex file")
     ring = ring_from_obj(obj.get("ring", {"ring": "Z"}))
-    parity = _require_int(obj["parity"], "parity")
     # psi1 is square on the bottom module and psi0 maps bottom to top,
     # so the two of them pin the ranks even when d is empty
     psi1 = matrix_from_obj(ring, obj["psi1"])
@@ -258,7 +236,7 @@ def complex_from_obj(obj) -> complexes.OddComplex:
     c1 = psi0.rows
     d = matrix_from_obj(ring, obj["d"], rows=c0, cols=c1)
     try:
-        return complexes.OddComplex(ring, parity, d, psi0, psi1)
+        return complexes.OddComplex(ring, obj["parity"], d, psi0, psi1)
     except Exception as e:
         raise SchemaError(f"invalid complex data: {e}") from None
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surgery_algebra import _intlat, cli, complexes as cx, forms, formations as fm, lagrangians, matrices as mx, rings
-from surgery_algebra import serialize as sz, unitary
+from surgery_algebra import plumbing, serialize as sz, unitary
 from surgery_algebra.errors import DomainError, PreconditionError, SchemaError, SingularMatrixError, WrongRingError
 from surgery_algebra.forms import FormIsometry
 from surgery_algebra.generators import hessian_corner, matrix as random_matrix, word as random_word
@@ -917,9 +917,110 @@ def test_a_file_the_owner_refuses_keeps_its_error_class_and_exit_status(tmp_path
     (lambda: rings.cyclic(0), SchemaError, "cyclic group order must be at least 1"),
     (lambda: rings.cyclic(3, -1), SchemaError, r"w = -1 needs even group order, else w\^m != 1"),
     (lambda: rings.RingSpec("Q"), SchemaError, "unknown ring kind 'Q'"),
-], ids=["inverse", "cobordism", "no-rows", "wide", "order-0", "odd-order-w", "unknown-kind"])
+    # a bool or a float where an int is meant built an object, returned a float or raised a bare TypeError
+    (lambda: rings.cyclic(2.0), SchemaError, "m must be an integer, got float"),
+    (lambda: rings.RingSpec("Z", 0.0, 1.0), SchemaError, "m must be an integer, got float"),
+    (lambda: rings.symmetrize(rings.one(Z), 1.0), SchemaError, "epsilon must be an integer, got float"),
+    (lambda: forms.quadratic_form(Z, True, [[2]], [1]), SchemaError, "epsilon must be an integer, got bool"),
+    (lambda: cx.odd_complex(Z, 1.0, [[1]], [[0]], [[0]]), SchemaError, "parity must be an integer, got float"),
+    (lambda: mx.zero_matrix(Z, 2.0, 3), SchemaError, "zero_matrix: rows must be an integer, got float"),
+    (lambda: mx.zero_matrix(Z, 2, True), SchemaError, "zero_matrix: cols must be an integer, got bool"),
+    (lambda: mx.identity_matrix(Z, 2.0), SchemaError, "identity_matrix: n must be an integer, got float"),
+    (lambda: forms.hyperbolic_split(Z, 1, 2.0), SchemaError, "hyperbolic_split: k must be an integer, got float"),
+    (lambda: forms.hyperbolic_quadratic(Z, 1, True), SchemaError,
+     "hyperbolic_quadratic: k must be an integer, got bool"),
+    (lambda: unitary.identity_unitary(Z, 1, 1.0), SchemaError, "identity_matrix: n must be an integer, got float"),
+    (lambda: plumbing.milnor_sphere(3.0), SchemaError, "ell must be an integer, got float"),
+    (lambda: rings.q_eps_group(rings.laurent(), 1, 2.0), SchemaError, "window must be an integer, got float"),
+], ids=["inverse", "cobordism", "no-rows", "wide", "order-0", "odd-order-w", "unknown-kind",
+        "cyclic-order", "z-order", "symmetrize-eps", "form-eps", "complex-parity", "zero-rows", "zero-cols",
+        "identity", "hyperbolic-split", "hyperbolic-quadratic", "identity-unitary", "milnor", "q-eps-window"])
 def test_a_library_call_the_owner_refuses_raises_one_error(call, cls, message):
     """unitary.inverse said "the matrix to invert is not an automorphism of the hyperbolic
-    form" before membership was refused in one place; a RingSpec raised ValueError."""
+    form" before membership was refused in one place; a RingSpec raised ValueError; an int
+    that is no int is refused by rings._check_int alone."""
     with pytest.raises(cls, match=f"^{message}$"):
         call()
+
+
+# -- one int rule: rings._check_int types every int the package takes -------------------
+
+L_ONE = {"origin": 0, "coeffs": [2]}
+
+
+def laurent_form(lam, mu):
+    return {"ring": {"ring": "laurent"}, "epsilon": 1, "lambda": [[lam]], "mu": [mu]}
+
+
+def cyclic2_form(lam, mu, ring=None):
+    return {"ring": ring or {"ring": "cyclic", "m": 2, "w": 1}, "epsilon": 1, "lambda": [[lam]], "mu": [mu]}
+
+
+INT_RULE = "rings:_check_int"
+
+
+@pytest.mark.parametrize("verb, obj, error, where", [
+    ("form-info", {"epsilon": 1, "lambda": [[1.5]], "mu": [1]},
+     "coefficient must be an integer, got float", INT_RULE),
+    ("form-info", {"epsilon": 1, "lambda": [[2]], "mu": [{"a": [1]}]},
+     "coefficient must be an integer, got dict", INT_RULE),
+    ("form-info", {"epsilon": True, "lambda": [[2]], "mu": [1]},
+     "epsilon must be an integer, got bool", INT_RULE),
+    ("form-info", cyclic2_form([2, "0"], [1, 0]),
+     "group ring coefficient must be an integer, got str", INT_RULE),
+    ("form-info", cyclic2_form([2], [1, 0]),
+     "cyclic group ring element must be a list of 2 integers", "serialize:_window"),
+    ("form-info", laurent_form({"origin": 0.0, "coeffs": [2]}, L_ONE),
+     "origin must be an integer, got float", INT_RULE),
+    ("form-info", laurent_form(L_ONE, {"origin": 0, "coeffs": [None]}),
+     "coefficient must be an integer, got NoneType", INT_RULE),
+    ("form-info", laurent_form({"origin": 0, "coeffs": 2}, L_ONE),
+     "Laurent coefficients must be a list", "serialize:_window"),
+    ("form-info", laurent_form({"origin": 10 ** 9, "coeffs": [2]}, L_ONE),
+     f"Laurent exponents must lie in [-{sz.MAX_LAURENT_EXPONENT}, {sz.MAX_LAURENT_EXPONENT}], "
+     "got origin 1000000000 with 1 coefficients", "serialize:_window"),
+    ("form-info", cyclic2_form([2, 0], [1, 0], {"ring": "cyclic", "m": 2.0, "w": 1}),
+     "m must be an integer, got float", INT_RULE),
+    ("form-info", cyclic2_form([2, 0], [1, 0], {"ring": "cyclic", "m": 2, "w": True}),
+     "w must be an integer, got bool", INT_RULE),
+    ("form-info", cyclic2_form([2, 0], [1, 0], {"ring": "cyclic", "m": 2, "w": 2}),
+     "orientation character must be +1 or -1", "rings:__post_init__"),
+    ("plumb", {"parity": 0, "weights": [1, "2"], "edges": []},
+     "invalid plumbing graph: weight must be an integer, got str", "serialize:graph_from_obj"),
+    ("plumb", {"parity": 1.0, "weights": [1], "edges": []},
+     "invalid plumbing graph: parity must be an integer, got float", "serialize:graph_from_obj"),
+    ("plumb", {"parity": 0, "weights": [1, 1], "edges": [[0, True]]},
+     "invalid plumbing graph: edge end must be an integer, got bool", "serialize:graph_from_obj"),
+    ("complex-validate", dict(CX, parity=[0]),
+     "invalid complex data: parity must be an integer, got list", "serialize:complex_from_obj"),
+    ("surgery-form", {"form": {"epsilon": 1, "lambda": [[2]], "mu": [1]}},
+     "surgery input is missing the 'x' key", "serialize:_require_keys"),
+    ("surgery-complex", {"complex": CX},
+     "surgery input is missing the 'surgeries' key", "serialize:_require_keys"),
+    ("cobordism-validate", [CX],
+     "cobordism input must be a JSON object", "serialize:_require_keys"),
+    ("union", {"left": CX, "middle": CX, "right": CX, "first": {}},
+     "union input is missing the 'second' key", "serialize:_require_keys"),
+    ("formation", {"first": {}, "isometry": [[1]]},
+     "stable comparison is missing the 'second' key", "serialize:_require_keys"),
+], ids=["z-entry", "z-mu", "epsilon", "cyclic-coefficient", "cyclic-length", "laurent-origin",
+        "laurent-coefficient", "laurent-coeffs", "laurent-cap", "ring-m", "ring-w-type", "ring-w-value",
+        "graph-weight", "graph-parity", "graph-edge", "complex-parity", "surgery-form-key",
+        "surgery-complex-key", "cobordism-object", "union-key", "stable-comparison-key"])
+def test_a_file_the_one_int_rule_refuses_keeps_its_exit_status(tmp_path, verb, obj, error, where):
+    """Each of these was refused by serialize._require_int, which echoed the bad value,
+    by a reader's own copy of an element format, by ring_from_obj's own sign test or by
+    cli._require; the owner now refuses it, still a SchemaError and so exit status 2."""
+    src, out = tmp_path / "input.json", tmp_path / "report.json"
+    src.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main([verb, "--in", str(src), "--out", str(out)]) == 2
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["kind"], report["error"]) == ("schema", error)
+    module, function, _ = report["where"].split(":")
+    assert f"{module}:{function}" == f"surgery_algebra.{where}"
+
+
+def test_the_exponent_cap_bounds_laurent_elements_only():
+    m = sz.MAX_LAURENT_EXPONENT + 2
+    e = sz.element_from_obj(rings.cyclic(m), [0] * (m - 1) + [1])
+    assert e == rings.monomial(rings.cyclic(m), -1)

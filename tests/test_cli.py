@@ -251,7 +251,7 @@ def test_each_input_is_opened_once_and_the_parsed_bytes_are_hashed(tmp_path, mon
 
 @pytest.mark.parametrize("verb, form, status, kind, module, function, raised", [
     ("form-info", {"ring": {"ring": "quaternion"}, "epsilon": 1, "lambda": [[2]], "mu": [1]},
-     2, "schema", "surgery_algebra.serialize", "ring_from_obj", "unknown ring kind"),
+     2, "schema", "surgery_algebra.rings", "__post_init__", "unknown ring kind"),
     ("witt", {"epsilon": 1, "lambda": [[2]], "mu": [1]},
      1, "domain", "surgery_algebra.witt", "witt_class", "witt class needs a nonsingular form"),
 ], ids=["schema-error", "domain-error"])
@@ -316,7 +316,7 @@ def test_an_exponent_beyond_the_cap_is_a_schema_error(tmp_path, origin):
     assert time.monotonic() - start < 1.0
     assert (status, report["kind"]) == (2, "schema")
     assert "Laurent exponents must lie in" in report["error"]
-    assert report["where"].startswith("surgery_algebra.serialize:element_from_obj:")
+    assert report["where"].startswith("surgery_algebra.serialize:_window:")
 
 
 def test_a_form_with_exponents_at_the_cap_is_read_quickly(tmp_path):

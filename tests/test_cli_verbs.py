@@ -1,6 +1,9 @@
 """Every CLI verb's success path, run in process on the shipped fixtures."""
 
+import copy
 import json
+import random
+import time
 
 import pytest
 
@@ -96,3 +99,61 @@ def test_a_lagrangian_file_with_a_wrong_theta_is_refused(tmp_path):
     assert cli.main(["lagrangian-extend", "--in", str(src), "--out", str(out)]) == 1
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["error"] == "theta is not a hessian witness: i'psi i != theta - eps*theta'"
+
+
+# what a mutation writes in place of a value: every JSON type, and ints past any cap
+MUTANTS = [None, True, False, 1.5, -0.0, "x", "", [], [0], [[]], {}, {"origin": 0}, 10 ** 30, -10 ** 30, 0, 2]
+
+
+def nested_positions(obj, path=()):
+    """The path of every value below the top of obj, parents before children."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from nested_positions(value, path + (key,))
+
+
+def mutated(rng, obj):
+    """A copy of obj with one or two nested values replaced by a mutant, or their keys deleted."""
+    obj = copy.deepcopy(obj)
+    for _ in range(rng.choice((1, 2))):
+        paths = list(nested_positions(obj))
+        if not paths:
+            break
+        path = rng.choice(paths)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and rng.random() < 0.2:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(rng.choice(MUTANTS))
+    return obj
+
+
+def verb_input(verb):
+    source = VERB_CASES[verb][1]
+    if isinstance(source, str):
+        return fixture(source) if source.endswith(".json") else null_sequence_file(source)
+    return source
+
+
+@pytest.mark.parametrize("verb", sorted(cli.NEEDS_INPUT))
+def test_no_value_at_any_depth_ends_in_a_traceback(tmp_path, verb):
+    """Seeded mutations of the verb's own input and of the shipped fixtures, one or two values
+    deep inside the file: each call exits 0, 1 or 2, a refusal names its kind and error, and
+    no call takes a second of CPU."""
+    rng = random.Random(f"depth-{verb}")
+    shipped = sorted(acceptance.fixture_names(""))
+    own = verb_input(verb)
+    src, out = tmp_path / "input.json", tmp_path / "report.json"
+    for _ in range(30):
+        base = own if rng.random() < 0.75 else fixture(rng.choice(shipped))
+        obj = mutated(rng, base)
+        src.write_text(json.dumps(obj), encoding="utf-8")
+        start = time.process_time()
+        status = cli.main([verb, "--in", str(src), "--out", str(out)])
+        assert time.process_time() - start < 1.0, obj
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert status in (0, 1, 2), obj
+        assert status == 0 or {"kind", "error"} <= report.keys(), obj

@@ -252,10 +252,10 @@ def test_laurent_matrices_are_capped_by_their_exponent_window(top, accepted):
 
 
 @pytest.mark.parametrize("obj, message", [
-    ([[1, True]], "integer element must be an integer, got True"),
-    ([[1.5]], "integer element must be an integer, got 1.5"),
-    ([[0, 1], ["3", 0]], "integer element must be an integer, got '3'"),
-    ([[None]], "integer element must be an integer, got None"),
+    ([[1, True]], "coefficient must be an integer, got bool"),
+    ([[1.5]], "coefficient must be an integer, got float"),
+    ([[0, 1], ["3", 0]], "coefficient must be an integer, got str"),
+    ([[None]], "coefficient must be an integer, got NoneType"),
     ([[1, 2], [3]], "matrix rows have unequal lengths"),
     ([[1], 2], "matrix must be an array of arrays"),
 ])
